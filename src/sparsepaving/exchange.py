@@ -25,7 +25,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .bitset import ElementSet, as_mask, elements, format_set, iter_elements, subset_masks
+from .bitset import (
+    ElementSet,
+    as_mask,
+    elements,
+    format_set,
+    iter_elements,
+    lowest_element,
+    subset_masks,
+)
 from .core import basis_predicate
 from .errors import (
     ElementOutOfRange,
@@ -93,19 +101,12 @@ class Multiset:
         return Counter(dict(self.counts))
 
 
-_basis_pred = basis_predicate
-
-
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 # -- basis pair graph ---------------------------------------------------------
 
 
 def bpg_vertex(m, a1: ElementSet, a2: ElementSet, a3: ElementSet) -> BasisPairVertex:
     """Validated vertex constructor for the pair graph of m."""
-    pred, n, _ = _basis_pred(m)
+    pred, n, _ = basis_predicate(m)
     a1, a2, a3 = as_mask(a1), as_mask(a2), as_mask(a3)
     ground = (1 << n) - 1
     for a in (a1, a2, a3):
@@ -160,7 +161,7 @@ def _disjoint_pair_path(
             out.append((cur1, cur2))
             continue
         if gap.bit_count() >= 3:
-            x = _lowest(gap)
+            x = lowest_element(gap)
             for y in iter_elements(need):
                 n1 = (cur1 ^ (1 << x)) | (1 << y)
                 n2 = (cur2 ^ (1 << y)) | (1 << x)
@@ -197,7 +198,7 @@ def _disjoint_pair_path(
         common = cur1 & tgt1
         if not common:
             raise InternalCheckError("blocked exchange square in rank two")
-        x = _lowest(common)
+        x = lowest_element(common)
         for b, a in ((x, a1), (b2, a2)):
             n1 = (cur1 ^ (1 << b)) | (1 << a)
             n2 = (cur2 ^ (1 << a)) | (1 << b)
@@ -215,7 +216,7 @@ def bpg_path(m, u: BasisPairVertex, v: BasisPairVertex) -> list[BasisPairVertex]
     two-step dodge when the final swap is blocked), then the two
     disjoint bases are walked onto the target pair.
     """
-    pred, n, _ = _basis_pred(m)
+    pred, n, _ = basis_predicate(m)
     u = bpg_vertex(m, u.a1, u.a2, u.a3)
     v = bpg_vertex(m, v.a1, v.a2, v.a3)
     path = [u]
@@ -231,7 +232,7 @@ def bpg_path(m, u: BasisPairVertex, v: BasisPairVertex) -> list[BasisPairVertex]
         enter = v.a3 & ~cur3
         t1 = bool(enter & cur1)
         block = cur1 if t1 else cur2
-        b = _lowest(enter & block)
+        b = lowest_element(enter & block)
         if leave.bit_count() >= 2:
             # at most one landing spot is a dependent completion
             for a3c in iter_elements(leave):
@@ -241,7 +242,7 @@ def bpg_path(m, u: BasisPairVertex, v: BasisPairVertex) -> list[BasisPairVertex]
             else:
                 raise InternalCheckError("third-block alignment found no landing")
         else:
-            a3c = _lowest(leave)
+            a3c = lowest_element(leave)
             nb = (block ^ (1 << b)) | (1 << a3c)
             if not pred(nb):
                 # dodge: trade an element with the other basis block
@@ -291,7 +292,7 @@ def _apply_positions(m, members: list[int], move: Move) -> None:
         raise ExchangeViolation(f"element {x} is not in member {i} only")
     if not bj & yb or bi & yb:
         raise ExchangeViolation(f"element {y} is not in member {j} only")
-    pred, _, _ = _basis_pred(m)
+    pred, _, _ = basis_predicate(m)
     nbi = (bi ^ xb) | yb
     nbj = (bj ^ yb) | xb
     if not pred(nbi) or not pred(nbj):
@@ -364,7 +365,7 @@ def _advance(m, a1_mask: int, b1: int, side: _Side, matched: Counter) -> None:
     one a chain either finishes outright or fixes interfering members
     one exchange at a time, strictly shrinking their number.
     """
-    pred, n, r = _basis_pred(m)
+    pred, n, r = basis_predicate(m)
     act = Counter(side.state) - matched
     amb = a1_mask & ~b1
     bma = b1 & ~a1_mask
@@ -375,7 +376,7 @@ def _advance(m, a1_mask: int, b1: int, side: _Side, matched: Counter) -> None:
         p = (b2 & amb).bit_count()
         q = (b2 & bma).bit_count()
         if q == 0:
-            a = _lowest(b2 & amb)
+            a = lowest_element(b2 & amb)
             for bh in iter_elements(bma):
                 if pred((b1 ^ (1 << bh)) | (1 << a)) and pred(
                     (b2 ^ (1 << a)) | (1 << bh)
@@ -384,7 +385,7 @@ def _advance(m, a1_mask: int, b1: int, side: _Side, matched: Counter) -> None:
                     return
             raise InternalCheckError("pruned exchange failed with no overlap")
         if p >= 3:
-            bh = _lowest(bma & ~b2)
+            bh = lowest_element(bma & ~b2)
             for a in iter_elements(b2 & amb):
                 if pred((b1 ^ (1 << bh)) | (1 << a)) and pred(
                     (b2 ^ (1 << a)) | (1 << bh)
@@ -395,8 +396,8 @@ def _advance(m, a1_mask: int, b1: int, side: _Side, matched: Counter) -> None:
         # p = 2, q = 1
         a1c, a2c = elements(b2 & amb)
         rest = bma & ~b2
-        b1c = _lowest(rest)
-        b2c = _lowest(rest ^ (1 << b1c))
+        b1c = lowest_element(rest)
+        b2c = lowest_element(rest ^ (1 << b1c))
         for bh, a in ((b1c, a1c), (b1c, a2c), (b2c, a1c), (b2c, a2c)):
             if pred((b1 ^ (1 << bh)) | (1 << a)) and pred(
                 (b2 ^ (1 << a)) | (1 << bh)
@@ -412,7 +413,7 @@ def _advance(m, a1_mask: int, b1: int, side: _Side, matched: Counter) -> None:
         spare = b2 & ~(a1_mask | b1)
         if not spare:
             raise InternalCheckError("anchored case needs an outside element")
-        y = _lowest(spare)
+        y = lowest_element(spare)
         side.push(m, b1, b2, b1c, y)
         nb1 = (b1 ^ (1 << b1c)) | (1 << y)
         nb2 = (b2 ^ (1 << y)) | (1 << b1c)
@@ -425,7 +426,7 @@ def _advance(m, a1_mask: int, b1: int, side: _Side, matched: Counter) -> None:
         b1c, b2c = elements(bma)
         q0 = b2 & bma
         if q0 == 0:
-            a = _lowest(b2 & amb)
+            a = lowest_element(b2 & amb)
             for bh in (b1c, b2c):
                 if pred((b1 ^ (1 << bh)) | (1 << a)) and pred(
                     (b2 ^ (1 << a)) | (1 << bh)
@@ -470,8 +471,8 @@ def _advance(m, a1_mask: int, b1: int, side: _Side, matched: Counter) -> None:
         return
 
     # half == 1
-    a1c = _lowest(amb)
-    b1c = _lowest(bma)
+    a1c = lowest_element(amb)
+    b1c = lowest_element(bma)
     guard = 0
     while True:
         guard += 1
@@ -495,7 +496,7 @@ def _advance(m, a1_mask: int, b1: int, side: _Side, matched: Counter) -> None:
         for bh in ordered:
             if (bh >> b1c) & 1 or not x_mask & ~bh:
                 continue
-            y = _lowest(x_mask & ~bh)
+            y = lowest_element(x_mask & ~bh)
             for z in iter_elements(bh & ~b2):
                 if pred((bh ^ (1 << z)) | (1 << y)) and pred(
                     (b2 ^ (1 << y)) | (1 << z)
@@ -527,7 +528,7 @@ def _advance(m, a1_mask: int, b1: int, side: _Side, matched: Counter) -> None:
             continue
         for bh in ordered:
             if (bh >> b1c) & 1 and (bh >> a1c) & 1 and (b2 ^ bh).bit_count() >= 4:
-                x = _lowest(bh & ~(1 << b1c) & ~b2)
+                x = lowest_element(bh & ~(1 << b1c) & ~b2)
                 for y in iter_elements(b2 & ~bh):
                     if pred((bh ^ (1 << x)) | (1 << y)) and pred(
                         (b2 ^ (1 << y)) | (1 << x)
@@ -543,7 +544,7 @@ def _advance(m, a1_mask: int, b1: int, side: _Side, matched: Counter) -> None:
 
 
 def _as_members(m, col: Sequence[ElementSet], what: str) -> tuple[int, ...]:
-    pred, n, _ = _basis_pred(m)
+    pred, n, _ = basis_predicate(m)
     ground = (1 << n) - 1
     members = tuple(as_mask(b) for b in col)
     for b in members:
@@ -635,7 +636,7 @@ def white2_path(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     the minor that contracts the two members' shared elements and
     deletes everything outside their union.
     """
-    pred, n, _ = _basis_pred(m)
+    pred, n, _ = basis_predicate(m)
     src_t = _as_members(m, src, "src")
     dst_t = _as_members(m, dst, "dst")
     if len(src_t) != len(dst_t):
@@ -681,8 +682,8 @@ def white2_path(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
 
         prev1 = d1
         for n1, _ in _disjoint_pair_path(view, d1, d2, d2, d1):
-            x = _lowest(prev1 & ~n1)
-            y = _lowest(n1 & ~prev1)
+            x = lowest_element(prev1 & ~n1)
+            y = lowest_element(n1 & ~prev1)
             emit(p, q, x, y)
             prev1 = n1
         if cur[p] != dst_t[p]:
@@ -695,15 +696,40 @@ def white2_path(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
 # -- exhaustive connectivity oracles ------------------------------------------
 
 
-def _fits(b: int, remaining: Counter) -> bool:
-    return all(remaining[e] >= 1 for e in iter_elements(b))
+def _take(levels: tuple[int, ...], b: int) -> tuple[int, ...]:
+    """Remove one copy of each element of b from a multiset.
+
+    levels[i] is the mask of elements with multiplicity above i, so b
+    fits when it lies inside levels[0].
+    """
+    return tuple((lv & ~b) | (up & b) for lv, up in zip(levels, levels[1:] + (0,)))
 
 
-def _take(b: int, remaining: Counter) -> Counter:
-    nxt = remaining.copy()
-    for e in iter_elements(b):
-        nxt[e] -= 1
-    return +nxt
+def _bits(mask: int) -> list[int]:
+    """The one-element masks of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+def _connected(
+    verts: Sequence, neighbours: Callable[[object], Iterable]
+) -> tuple[bool, int]:
+    """Search the graph on verts; returns (connected, vertex count).
+
+    neighbours(v) may yield candidates that are not vertices: an edge is
+    a candidate that lies in verts.
+    """
+    unseen = set(verts)
+    stack = [unseen.pop()] if unseen else []
+    while stack:
+        hit = unseen.intersection(neighbours(stack.pop()))
+        unseen -= hit
+        stack.extend(hit)
+    return not unseen, len(verts)
 
 
 def graph_connected(
@@ -718,60 +744,45 @@ def graph_connected(
     need the multiset union s.  Enumerating more than cap vertices
     raises TooLarge.  An empty or single-vertex graph counts as
     connected.
+
+    Every vertex is enumerated first, so adjacency is decided by
+    membership in the vertex set: a single swap keeps a pair disjoint
+    and a collection's union fixed, so the swapped pair or collection
+    is a neighbour exactly when it is a vertex, that is, when both
+    changed blocks or members are bases.
     """
-    pred, n, r = _basis_pred(m)
+    pred, n, r = basis_predicate(m)
     ground = (1 << n) - 1
     if math.comb(n, r) > max(cap, 5_000_000):
         raise TooLarge("too many candidate bases to enumerate")
     if kind == "bpg":
         if s is not None:
             raise PreconditionViolated("the pair graph takes no multiset")
+        # vertex (a1, a2) is the int (a1 << n) | a2
         bases = [b for b in subset_masks(n, r) if pred(b)]
-        verts: list[tuple[int, int]] = []
+        basis_set = set(bases)
+        verts: list[int] = []
         for b1 in bases:
-            celts = elements(ground & ~b1)
-            for combo in itertools.combinations(celts, r):
-                b2 = 0
-                for e in combo:
-                    b2 |= 1 << e
-                if pred(b2):
-                    verts.append((b1, b2))
-                    if len(verts) > cap:
-                        raise TooLarge(f"pair graph exceeds {cap} vertices")
-        if len(verts) <= 1:
-            return True, len(verts)
-        index = {v: i for i, v in enumerate(verts)}
-        seen = bytearray(len(verts))
-        stack = [verts[0]]
-        seen[0] = 1
-        count = 1
-        while stack:
-            a1, a2 = stack.pop()
-            a3 = ground & ~(a1 | a2)
-            nbrs: list[tuple[int, int]] = []
-            for x in iter_elements(a1):
-                for y in iter_elements(a2):
-                    n1 = (a1 ^ (1 << x)) | (1 << y)
-                    n2 = (a2 ^ (1 << y)) | (1 << x)
-                    if pred(n1) and pred(n2):
-                        nbrs.append((n1, n2))
-            for x in iter_elements(a1):
-                for y in iter_elements(a3):
-                    n1 = (a1 ^ (1 << x)) | (1 << y)
-                    if pred(n1):
-                        nbrs.append((n1, a2))
-            for x in iter_elements(a2):
-                for y in iter_elements(a3):
-                    n2 = (a2 ^ (1 << x)) | (1 << y)
-                    if pred(n2):
-                        nbrs.append((a1, n2))
-            for v in nbrs:
-                i = index[v]
-                if not seen[i]:
-                    seen[i] = 1
-                    count += 1
-                    stack.append(v)
-        return count == len(verts), len(verts)
+            high = b1 << n
+            rest = _bits(ground & ~b1)
+            verts.extend(
+                high | b2
+                for b2 in map(sum, itertools.combinations(rest, r))
+                if b2 in basis_set
+            )
+            # checked per first block; a negative cap still admits an empty graph
+            if len(verts) > max(cap, 0):
+                raise TooLarge(f"pair graph exceeds {cap} vertices")
+
+        def pair_neighbours(v: int) -> list[int]:
+            a1, a2 = v >> n, v & ground
+            bits1, bits2, bits3 = _bits(a1), _bits(a2), _bits(ground & ~(a1 | a2))
+            out = [v ^ ((x | y) << n) ^ x ^ y for x in bits1 for y in bits2]
+            out += [v ^ ((x | y) << n) for x in bits1 for y in bits3]
+            out += [v ^ x ^ y for x in bits2 for y in bits3]
+            return out
+
+        return _connected(verts, pair_neighbours)
 
     if kind not in ("white_multiset", "white_tuple"):
         raise PreconditionViolated(f"unknown graph kind {kind!r}")
@@ -789,67 +800,37 @@ def graph_connected(
     if total % r:
         raise PreconditionViolated("union size is not a multiple of the rank")
     k = total // r
-    # sorted so the index-ordered enumeration yields canonical tuples
-    bases = sorted(b for b in subset_masks(n, r) if pred(b) and _fits(b, counts))
+    multiset = kind == "white_multiset"
+    # sorted, and multisets restart at the current index, so they come
+    # out as canonical (sorted) tuples
+    support = as_mask(counts)
+    bases = sorted(b for b in subset_masks(n, r) if not b & ~support and pred(b))
+    cols: list[tuple[int, ...]] = []
 
-    verts2: list[tuple[int, ...]] = []
-    if kind == "white_multiset":
+    def rec(lo: int, levels: tuple[int, ...], chosen: list[int]) -> None:
+        if len(chosen) == k:
+            cols.append(tuple(chosen))
+            if len(cols) > cap:
+                raise TooLarge(f"collection graph exceeds {cap} vertices")
+            return
+        for idx in range(lo, len(bases)):
+            b = bases[idx]
+            if not b & ~levels[0]:
+                chosen.append(b)
+                rec(idx if multiset else 0, _take(levels, b), chosen)
+                chosen.pop()
 
-        def rec(lo: int, remaining: Counter, chosen: list[int]) -> None:
-            if len(chosen) == k:
-                verts2.append(tuple(chosen))
-                if len(verts2) > cap:
-                    raise TooLarge(f"collection graph exceeds {cap} vertices")
-                return
-            for idx in range(lo, len(bases)):
-                b = bases[idx]
-                if _fits(b, remaining):
-                    chosen.append(b)
-                    rec(idx, _take(b, remaining), chosen)
-                    chosen.pop()
+    top = max(counts.values(), default=0)
+    rec(0, tuple(as_mask(e for e, c in counts.items() if c > i) for i in range(top)), [])
 
-        rec(0, counts, [])
-    else:
-
-        def rec2(remaining: Counter, chosen: list[int]) -> None:
-            if len(chosen) == k:
-                verts2.append(tuple(chosen))
-                if len(verts2) > cap:
-                    raise TooLarge(f"collection graph exceeds {cap} vertices")
-                return
-            for b in bases:
-                if _fits(b, remaining):
-                    chosen.append(b)
-                    rec2(_take(b, remaining), chosen)
-                    chosen.pop()
-
-        rec2(counts, [])
-
-    if len(verts2) <= 1:
-        return True, len(verts2)
-    index2 = {v: i for i, v in enumerate(verts2)}
-    seen2 = bytearray(len(verts2))
-    stack2 = [verts2[0]]
-    seen2[0] = 1
-    count2 = 1
-    resort = kind == "white_multiset"
-    while stack2:
-        vert = stack2.pop()
+    def col_neighbours(col: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
         for i in range(k):
             for j in range(i + 1, k):
-                bi, bj = vert[i], vert[j]
-                for x in iter_elements(bi & ~bj):
-                    for y in iter_elements(bj & ~bi):
-                        nbi = (bi ^ (1 << x)) | (1 << y)
-                        nbj = (bj ^ (1 << y)) | (1 << x)
-                        if not pred(nbi) or not pred(nbj):
-                            continue
-                        nxt = list(vert)
-                        nxt[i], nxt[j] = nbi, nbj
-                        key = tuple(sorted(nxt)) if resort else tuple(nxt)
-                        at = index2[key]
-                        if not seen2[at]:
-                            seen2[at] = 1
-                            count2 += 1
-                            stack2.append(key)
-    return count2 == len(verts2), len(verts2)
+                bi, bj = col[i], col[j]
+                for x in _bits(bi & ~bj):
+                    for y in _bits(bj & ~bi):
+                        nxt = list(col)
+                        nxt[i], nxt[j] = bi ^ x ^ y, bj ^ x ^ y
+                        yield tuple(sorted(nxt)) if multiset else tuple(nxt)
+
+    return _connected(cols, col_neighbours)

@@ -8,7 +8,8 @@ Two formats, both with 0-based element labels:
     ch 0 3          b 0 1
     ch 1 2          b 0 2
 
-A body line lists one r-set with strictly increasing elements.  Blank
+A body line lists one r-set with strictly increasing elements.  Every
+integer is a run of ASCII digits with no sign or separator.  Blank
 lines and '#' comments are skipped on input.  Serialization is
 canonical (sets ordered as masks, single spaces, LF, trailing
 newline), so parse(serialize(m)) == m and serialize(parse(t)) is a
@@ -23,10 +24,10 @@ from .errors import ParseError, TooLarge
 
 
 def _int_token(lineno: int, tok: str) -> int:
-    try:
-        return int(tok, 10)
-    except ValueError:
-        raise ParseError(f"line {lineno}: expected an integer, got {tok!r}") from None
+    # int() would also take signs, underscores and non-ASCII digits
+    if not (tok.isascii() and tok.isdigit()):
+        raise ParseError(f"line {lineno}: expected an integer, got {tok!r}")
+    return int(tok)
 
 
 def _named_int(row: tuple[int, list[str]], name: str) -> int:

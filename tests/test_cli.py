@@ -74,6 +74,10 @@ def test_parse_skips_blanks_and_comments():
         "spm 1\nn 4\nr 2\nb 0 3\n",
         "spm 1\nn x\nr 2\n",
         "",
+        "spm 1\nn +4\nr 2\n",
+        "spm 1\nn 4\nr -0\n",
+        "spm 1\nn 1_0\nr 2\n",
+        "spm 1\nn 4\nr 2\nch 0 \u0663\n",
     ],
     ids=[
         "version",
@@ -86,6 +90,10 @@ def test_parse_skips_blanks_and_comments():
         "wrong-body",
         "non-int",
         "empty",
+        "plus-sign",
+        "minus-zero",
+        "underscore",
+        "non-ascii-digit",
     ],
 )
 def test_parse_rejects_malformed(bad):

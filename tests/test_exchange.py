@@ -1,6 +1,8 @@
 """Pair-graph and collection walks, plus the single-round improvement engine."""
 
+import itertools
 import random
+import zlib
 from collections import Counter
 
 import pytest
@@ -9,6 +11,7 @@ from corpusdef import CORPUS, P44, U24, gs_best, with_max_n
 from sparsepaving import (
     BasisPairVertex,
     ExchangeViolation,
+    ExplicitMatroid,
     Move,
     Multiset,
     NotAVertex,
@@ -32,6 +35,7 @@ from sparsepaving import (
     white2_path,
     white_moves,
 )
+from sparsepaving.bitset import elements
 import sparsepaving.exchange as exchange
 
 
@@ -113,7 +117,7 @@ def _random_vertex(m, rng):
 def test_bpg_path_is_a_verified_walk(name, m):
     if not any(b1 & b2 == 0 for b1 in bases_of(m) for b2 in bases_of(m)):
         return
-    rng = random.Random(hash(name) & 0xFFFF)
+    rng = random.Random(zlib.crc32(name.encode()))
     for _ in range(25):
         u = _random_vertex(m, rng)
         v = _random_vertex(m, rng)
@@ -262,6 +266,128 @@ def test_graph_connected_matches_walks():
                 assert ok and count >= 1
                 ok2, count2 = graph_connected(m, "white_tuple", s=s)
                 assert ok2 and count2 >= count
+
+
+# -- connectivity oracles against the definition -----------------------------------
+
+
+def _components(verts, edges):
+    """Number of connected components, by union-find."""
+    parent = list(range(len(verts)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in edges:
+        parent[find(i)] = find(j)
+    return len({find(i) for i in range(len(verts))})
+
+
+def _pair_graph(mm, bl):
+    ground = (1 << mm.n) - 1
+    verts = [
+        bpg_vertex(mm, b1, b2, ground & ~(b1 | b2))
+        for b1 in bl
+        for b2 in bl
+        if b1 & b2 == 0
+    ]
+    # one swap leaves the third block where it was, so only vertices that
+    # share some block are offered to bpg_adjacent
+    groups = {}
+    for i, v in enumerate(verts):
+        for key in ((1, v.a1), (2, v.a2), (3, v.a3)):
+            groups.setdefault(key, []).append(i)
+    edges = [
+        (i, j)
+        for members in groups.values()
+        for i in members
+        for j in members
+        if i < j and bpg_adjacent(mm, verts[i], verts[j])
+    ]
+    return verts, edges
+
+
+def _collections(bl, union, k):
+    """Sorted k-tuples of bases whose multiset union is union."""
+    inside = [b for b in bl if not b & ~mask(*union)]
+    found = set()
+    # the first k - 1 members fix the last one as what is left of the union
+    for head in itertools.combinations_with_replacement(inside, k - 1):
+        left = union.copy()
+        left.subtract(e for b in head for e in elements(b))
+        last = mask(*(e for e, c in left.items() if c))
+        if set(left.values()) <= {0, 1} and last in inside:
+            found.add(tuple(sorted((*head, last))))
+    return found
+
+
+def _collection_graph(mm, cols, ordered):
+    if ordered:
+        cols = {p for v in cols for p in itertools.permutations(v)}
+    verts = sorted(cols)
+    index = {v: i for i, v in enumerate(verts)}
+    apply = apply_tuple_move if ordered else apply_white_move
+    edges = []
+    for i, v in enumerate(verts):
+        for a, b in itertools.combinations(range(len(v)), 2):
+            for x in elements(v[a]):
+                for y in elements(v[b]):
+                    try:
+                        w = apply(mm, v, Move(a, b, x, y))
+                    except ExchangeViolation:
+                        continue
+                    edges.append((i, index[w]))
+    return verts, edges
+
+
+def _check_oracle(mm, kind, verts, edges, s=None):
+    count = len(verts)
+    want = (_components(verts, edges) <= 1, count)
+    assert graph_connected(mm, kind, s=s) == want
+    assert graph_connected(mm, kind, s=s, cap=count) == want
+    if count:
+        with pytest.raises(TooLarge):
+            graph_connected(mm, kind, s=s, cap=count - 1)
+
+
+def _check_all_kinds(name, forms, bl):
+    rng = random.Random(zlib.crc32(name.encode()))
+    unions = []
+    if forms[0].r:  # at rank 0 the empty union does not fix the collection size
+        for k in (2, 2, 3, 3):
+            col = [rng.choice(bl) for _ in range(k)]
+            union = Counter(e for b in col for e in elements(b))
+            unions.append((Multiset(union.items()), _collections(bl, union, k)))
+    for mm in forms:
+        _check_oracle(mm, "bpg", *_pair_graph(mm, bl))
+        for s, cols in unions:
+            for kind, ordered in (("white_multiset", False), ("white_tuple", True)):
+                _check_oracle(mm, kind, *_collection_graph(mm, cols, ordered), s)
+
+
+@pytest.mark.parametrize("name,m", with_max_n(9), ids=[n for n, _ in with_max_n(9)])
+def test_graph_connected_matches_definition(name, m):
+    """All three kinds against graphs built from bases_of and the move checkers."""
+    _check_all_kinds(name, (m, to_explicit(m)), bases_of(m))
+
+
+FAMILIES = [
+    (n, r, i) for n, r in ((5, 2), (6, 2), (6, 3), (7, 3), (8, 3)) for i in range(3)
+]
+
+
+@pytest.mark.parametrize(
+    "n,r,i", FAMILIES, ids=[f"family{n}_{r}_{i}" for n, r, i in FAMILIES]
+)
+def test_graph_connected_matches_definition_on_set_families(n, r, i):
+    """Random r-set families need not be matroids, so their graphs can split."""
+    name = f"family{n}_{r}_{i}"
+    rng = random.Random(zlib.crc32(name.encode()))
+    family = [b for b in subset_masks(n, r) if rng.random() < 0.5]
+    _check_all_kinds(name, (ExplicitMatroid(n, r, family),), family)
 
 
 # -- the one-round improvement engine, branch by branch ----------------------------
