@@ -42,9 +42,9 @@ from .errors import (
 )
 from .exchange import (
     Multiset,
+    _one_swap_apart,
     apply_tuple_move,
     apply_white_move,
-    bpg_adjacent,
     bpg_path,
     bpg_vertex,
     graph_connected,
@@ -77,6 +77,16 @@ def _parse_set(spec: str) -> int:
             raise PreconditionViolated(f"repeated element {e} in set spec {spec!r}")
         mask |= 1 << e
     return mask
+
+
+def _non_negative(text: str) -> int:
+    """argparse type for the caps; argparse reports a ValueError as usage."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {value}"
+        )
+    return value
 
 
 def _parse_members(spec: str) -> list[int]:
@@ -175,8 +185,10 @@ def _cmd_conj_farber(args) -> int:
         path = bpg_path(m, u, v)
         if path[0] != u or path[-1] != v:
             raise InternalCheckError("path endpoints are off")
+        for vert in path:
+            bpg_vertex(m, vert.a1, vert.a2, vert.a3)
         for a, b in zip(path, path[1:]):
-            if not bpg_adjacent(m, a, b):
+            if not _one_swap_apart(a, b):
                 raise InternalCheckError("path step failed re-verification")
         print(f"path {len(path) - 1} steps")
         for vert in path:
@@ -339,13 +351,22 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     common.add_argument(
-        "--cap-vertices", type=int, default=1_000_000, help="graph enumeration cap"
+        "--cap-vertices",
+        type=_non_negative,
+        default=1_000_000,
+        help="graph enumeration cap",
     )
     common.add_argument(
-        "--cap-explicit", type=int, default=10_000_000, help="explicit-work cap"
+        "--cap-explicit",
+        type=_non_negative,
+        default=10_000_000,
+        help="explicit-work cap",
     )
     common.add_argument(
-        "--cap-order", type=int, default=9, help="exhaustive order-oracle size cap"
+        "--cap-order",
+        type=_non_negative,
+        default=9,
+        help="exhaustive order-oracle size cap",
     )
 
     top = argparse.ArgumentParser(prog="spm", description=__doc__)

@@ -17,13 +17,14 @@ from itertools import combinations
 from math import comb
 
 from .bitset import as_mask, iter_elements
-from .core import SparsePavingMatroid, validate
+from .core import SparsePavingMatroid, check_ground, validate
 from .errors import RangeError, RankOutOfRange, ResidueOutOfRange, TooLarge
 
 
 def _check_nr(n: int, r: int) -> None:
     if n < 1:
         raise RangeError(f"ground size {n} must be at least 1")
+    check_ground(n)
     if not 0 <= r <= n:
         raise RankOutOfRange(f"rank {r} not in 0..{n}")
 

@@ -79,6 +79,30 @@ class ExplicitMatroid:
         return f"ExplicitMatroid(n={self.n}, r={self.r}, {len(self.bases)} bases)"
 
 
+# Largest ground set that validate, the constructors and parse_matroid
+# accept.  C(n, r) then has at most 1,233 digits and takes under a
+# millisecond, and the basis count still prints under Python's default
+# 4,300-digit limit on int-to-str conversion.
+MAX_GROUND = 4096
+
+
+def check_ground(n: int) -> None:
+    if n < 0:
+        raise RangeError(f"ground size {n} is negative")
+    if n > MAX_GROUND:
+        raise RangeError(f"ground size {n} exceeds the cap {MAX_GROUND}")
+
+
+def _comb_exceeds(n: int, r: int, limit: int) -> bool:
+    """C(n, r) > limit, stopping as soon as a partial binomial passes limit."""
+    c = 1
+    for i in range(min(r, n - r)):
+        c = c * (n - i) // (i + 1)  # C(n, i + 1), rising up to C(n, n // 2)
+        if c > limit:
+            return True
+    return c > limit
+
+
 def _check_subset(m_n: int, s: int, what: str = "set") -> None:
     if s < 0 or s >> m_n:
         raise ElementOutOfRange(f"{what} {format_set(s)} is not inside 0..{m_n - 1}")
@@ -92,8 +116,7 @@ def validate(m: SparsePavingMatroid) -> None:
     so hashing every (r-1)-subset of every designated set finds all
     close pairs in O(len(chset) * r).
     """
-    if m.n < 0:
-        raise RangeError(f"ground size {m.n} is negative")
+    check_ground(m.n)
     if not 0 <= m.r <= m.n:
         raise RankOutOfRange(f"rank {m.r} not in 0..{m.n}")
     for h in m.chset:
@@ -113,7 +136,9 @@ def validate(m: SparsePavingMatroid) -> None:
                     "are at symmetric difference 2"
                 )
             seen[key] = h
-    if len(m.chset) == comb(m.n, m.r):
+    # chset holds distinct r-sets, so no basis is left exactly when it has
+    # C(n, r) of them
+    if not _comb_exceeds(m.n, m.r, len(m.chset)):
         raise NoBasis(f"all {len(m.chset)} r-subsets are designated dependent")
 
 
@@ -181,8 +206,7 @@ def dual(m: SparsePavingMatroid) -> SparsePavingMatroid:
 
 
 def uniform(n: int, r: int) -> SparsePavingMatroid:
-    if n < 0:
-        raise RangeError(f"ground size {n} is negative")
+    check_ground(n)
     if not 0 <= r <= n:
         raise RankOutOfRange(f"rank {r} not in 0..{n}")
     return SparsePavingMatroid(n, r, ())
@@ -292,8 +316,7 @@ def to_explicit(m: SparsePavingMatroid, cap: int = 10_000_000) -> ExplicitMatroi
 
 def explicit_validate(em: ExplicitMatroid) -> None:
     """Check the basis family directly, including the exchange axiom."""
-    if em.n < 0:
-        raise RangeError(f"ground size {em.n} is negative")
+    check_ground(em.n)
     if not 0 <= em.r <= em.n:
         raise RankOutOfRange(f"rank {em.r} not in 0..{em.n}")
     if not em.bases:

@@ -123,16 +123,21 @@ def bpg_vertex(m, a1: ElementSet, a2: ElementSet, a3: ElementSet) -> BasisPairVe
     return BasisPairVertex(a1, a2, a3)
 
 
-def bpg_adjacent(m, u: BasisPairVertex, v: BasisPairVertex) -> bool:
-    """True when exactly one element pair is swapped between two blocks."""
-    bpg_vertex(m, u.a1, u.a2, u.a3)
-    bpg_vertex(m, v.a1, v.a2, v.a3)
+def _one_swap_apart(u: BasisPairVertex, v: BasisPairVertex) -> bool:
+    """Adjacency of two vertices already known to be valid."""
     moved = (
         (u.a1 & ~v.a1).bit_count()
         + (u.a2 & ~v.a2).bit_count()
         + (u.a3 & ~v.a3).bit_count()
     )
     return moved == 2
+
+
+def bpg_adjacent(m, u: BasisPairVertex, v: BasisPairVertex) -> bool:
+    """True when exactly one element pair is swapped between two blocks."""
+    bpg_vertex(m, u.a1, u.a2, u.a3)
+    bpg_vertex(m, v.a1, v.a2, v.a3)
+    return _one_swap_apart(u, v)
 
 
 def _disjoint_pair_path(
@@ -326,37 +331,55 @@ def _mk_move(state: tuple[int, ...], vi: int, vj: int, x: int, y: int) -> Move:
 
 
 class _Side:
-    """One endpoint's evolving multiset, with its move and state log."""
+    """One endpoint's evolving multiset, with its move and state log.
+
+    act counts the members not yet matched with the other side; touched
+    collects the values whose act count changed since the caller last
+    cleared it.
+    """
 
     def __init__(self, members: tuple[int, ...]):
         self.state = members
+        self.act = Counter(members)
+        self.touched: set[int] = set()
         self.moves: list[Move] = []
         self.history: list[tuple[int, ...]] = [members]
 
+    def _count(self, v: int, delta: int) -> None:
+        c = self.act[v] + delta
+        if c:
+            self.act[v] = c
+        else:
+            del self.act[v]
+        self.touched.add(v)
+
+    def match(self, v: int) -> None:
+        self._count(v, -1)
+
     def push(self, m, vi: int, vj: int, x: int, y: int) -> None:
         mv = _mk_move(self.state, vi, vj, x, y)
-        self.state = apply_white_move(m, self.state, mv)
+        members = list(self.state)
+        _apply_positions(m, members, mv)
+        self._count(vi, -1)
+        self._count(vj, -1)
+        self._count(members[mv.i], 1)
+        self._count(members[mv.j], 1)
+        self.state = tuple(sorted(members))
         self.moves.append(mv)
         self.history.append(self.state)
 
 
-def _pick_helper(act: Counter, b1: int, amb: int, bma: int) -> int:
-    # some member other than the b1 slot must be richer in amb than in
-    # bma, because the side was chosen with the larger multiplicity mass
-    # on amb and the b1 slot itself runs an amb deficit
-    pool = act.copy()
-    pool[b1] -= 1
-    cands = [
-        v
-        for v, c in pool.items()
-        if c > 0 and (v & amb).bit_count() > (v & bma).bit_count()
-    ]
+def _pick_helper(act: Counter, amb: int, bma: int) -> int:
+    # some member must be richer in amb than in bma, because the side was
+    # chosen with the larger multiplicity mass on amb; the member being
+    # advanced holds none of amb, so it is never picked
+    cands = [v for v in act if (v & amb).bit_count() > (v & bma).bit_count()]
     if not cands:
         raise InternalCheckError("no member is richer in the target difference")
     return min(cands)
 
 
-def _advance(m, a1_mask: int, b1: int, side: _Side, matched: Counter) -> None:
+def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
     """One improvement round: bring the member b1 of `side` nearer a1_mask.
 
     The helper member b2 holds more of a1 - b1 than of b1 - a1.  Case
@@ -366,13 +389,12 @@ def _advance(m, a1_mask: int, b1: int, side: _Side, matched: Counter) -> None:
     one exchange at a time, strictly shrinking their number.
     """
     pred, n, r = basis_predicate(m)
-    act = Counter(side.state) - matched
     amb = a1_mask & ~b1
     bma = b1 & ~a1_mask
     half = amb.bit_count()
 
     if half >= 3:
-        b2 = _pick_helper(act, b1, amb, bma)
+        b2 = _pick_helper(side.act, amb, bma)
         p = (b2 & amb).bit_count()
         q = (b2 & bma).bit_count()
         if q == 0:
@@ -421,7 +443,7 @@ def _advance(m, a1_mask: int, b1: int, side: _Side, matched: Counter) -> None:
         return
 
     if half == 2:
-        b2 = _pick_helper(act, b1, amb, bma)
+        b2 = _pick_helper(side.act, amb, bma)
         a1c, a2c = elements(amb)
         b1c, b2c = elements(bma)
         q0 = b2 & bma
@@ -478,13 +500,12 @@ def _advance(m, a1_mask: int, b1: int, side: _Side, matched: Counter) -> None:
         guard += 1
         if guard > len(side.state) + 4:
             raise InternalCheckError("single-swap chain failed to settle")
-        act = Counter(side.state) - matched
-        b2 = _pick_helper(act, b1, amb, bma)
+        b2 = _pick_helper(side.act, amb, bma)
         x_mask = b2 & ~(1 << a1c)
         if pred(x_mask | (1 << b1c)):
             side.push(m, b1, b2, b1c, a1c)
             return
-        others = act.copy()
+        others = side.act.copy()
         others[b1] -= 1
         others[b2] -= 1
         others = +others
@@ -572,42 +593,65 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     the multiset at the time the move is applied.  Both endpoints are
     walked toward a common middle; the moves recorded on the dst side
     are inverted and reversed onto the tail of the result.
+
+    Each round takes the nearest pair of unmatched members, one per
+    side: smallest symmetric difference, then smallest src member, then
+    smallest dst member.  Equal members are matched and leave the
+    search; otherwise one of the two is advanced toward the other.
+    Every src member keeps its nearest dst member, recomputed only when
+    that member leaves and compared only against members that appear,
+    so a round costs O(k) for k members instead of a scan of all pairs.
     """
     s_members = tuple(sorted(_as_members(m, src, "src")))
     d_members = tuple(sorted(_as_members(m, dst, "dst")))
     if len(s_members) != len(d_members):
         raise UnionMismatch("collections have different member counts")
-    if _element_union(s_members) != _element_union(d_members):
+    union = _element_union(s_members)
+    if union != _element_union(d_members):
         raise UnionMismatch("collections have different multiset unions")
 
     side_s = _Side(s_members)
     side_d = _Side(d_members)
-    matched: Counter = Counter()
-    while True:
-        act_s = Counter(side_s.state) - matched
-        act_d = Counter(side_d.state) - matched
-        if not act_s:
-            break
-        best = None
-        for a in sorted(act_s):
-            for b in sorted(act_d):
-                d = (a ^ b).bit_count()
-                if best is None or d < best[0]:
-                    best = (d, a, b)
-        dist, a_val, b_val = best
+    targets = side_d.act
+
+    def nearest(a: int) -> tuple[int, int]:
+        return min(((a ^ b).bit_count(), b) for b in targets)
+
+    near = {a: nearest(a) for a in side_s.act}
+    while near:
+        dist, a_val, b_val = min((d, a, b) for a, (d, b) in near.items())
         if dist == 0:
-            matched[a_val] += 1
-            continue
-        union: Counter = Counter()
-        for v, c in act_s.items():
-            for e in iter_elements(v):
-                union[e] += c
-        ma = sum(union[e] for e in iter_elements(a_val & ~b_val))
-        mb = sum(union[e] for e in iter_elements(b_val & ~a_val))
-        if ma >= mb:
-            _advance(m, a_val, b_val, side_d, matched)
+            side_s.match(a_val)
+            side_d.match(a_val)
+            # union stays that of the unmatched members, equal on both
+            # sides, since a symmetric exchange never changes it
+            for e in iter_elements(a_val):
+                union[e] -= 1
         else:
-            _advance(m, b_val, a_val, side_s, matched)
+            ma = sum(union[e] for e in iter_elements(a_val & ~b_val))
+            mb = sum(union[e] for e in iter_elements(b_val & ~a_val))
+            if ma >= mb:
+                _advance(m, a_val, b_val, side_d)
+            else:
+                _advance(m, b_val, a_val, side_s)
+        # src members first: once every member is matched, near empties
+        # before a search over the empty dst side could start
+        for a in side_s.touched:
+            if a not in side_s.act:
+                near.pop(a, None)
+            elif a not in near:
+                near[a] = nearest(a)
+        side_s.touched.clear()
+        for b in side_d.touched:
+            present = b in targets
+            for a, best in near.items():
+                if present:
+                    cand = ((a ^ b).bit_count(), b)
+                    if cand < best:
+                        near[a] = cand
+                elif best[1] == b:
+                    near[a] = nearest(a)
+        side_d.touched.clear()
 
     inverted: list[Move] = []
     for t in range(len(side_d.moves) - 1, -1, -1):

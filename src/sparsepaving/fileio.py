@@ -19,7 +19,13 @@ normal form for t.  Parsed content is validated before it is returned.
 from __future__ import annotations
 
 from .bitset import elements
-from .core import ExplicitMatroid, SparsePavingMatroid, explicit_validate, validate
+from .core import (
+    MAX_GROUND,
+    ExplicitMatroid,
+    SparsePavingMatroid,
+    explicit_validate,
+    validate,
+)
 from .errors import ParseError, TooLarge
 
 
@@ -27,7 +33,10 @@ def _int_token(lineno: int, tok: str) -> int:
     # int() would also take signs, underscores and non-ASCII digits
     if not (tok.isascii() and tok.isdigit()):
         raise ParseError(f"line {lineno}: expected an integer, got {tok!r}")
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:  # past the interpreter's limit on digits per int
+        raise ParseError(f"line {lineno}: integer of {len(tok)} digits") from None
 
 
 def _named_int(row: tuple[int, list[str]], name: str) -> int:
@@ -61,6 +70,11 @@ def parse_matroid(text: str, explicit_work_cap: int = 10_000_000):
     if len(rows) < 3:
         raise ParseError(f"line {rows[-1][0]}: missing 'n' and 'r' lines")
     n = _named_int(rows[1], "n")
+    if n > MAX_GROUND:
+        # before any n-bit mask is built
+        raise ParseError(
+            f"line {rows[1][0]}: ground size {n} exceeds the cap {MAX_GROUND}"
+        )
     r = _named_int(rows[2], "r")
     masks = []
     for lineno, toks in rows[3:]:

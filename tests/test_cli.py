@@ -7,6 +7,7 @@ of the contract.
 
 import io
 import sys
+import time
 
 import pytest
 
@@ -78,6 +79,8 @@ def test_parse_skips_blanks_and_comments():
         "spm 1\nn 4\nr -0\n",
         "spm 1\nn 1_0\nr 2\n",
         "spm 1\nn 4\nr 2\nch 0 \u0663\n",
+        "spm 1\nn 10000000\nr 2\n",
+        "spm 1\nn 4\nr 2\nch 0 1" + "0" * 5000 + "\n",
     ],
     ids=[
         "version",
@@ -94,6 +97,8 @@ def test_parse_skips_blanks_and_comments():
         "minus-zero",
         "underscore",
         "non-ascii-digit",
+        "huge-ground",
+        "digit-limit",
     ],
 )
 def test_parse_rejects_malformed(bad):
@@ -244,6 +249,24 @@ def test_cli_conj_commands(p44_file):
     assert code == 2
 
 
+def test_cli_conj_farber_path_frozen(tmp_path):
+    f = str(tmp_path / "gs10_4.txt")
+    assert run_cli("gen", "gs", "--n", "10", "--r", "4", "-o", f)[0] == 0
+    code, out = run_cli(
+        "conj", "farber", f, "--from", "0,1,2,3;4,5,6,7", "--to", "5,7,8,9;0,1,2,4"
+    )
+    assert code == 0
+    assert out == (
+        "path 5 steps\n"
+        "v 0,1,2,3|4,5,6,7|8,9\n"
+        "v 0,1,2,8|4,5,6,7|3,9\n"
+        "v 0,1,2,8|4,5,7,9|3,6\n"
+        "v 1,2,7,8|0,4,5,9|3,6\n"
+        "v 2,5,7,8|0,1,4,9|3,6\n"
+        "v 5,7,8,9|0,1,2,4|3,6\n"
+    )
+
+
 def test_cli_flats_avg_bounds(p44_file):
     code, out = run_cli("flats", p44_file)
     assert code == 0
@@ -284,6 +307,24 @@ def test_cli_exit_codes(tmp_path):
     e = tmp_path / "e.txt"
     e.write_text(serialize_matroid(to_explicit(P44)))
     assert run_cli("order", "cyclic", str(e))[0] == 2
+
+
+@pytest.mark.parametrize("cap", ["--cap-vertices", "--cap-explicit", "--cap-order"])
+def test_cli_caps_are_non_negative(p44_file, capsys, cap):
+    assert main(["conj", "farber", p44_file, cap, "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "non-negative" in err
+    run_cli("conj", "farber", p44_file, cap, "0")
+    assert "usage:" not in capsys.readouterr().err
+
+
+def test_cli_validate_refuses_huge_ground_fast(tmp_path):
+    # C(10^7, 5 * 10^6) alone would take minutes to compute
+    f = tmp_path / "huge.txt"
+    f.write_text("spm 1\nn 10000000\nr 5000000\n")
+    start = time.perf_counter()
+    assert run_cli("validate", str(f)) == (2, "")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cli_byte_determinism_across_commands(p44_file):

@@ -1,6 +1,8 @@
 """Core representation: validity, rank, closure, duality, minors, swaps."""
 
 import random
+import time
+from math import comb
 
 import pytest
 
@@ -26,8 +28,10 @@ from sparsepaving import (
     explicit_minor,
     explicit_rank,
     explicit_validate,
+    graham_sloane,
     is_basis,
     minor,
+    random_sparse_paving,
     rank_of,
     relax,
     subset_masks,
@@ -36,6 +40,7 @@ from sparsepaving import (
     uniform,
     validate,
 )
+from sparsepaving.core import MAX_GROUND, _comb_exceeds
 from sparsepaving.errors import TooLarge
 
 
@@ -88,6 +93,33 @@ def test_validate_requires_a_basis():
         validate(SparsePavingMatroid(1, 1, [{0}]))
     with pytest.raises(NoBasis):
         validate(SparsePavingMatroid(3, 0, [set()]))
+
+
+def test_comb_exceeds_matches_comb():
+    for n in range(13):
+        for r in range(n + 1):
+            c = comb(n, r)
+            for limit in (0, c - 1, c, c + 1, 2 * c):
+                assert _comb_exceeds(n, r, limit) == (c > limit), (n, r, limit)
+
+
+def test_ground_size_cap():
+    start = time.perf_counter()
+    with pytest.raises(RangeError):
+        validate(SparsePavingMatroid(10_000_000, 5_000_000, []))
+    with pytest.raises(RangeError):
+        explicit_validate(ExplicitMatroid(MAX_GROUND + 1, 1, [1]))
+    with pytest.raises(RangeError):
+        uniform(MAX_GROUND + 1, 1)
+    with pytest.raises(RangeError):
+        graham_sloane(MAX_GROUND + 1, 2, 0)
+    with pytest.raises(RangeError):
+        random_sparse_paving(MAX_GROUND + 1, 2, seed=0)
+    # at the cap, NoBasis is still decided without computing C(n, r) in full
+    validate(uniform(MAX_GROUND, MAX_GROUND // 2))
+    with pytest.raises(NoBasis):
+        validate(SparsePavingMatroid(MAX_GROUND, MAX_GROUND, [(1 << MAX_GROUND) - 1]))
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("name,m", CORPUS, ids=[n for n, _ in CORPUS])

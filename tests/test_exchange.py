@@ -1,5 +1,6 @@
 """Pair-graph and collection walks, plus the single-round improvement engine."""
 
+import hashlib
 import itertools
 import random
 import zlib
@@ -487,7 +488,7 @@ def test_advance_branches(label, m, members, target, expect):
     b1 = as_mask(members[0])
     start = tuple(sorted(as_mask(s) for s in members))
     side = exchange._Side(start)
-    exchange._advance(m, tgt, b1, side, Counter())
+    exchange._advance(m, tgt, b1, side)
     assert len(side.moves) == expect
 
     # independent replay of the logged moves
@@ -548,3 +549,79 @@ def _disjoint_collection(m, bl, rng, k):
                 if len(picked) == k:
                     return picked
     return None
+
+
+def _sample_basis(m, rng):
+    while True:
+        s = as_mask(rng.sample(range(m.n), m.r))
+        if is_basis(m, s):
+            return s
+
+
+def _frozen_instance(m, k, label):
+    rng = random.Random(zlib.crc32(label.encode()))
+    src = [_sample_basis(m, rng) for _ in range(k)]
+    return src, _scramble(m, rng, src, 4 * k)
+
+
+def _moves_digest(moves):
+    text = ";".join(f"{i} {j} {x} {y}" for i, j, x, y in moves)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (n, r, k): white_moves and white2_path move counts and sha256 digests
+FROZEN_LARGE = {
+    (22, 8, 64): (
+        153,
+        "32b05fb64c56f76e109b931ecfef70daeb73f7bd24755d478613331150c5a84f",
+        397,
+        "1599e1f9cc22d23c1074af87a861b99024002e308accd3e45cac70e586f89c73",
+    ),
+    (22, 8, 128): (
+        283,
+        "7b0f42894d639fd3df7b3b6a67e6f1dedd5cb9c0fb3fdf65a1d83991f79ef235",
+        828,
+        "2e1563d478f64e08094bd28381c1588dc986827739182600158807856267ffe2",
+    ),
+    # 256 draws from 726 bases: the collections repeat members
+    (12, 5, 256): (
+        191,
+        "59764f14151a6c6044d2e38b0ad661c0b0e6502cf37cc5f80c600ec79899875d",
+        908,
+        "7dd8595c322aa7f13d463b328090675563a1d3487ae8c5d6ce410457201ee8e1",
+    ),
+}
+
+
+def test_white_moves_frozen_large():
+    """Pins the move lists, so the nearest-pair tie-break cannot drift.
+
+    The tie-break is smallest distance, then smallest source member,
+    then smallest target member; any other order changes these digests.
+    """
+    for (n, r, k), expect in FROZEN_LARGE.items():
+        m = gs_best(n, r)
+        src, dst = _frozen_instance(m, k, f"gs{n}_{r} k={k}")
+        if n == 12:
+            assert len(set(src)) < k  # repeated members
+        moves = white_moves(m, src, dst)
+        moves2 = white2_path(m, src, dst)
+        got = (len(moves), _moves_digest(moves), len(moves2), _moves_digest(moves2))
+        assert got == expect, (n, r, k)
+
+    pool = [m for _, m in with_max_n(12, min_rank=1)]
+    ks = (2, 3, 4, 5, 8, 12, 16, 24, 32)
+    h1, h2 = hashlib.sha256(), hashlib.sha256()
+    total = 0
+    for i in range(100):
+        m = pool[i % len(pool)]
+        src, dst = _frozen_instance(m, ks[i % len(ks)], f"small {i}")
+        moves = white_moves(m, src, dst)
+        total += len(moves)
+        h1.update(_moves_digest(moves).encode())
+        h2.update(_moves_digest(white2_path(m, src, dst)).encode())
+    assert total == 432
+    assert (h1.hexdigest(), h2.hexdigest()) == (
+        "6c1fe018b94dea693461be464cd10f279c7b8717600b26e00e2bc580e9c1a51b",
+        "39621bccc1f79a1f886147cac44ead0d851b4a100e423aeb47a2be3195c10f46",
+    )
