@@ -82,6 +82,5 @@ from .flats import (
     flat_histogram,
     zn_census,
 )
-from .parallel import pmap
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Command line front end (installed as `spm`).
 
 Every subcommand is deterministic for a fixed argv, input files, and
-seed, at any --jobs level.  Anything the tool prints as a result is
-re-verified against the defining predicate first (window bases, step
-adjacency, flat definition), never trusted straight from the search.
+seed.  Anything the tool prints as a result is re-verified first by the
+checker that sits next to the algorithm that built it (window bases,
+block order, walk steps, move replay, flat definition), never trusted
+straight from the search; a failed check exits with code 3.
 """
 
 from __future__ import annotations
@@ -14,14 +15,10 @@ import sys
 from .bitset import elements, format_set
 from .construct import graham_sloane, gs_best_class, random_sparse_paving
 from .core import (
-    ExplicitMatroid,
+    MAX_GROUND,
     SparsePavingMatroid,
-    closure_of,
     dual,
-    explicit_closure,
     explicit_minor,
-    explicit_rank,
-    is_basis,
     minor,
     rank_of,
     relax,
@@ -29,6 +26,8 @@ from .core import (
 from .cyclic import (
     average_ch_intervals,
     brute_force_order,
+    check_block_cycle,
+    check_cyclic_order,
     check_density,
     find_cyclic_order,
     gabow_cycle_any,
@@ -42,17 +41,16 @@ from .errors import (
 )
 from .exchange import (
     Multiset,
-    _one_swap_apart,
-    apply_tuple_move,
-    apply_white_move,
     bpg_path,
     bpg_vertex,
+    check_bpg_walk,
+    check_moves,
     graph_connected,
     white2_path,
     white_moves,
 )
 from .fileio import parse_matroid, serialize_matroid
-from .flats import bounds, cyclic_flats_of, flat_histogram, zn_census
+from .flats import bounds, check_cyclic_flats, cyclic_flats_of, flat_histogram, zn_census
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -71,8 +69,10 @@ def _parse_set(spec: str) -> int:
             e = int(tok)
         except ValueError:
             raise PreconditionViolated(f"bad element {tok!r} in set spec {spec!r}") from None
-        if e < 0:
-            raise PreconditionViolated(f"negative element in set spec {spec!r}")
+        if not 0 <= e < MAX_GROUND:  # before 1 << e builds a huge int
+            raise PreconditionViolated(
+                f"element {e} in set spec {spec!r} is outside 0..{MAX_GROUND - 1}"
+            )
         if (mask >> e) & 1:
             raise PreconditionViolated(f"repeated element {e} in set spec {spec!r}")
         mask |= 1 << e
@@ -183,13 +183,7 @@ def _cmd_conj_farber(args) -> int:
         u = _check_pair_graph_vertex(m, args.src)
         v = _check_pair_graph_vertex(m, args.dst)
         path = bpg_path(m, u, v)
-        if path[0] != u or path[-1] != v:
-            raise InternalCheckError("path endpoints are off")
-        for vert in path:
-            bpg_vertex(m, vert.a1, vert.a2, vert.a3)
-        for a, b in zip(path, path[1:]):
-            if not _one_swap_apart(a, b):
-                raise InternalCheckError("path step failed re-verification")
+        check_bpg_walk(m, path, u, v)
         print(f"path {len(path) - 1} steps")
         for vert in path:
             print(f"v {format_set(vert.a1)}|{format_set(vert.a2)}|{format_set(vert.a3)}")
@@ -209,20 +203,8 @@ def _run_collection_walk(args, ordered: bool) -> int:
     if len(src) != args.k or len(dst) != args.k:
         print(f"error: --k {args.k} does not match the member lists", file=sys.stderr)
         return EXIT_USAGE
-    if ordered:
-        moves = white2_path(m, src, dst)
-        state: tuple[int, ...] = tuple(src)
-        target = tuple(dst)
-        step = apply_tuple_move
-    else:
-        moves = white_moves(m, src, dst)
-        state = tuple(sorted(src))
-        target = tuple(sorted(dst))
-        step = apply_white_move
-    for mv in moves:
-        state = step(m, state, mv)  # validates both touched members
-    if state != target:
-        raise InternalCheckError("replayed moves do not reach the target")
+    moves = (white2_path if ordered else white_moves)(m, src, dst)
+    check_moves(m, src, dst, moves, ordered)
     print(f"moves {len(moves)}")
     for mv in moves:
         print(f"move {mv.i} {mv.j} {mv.x} {mv.y}")
@@ -259,12 +241,7 @@ def _cmd_order_cyclic(args) -> int:
         print("not orderable")
         print("WITNESS", *elements(wit))
         return EXIT_FAILS
-    for p in range(m.n):
-        w = 0
-        for i in range(m.r):
-            w |= 1 << order[(p + i) % m.n]
-        if not is_basis(m, w):
-            raise InternalCheckError("produced order failed re-verification")
+    check_cyclic_order(m, order)
     print(*order)
     return EXIT_OK
 
@@ -273,23 +250,7 @@ def _cmd_order_pair(args) -> int:
     m = _load_spm(args)
     b1, b2 = _parse_set(args.b1), _parse_set(args.b2)
     cyc = gabow_cycle_any(m, b1, b2)
-    r = m.r
-    got1 = 0
-    for e in cyc[:r]:
-        got1 |= 1 << e
-    got2 = 0
-    for e in cyc[r:]:
-        got2 |= 1 << e
-    if got1 != b1 or got2 != b2:
-        raise InternalCheckError("cycle blocks do not match the bases")
-    # windows of the restriction are r-subsets of b1 | b2, so the
-    # ambient basis test is the right re-verification
-    for p in range(2 * r):
-        w = 0
-        for i in range(r):
-            w |= 1 << cyc[(p + i) % (2 * r)]
-        if not is_basis(m, w):
-            raise InternalCheckError("cycle window failed re-verification")
+    check_block_cycle(m, cyc, b1, b2)
     print(*cyc)
     return EXIT_OK
 
@@ -297,17 +258,7 @@ def _cmd_order_pair(args) -> int:
 def _cmd_flats(args) -> int:
     m = _load(args)
     flats = cyclic_flats_of(m)
-    if isinstance(m, SparsePavingMatroid):
-        rank, clo = rank_of, closure_of
-    else:
-        rank, clo = explicit_rank, explicit_closure
-    for f in flats:
-        rf = rank(m, f)
-        good = clo(m, f) == f and all(
-            rank(m, f & ~(1 << e)) == rf for e in elements(f)
-        )
-        if not good:
-            raise InternalCheckError(f"{format_set(f)} failed the cyclic-flat recheck")
+    check_cyclic_flats(m, flats)
     print(f"count {len(flats)}")
     for f in flats:
         print("flat", *elements(f))
@@ -332,7 +283,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    rep = zn_census(args.n, jobs=args.jobs)
+    rep = zn_census(args.n)
     print("lower_bound", rep.lower_bound)
     print("best_rank", rep.best_rank)
     print("best_class", rep.best_class)
@@ -349,7 +300,6 @@ def _cmd_census(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     common.add_argument(
         "--cap-vertices",
         type=_non_negative,

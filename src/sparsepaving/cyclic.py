@@ -220,43 +220,65 @@ def find_cyclic_order(m: SparsePavingMatroid, seed: int = 0):
         # density with a dependent set present forces r >= 3 here, and
         # 2r <= n then forces n - r >= 3
         out = _repair_single_window(m, _near_witness_cycle(m, seed))
-    if out is None or ch_interval_count(m, out) != 0:
-        raise InternalCheckError(f"constructed order {out} is not a witness")
+    check_cyclic_order(m, out)
     return out
+
+
+def check_cyclic_order(m, order) -> None:
+    """Raise InternalCheckError unless order is a witness cyclic order of m."""
+    pred, n, r = basis_predicate(m)
+    try:
+        checked = _checked_order(n, order)
+    except (GroundSetMismatch, TypeError) as e:
+        raise InternalCheckError(f"{order!r} is not an order of the ground set") from e
+    if _dependent_windows(pred, n, r, checked):
+        raise InternalCheckError(f"order {checked} has a dependent window")
 
 
 # -- two contiguous blocks from a disjoint basis pair -------------------------
 
 
-def _or_all(xs) -> int:
-    w = 0
-    for e in xs:
-        w |= 1 << e
-    return w
-
-
 def _starts_properly(m, b: list, c: list) -> bool:
     # windows beginning inside the first block
-    for i in range(len(b)):
-        if not is_basis(m, _or_all(b[i:]) | _or_all(c[:i])):
-            return False
-    return True
+    pred, _, r = basis_predicate(m)
+    return all(p >= r for p in _dependent_windows(pred, 2 * r, r, b + c))
 
 
 def _problem_positions(m, b: list, c: list) -> list[int]:
     # windows beginning inside the second block; position 0 is the
     # block itself and cannot fail
-    out = []
-    for i in range(1, len(c)):
-        if not is_basis(m, _or_all(c[i:]) | _or_all(b[:i])):
-            out.append(i)
-    return out
+    pred, _, r = basis_predicate(m)
+    return [p - r for p in _dependent_windows(pred, 2 * r, r, b + c) if p > r]
 
 
 def _swapped(seq: list, i: int, j: int) -> list:
     t = list(seq)
     t[i], t[j] = t[j], t[i]
     return t
+
+
+def _disjoint_bases(m, b1, b2) -> tuple[int, int]:
+    b1m, b2m = as_mask(b1), as_mask(b2)
+    if not is_basis(m, b1m) or not is_basis(m, b2m):
+        raise NotBases(f"{format_set(b1m)} / {format_set(b2m)} are not both bases")
+    if b1m & b2m:
+        raise NotDisjoint(f"{format_set(b1m)} and {format_set(b2m)} share elements")
+    return b1m, b2m
+
+
+def check_block_cycle(m, cyc, b1: int, b2: int) -> None:
+    """Raise InternalCheckError unless cyc is a witness cycle with blocks b1, b2.
+
+    cyc must list the elements of b1, then those of b2, and every
+    window of r cyclically consecutive entries must be a basis.  Windows
+    are tested as r-sets of m itself, so the cycles of gabow_cycle_any,
+    which live in a restriction, are checked under their own labels.
+    """
+    pred, _, r = basis_predicate(m)
+    if len(cyc) != 2 * r or as_mask(cyc[:r]) != b1 or as_mask(cyc[r:]) != b2:
+        raise InternalCheckError(f"cycle {cyc} does not list the blocks in order")
+    if _dependent_windows(pred, 2 * r, r, cyc):
+        raise InternalCheckError(f"cycle {cyc} has a dependent window")
 
 
 def gabow_cycle(m: SparsePavingMatroid, b1, b2) -> tuple[int, ...]:
@@ -269,27 +291,25 @@ def gabow_cycle(m: SparsePavingMatroid, b1, b2) -> tuple[int, ...]:
     and strictly reduces the number of bad windows, so at most r - 1
     rounds run.
     """
-    b1m, b2m = as_mask(b1), as_mask(b2)
-    if not is_basis(m, b1m) or not is_basis(m, b2m):
-        raise NotBases(f"{format_set(b1m)} / {format_set(b2m)} are not both bases")
-    if b1m & b2m:
-        raise NotDisjoint(f"{format_set(b1m)} and {format_set(b2m)} share elements")
+    b1m, b2m = _disjoint_bases(m, b1, b2)
     if b1m | b2m != m.ground:
         raise GroundSetMismatch(
             "bases do not cover the ground set; restrict first (gabow_cycle_any)"
         )
-    r = m.r
+    pred, _, r = basis_predicate(m)
     b = list(elements(b1m))
     c: list[int] = []
     unused = list(elements(b2m))
+    suffix = b1m
     for i in range(r):
-        suffix = _or_all(b[i + 1 :]) | _or_all(c)
-        pick = next((y for y in unused if is_basis(m, suffix | (1 << y))), None)
+        suffix ^= 1 << b[i]  # b[i + 1 :] plus the picks so far
+        pick = next((y for y in unused if pred(suffix | (1 << y))), None)
         if pick is None:
             # contradicts independent-set augmentation against the second basis
             raise InternalCheckError("greedy block ordering stalled")
         c.append(pick)
         unused.remove(pick)
+        suffix |= 1 << pick
 
     probs = _problem_positions(m, b, c)
     rounds = 0
@@ -317,8 +337,7 @@ def gabow_cycle(m: SparsePavingMatroid, b1, b2) -> tuple[int, ...]:
             raise InternalCheckError("no repair reduced the bad window count")
 
     out = tuple(b) + tuple(c)
-    if ch_interval_count(m, out) != 0:
-        raise InternalCheckError(f"constructed cycle {out} has a dependent window")
+    check_block_cycle(m, out, b1m, b2m)
     return out
 
 
@@ -327,11 +346,7 @@ def gabow_cycle_any(m: SparsePavingMatroid, b1, b2) -> tuple[int, ...]:
 
     Output uses the original element labels.
     """
-    b1m, b2m = as_mask(b1), as_mask(b2)
-    if not is_basis(m, b1m) or not is_basis(m, b2m):
-        raise NotBases(f"{format_set(b1m)} / {format_set(b2m)} are not both bases")
-    if b1m & b2m:
-        raise NotDisjoint(f"{format_set(b1m)} and {format_set(b2m)} share elements")
+    b1m, b2m = _disjoint_bases(m, b1, b2)
     keep = b1m | b2m
     sub = m
     for e in reversed(elements(m.ground & ~keep)):
@@ -340,8 +355,8 @@ def gabow_cycle_any(m: SparsePavingMatroid, b1, b2) -> tuple[int, ...]:
     back = {e: i for i, e in enumerate(kept)}
     cyc = gabow_cycle(
         sub,
-        _or_all(back[e] for e in elements(b1m)),
-        _or_all(back[e] for e in elements(b2m)),
+        as_mask(back[e] for e in elements(b1m)),
+        as_mask(back[e] for e in elements(b2m)),
     )
     return tuple(kept[x] for x in cyc)
 

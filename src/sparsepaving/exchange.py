@@ -45,6 +45,7 @@ from .errors import (
     PreconditionViolated,
     TooLarge,
     UnionMismatch,
+    ValidationError,
 )
 
 
@@ -140,6 +141,20 @@ def bpg_adjacent(m, u: BasisPairVertex, v: BasisPairVertex) -> bool:
     return _one_swap_apart(u, v)
 
 
+def check_bpg_walk(m, path: Sequence[BasisPairVertex], u, v) -> None:
+    """Raise InternalCheckError unless path walks from u to v in the pair graph."""
+    if not path or path[0] != u or path[-1] != v:
+        raise InternalCheckError("walk endpoints are off")
+    try:
+        for w in path:
+            bpg_vertex(m, w.a1, w.a2, w.a3)
+    except ValidationError as e:
+        raise InternalCheckError(f"walk leaves the pair graph: {e}") from e
+    for a, b in zip(path, path[1:]):
+        if not _one_swap_apart(a, b):
+            raise InternalCheckError(f"walk step {a} -> {b} is not one swap")
+
+
 def _disjoint_pair_path(
     pred: Callable[[int], bool],
     cur1: int,
@@ -230,7 +245,7 @@ def bpg_path(m, u: BasisPairVertex, v: BasisPairVertex) -> list[BasisPairVertex]
     def emit(n1: int, n2: int, n3: int) -> None:
         nonlocal cur1, cur2, cur3
         cur1, cur2, cur3 = n1, n2, n3
-        path.append(bpg_vertex(m, n1, n2, n3))
+        path.append(BasisPairVertex(n1, n2, n3))
 
     while cur3 != v.a3:
         leave = cur3 & ~v.a3
@@ -281,6 +296,7 @@ def bpg_path(m, u: BasisPairVertex, v: BasisPairVertex) -> list[BasisPairVertex]
 
     for n1, n2 in _disjoint_pair_path(pred, cur1, cur2, v.a1, v.a2):
         emit(n1, n2, cur3)
+    check_bpg_walk(m, path, u, v)
     return path
 
 
@@ -317,6 +333,27 @@ def apply_tuple_move(m, state: Sequence[ElementSet], move: Move) -> tuple[int, .
     members = [as_mask(b) for b in state]
     _apply_positions(m, members, move)
     return tuple(members)
+
+
+def check_moves(m, src, dst, moves: Iterable[Move], ordered: bool) -> None:
+    """Replay moves from src; raise InternalCheckError unless they reach dst.
+
+    ordered replays on literal positions, as apply_tuple_move does;
+    otherwise positions index the sorted multiset, as in
+    apply_white_move.  A move that breaks a basis raises
+    ExchangeViolation.
+    """
+    cur = [as_mask(b) for b in src]
+    want = [as_mask(b) for b in dst]
+    if not ordered:
+        cur.sort()
+        want.sort()
+    for mv in moves:
+        _apply_positions(m, cur, mv)
+        if not ordered:
+            cur.sort()
+    if cur != want:
+        raise InternalCheckError("replayed moves do not reach the target")
 
 
 def _mk_move(state: tuple[int, ...], vi: int, vj: int, x: int, y: int) -> Move:
@@ -662,31 +699,23 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
         vj2 = (prev[mv.j] ^ (1 << mv.y)) | (1 << mv.x)
         inverted.append(_mk_move(after, vi2, vj2, mv.y, mv.x))
     result = side_s.moves + inverted
-
-    cur = s_members
-    for mv in result:
-        cur = apply_white_move(m, cur, mv)
-    if cur != d_members:
-        raise InternalCheckError("move replay did not land on the target multiset")
+    check_moves(m, s_members, d_members, result, ordered=False)
     return result
 
 
 def white2_path(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list[Move]:
     """Moves on ordered positions turning the tuple src into dst exactly.
 
-    The multiset is matched first by replaying white_moves onto the
-    ordered state; the leftover permutation is resolved one
-    transposition at a time, each realized as a disjoint-pair walk in
-    the minor that contracts the two members' shared elements and
-    deletes everything outside their union.
+    The multiset is matched first by carrying white_moves over to the
+    ordered state (the sorted state is always sorted(cur)); the leftover
+    permutation is resolved one transposition at a time, each realized
+    as a disjoint-pair walk in the minor that contracts the two members'
+    shared elements and deletes everything outside their union.  The
+    final replay certifies every move.
     """
     pred, n, _ = basis_predicate(m)
     src_t = _as_members(m, src, "src")
     dst_t = _as_members(m, dst, "dst")
-    if len(src_t) != len(dst_t):
-        raise UnionMismatch("collections have different member counts")
-    if _element_union(src_t) != _element_union(dst_t):
-        raise UnionMismatch("collections have different multiset unions")
 
     k = len(src_t)
     out: list[Move] = []
@@ -695,22 +724,18 @@ def white2_path(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     def emit(p: int, q: int, x: int, y: int) -> None:
         if p > q:
             p, q, x, y = q, p, y, x
-        nbp = (cur[p] ^ (1 << x)) | (1 << y)
-        nbq = (cur[q] ^ (1 << y)) | (1 << x)
-        if not pred(nbp) or not pred(nbq):
-            raise InternalCheckError("tuple move left the basis family")
-        cur[p], cur[q] = nbp, nbq
+        cur[p] = (cur[p] ^ (1 << x)) | (1 << y)
+        cur[q] = (cur[q] ^ (1 << y)) | (1 << x)
         out.append(Move(p, q, x, y))
 
-    sorted_state = tuple(sorted(src_t))
     for mv in white_moves(m, src_t, dst_t):
-        vi, vj = sorted_state[mv.i], sorted_state[mv.j]
+        srt = sorted(cur)
+        vi, vj = srt[mv.i], srt[mv.j]
         p = cur.index(vi)
         q = cur.index(vj)
         if q == p:
             q = cur.index(vj, p + 1)
         emit(p, q, mv.x, mv.y)
-        sorted_state = apply_white_move(m, sorted_state, mv)
 
     for p in range(k):
         if cur[p] == dst_t[p]:
@@ -732,8 +757,7 @@ def white2_path(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
             prev1 = n1
         if cur[p] != dst_t[p]:
             raise InternalCheckError("transposition walk missed its target")
-    if tuple(cur) != dst_t:
-        raise InternalCheckError("ordered replay did not land on the target tuple")
+    check_moves(m, src_t, dst_t, out, ordered=True)
     return out
 
 

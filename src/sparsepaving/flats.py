@@ -18,11 +18,13 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, isqrt
+from typing import Callable
 
-from .bitset import ElementSet, iter_elements
+from .bitset import ElementSet, format_set, iter_elements
 from .core import (
     ExplicitMatroid,
     SparsePavingMatroid,
+    check_ground,
     closure_of,
     explicit_closure,
     explicit_rank,
@@ -30,7 +32,6 @@ from .core import (
 )
 from .errors import InternalCheckError, PreconditionViolated, RangeError, TooLarge
 from .construct import gs_best_class
-from .parallel import pmap
 
 
 def cyclic_flats_of(m) -> list[ElementSet]:
@@ -43,22 +44,36 @@ def cyclic_flats_of(m) -> list[ElementSet]:
     """
     if isinstance(m, SparsePavingMatroid) and m.r >= 2 and m.n - m.r >= 2:
         return [0, *m.chset, m.ground]
+    is_cyclic_flat = _cyclic_flat_test(m)
+    if m.n > 20:
+        raise TooLarge(f"definition scan over 2^{m.n} subsets refused")
+    return [f for f in range(1 << m.n) if is_cyclic_flat(f)]
+
+
+def _cyclic_flat_test(m) -> Callable[[int], bool]:
+    """The definition: f is closed and dropping any element keeps its rank."""
     if isinstance(m, SparsePavingMatroid):
         rank, clo = rank_of, closure_of
     elif isinstance(m, ExplicitMatroid):
         rank, clo = explicit_rank, explicit_closure
     else:
         raise TypeError(f"expected a matroid, got {type(m).__name__}")
-    if m.n > 20:
-        raise TooLarge(f"definition scan over 2^{m.n} subsets refused")
-    out = []
-    for f in range(1 << m.n):
+
+    def is_cyclic_flat(f: int) -> bool:
         if clo(m, f) != f:
-            continue
+            return False
         rf = rank(m, f)
-        if all(rank(m, f & ~(1 << e)) == rf for e in iter_elements(f)):
-            out.append(f)
-    return out
+        return all(rank(m, f & ~(1 << e)) == rf for e in iter_elements(f))
+
+    return is_cyclic_flat
+
+
+def check_cyclic_flats(m, flats) -> None:
+    """Raise InternalCheckError unless every set in flats is a cyclic flat of m."""
+    is_cyclic_flat = _cyclic_flat_test(m)
+    for f in flats:
+        if f >> m.n or not is_cyclic_flat(f):
+            raise InternalCheckError(f"{format_set(f)} is not a cyclic flat")
 
 
 def flat_histogram(flats) -> dict[int, int]:
@@ -75,8 +90,7 @@ class BoundsReport:
     elements; zn_lower_int is the integer threshold some sparse paving
     matroid is guaranteed to reach (ceil of the radical expression,
     plus 2 for the trivial flats).  ch_upper bounds the number of
-    designated dependent r-sets.  basis_count is a slot for reports
-    about one concrete matroid.
+    designated dependent r-sets.
     """
 
     n: int
@@ -86,12 +100,12 @@ class BoundsReport:
     zn_lower_decimal: str
     zn_lower_radical: str
     ch_upper: Fraction | None
-    basis_count: int | None = None
 
 
-def bounds(n: int, r: int | None = None, basis_count: int | None = None) -> BoundsReport:
+def bounds(n: int, r: int | None = None) -> BoundsReport:
     if n < 1:
         raise PreconditionViolated(f"need n >= 1, got {n}")
+    check_ground(n)
     if r is not None and not 0 <= r <= n:
         raise PreconditionViolated(f"rank {r} not in 0..{n}")
     zn_upper = Fraction(1 << (n + 1), n + 2)
@@ -113,7 +127,6 @@ def bounds(n: int, r: int | None = None, basis_count: int | None = None) -> Boun
         zn_lower_decimal=f"{dec:.12g}",
         zn_lower_radical=f"2^{n - 1}/{n}^(3/2) + 2",
         ch_upper=Fraction(comb(n, r), n - r + 1) if r is not None else None,
-        basis_count=basis_count,
     )
     if 4 <= n <= 24:
         # sanity: the real lower bound sits below the upper bound here;
@@ -135,13 +148,7 @@ class CensusReport:
     gap_to_upper: Fraction
 
 
-def _census_row(args: tuple[int, int]) -> tuple[int, int, int]:
-    n, r = args
-    c, size = gs_best_class(n, r)
-    return (r, c, size + 2)  # plus the empty and full flats
-
-
-def zn_census(n: int, jobs: int = 1) -> CensusReport:
+def zn_census(n: int) -> CensusReport:
     """Certified lower bound on the max cyclic-flat count at size n.
 
     Scans the residue-class construction over every rank in 2..n-2 and
@@ -150,7 +157,10 @@ def zn_census(n: int, jobs: int = 1) -> CensusReport:
     """
     if not 4 <= n <= 24:
         raise RangeError(f"census supported for 4 <= n <= 24, got {n}")
-    rows = pmap(_census_row, [(n, r) for r in range(2, n - 1)], jobs)
+    rows = []
+    for r in range(2, n - 1):
+        c, size = gs_best_class(n, r)
+        rows.append((r, c, size + 2))  # plus the empty and full flats
     best = max(rows, key=lambda row: row[2])  # ties keep the smallest rank
     limits = bounds(n)
     lower = best[2]

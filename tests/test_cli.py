@@ -1,19 +1,27 @@
 """File format and command line behavior.
 
 Commands run in-process through cli.main with captured stdout, which
-keeps the suite fast; byte determinism across --jobs settings is part
-of the contract.
+keeps the suite fast; byte determinism across repeated runs is part of
+the contract.  A result that fails its certificate exits with code 3
+and prints nothing.
 """
 
 import io
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import sparsepaving
+import sparsepaving.cli as cli
 from corpusdef import CORPUS, P44, U24
 from sparsepaving import (
+    BasisPairVertex,
     ExplicitMatroid,
+    Move,
     ParseError,
     SparsePavingMatroid,
     TooLarge,
@@ -287,9 +295,9 @@ def test_cli_flats_avg_bounds(p44_file):
 
 def test_cli_census_jobs_invariant():
     code1, out1 = run_cli("census", "--n", "8")
-    code3, out3 = run_cli("census", "--n", "8", "--jobs", "3")
-    assert code1 == code3 == 0
-    assert out1 == out3
+    code2, out2 = run_cli("census", "--n", "8")
+    assert code1 == code2 == 0
+    assert out1 == out2
     assert out1.splitlines()[0] == "lower_bound 12"
 
 
@@ -325,6 +333,107 @@ def test_cli_validate_refuses_huge_ground_fast(tmp_path):
     start = time.perf_counter()
     assert run_cli("validate", str(f)) == (2, "")
     assert time.perf_counter() - start < 1.0
+
+
+def test_cli_bounds_refuses_huge_ground_fast():
+    # 2^(n+1) / (n+2) alone has millions of digits at n = 10^7, and at
+    # n = 20000 it is past the interpreter's int-to-str digit limit
+    for n in ("10000000", "20000"):
+        start = time.perf_counter()
+        assert run_cli("bounds", "--n", n) == (2, "")
+        assert time.perf_counter() - start < 1.0
+    code, out = run_cli("bounds", "--n", "4096")
+    assert code == 0 and out.startswith("zn_upper ")
+
+
+def test_cli_set_labels_are_capped_before_building_a_mask(p44_file):
+    # 1 << 10^9 would allocate about 130 MB per copy before any range check
+    start = time.perf_counter()
+    assert run_cli("relax", p44_file, "--ch", "0,1000000000") == (2, "")
+    assert time.perf_counter() - start < 1.0
+    assert run_cli("relax", p44_file, "--ch", "0,-1") == (2, "")
+
+
+def _corrupt(monkeypatch, name, fn):
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: fn(real(*args)))
+
+
+@pytest.mark.parametrize(
+    "name,fn,argv",
+    [
+        # swapping the last two entries of 0 1 3 2 makes windows {1,2} and {3,0}
+        ("find_cyclic_order", lambda o: o[:2] + o[:1:-1], ["order", "cyclic"]),
+        (
+            "gabow_cycle_any",
+            lambda c: c[:2] + c[:1:-1],
+            ["order", "pair", "--b1", "0,1", "--b2", "2,3"],
+        ),
+        (
+            "gabow_cycle_any",
+            lambda c: c[2:] + c[:2],  # blocks in the wrong order
+            ["order", "pair", "--b1", "0,1", "--b2", "2,3"],
+        ),
+        (
+            "bpg_path",
+            lambda p: p[:1] + [BasisPairVertex(0b1001, 0b0110, 0)] + p[1:],
+            ["conj", "farber", "--from", "0,1;2,3", "--to", "0,2;1,3"],
+        ),
+        (
+            "white_moves",
+            lambda mv: mv[:-1],
+            ["conj", "white", "--k", "2", "--from", "0,1|2,3", "--to", "0,2|1,3"],
+        ),
+        (
+            "white_moves",
+            lambda mv: [Move(0, 1, 0, 2)],  # lands member 0 on {1, 2}
+            ["conj", "white", "--k", "2", "--from", "0,1|2,3", "--to", "0,2|1,3"],
+        ),
+        (
+            "white2_path",
+            lambda mv: mv[:-1],
+            ["conj", "white2", "--k", "2", "--from", "0,1|2,3", "--to", "2,3|0,1"],
+        ),
+        ("cyclic_flats_of", lambda fl: fl + [0b0011], ["flats"]),
+    ],
+    ids=[
+        "order-cyclic",
+        "order-pair-window",
+        "order-pair-blocks",
+        "farber-non-vertex",
+        "white-dropped-move",
+        "white-illegal-move",
+        "white2-dropped-move",
+        "flats-non-cyclic",
+    ],
+)
+def test_cli_failed_certificate_exits_3(monkeypatch, p44_file, name, fn, argv):
+    _corrupt(monkeypatch, name, fn)
+    assert run_cli(*argv[:2], p44_file, *argv[2:]) == (3, "")
+
+
+def test_cli_farber_non_adjacent_step_exits_3(monkeypatch, tmp_path):
+    f = str(tmp_path / "gs10_4.txt")
+    assert run_cli("gen", "gs", "--n", "10", "--r", "4", "-o", f)[0] == 0
+    # the frozen 5-step path without its second vertex: two swaps in one step
+    _corrupt(monkeypatch, "bpg_path", lambda p: p[:1] + p[2:])
+    argv = ["conj", "farber", f, "--from", "0,1,2,3;4,5,6,7", "--to", "5,7,8,9;0,1,2,4"]
+    assert run_cli(*argv) == (3, "")
+
+
+def test_cli_import_loads_no_process_pool():
+    src = str(Path(sparsepaving.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, sparsepaving.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_cli_byte_determinism_across_commands(p44_file):

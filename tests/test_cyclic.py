@@ -9,6 +9,7 @@ import pytest
 from corpusdef import CORPUS, P44, U24, with_max_n
 from sparsepaving import (
     GroundSetMismatch,
+    InternalCheckError,
     NotBases,
     NotDisjoint,
     PreconditionViolated,
@@ -36,6 +37,30 @@ from sparsepaving.core import basis_predicate
 
 def mask(*elts: int) -> int:
     return as_mask(elts)
+
+
+def windows_are_bases(m, seq) -> bool:
+    """Every cyclic window of m.r consecutive entries of seq, tested with is_basis."""
+    k = len(seq)
+    return all(
+        is_basis(m, as_mask(seq[(p + i) % k] for i in range(m.r))) for p in range(k)
+    )
+
+
+def judge_swaps(check, m, seq, positions, *args) -> int:
+    """Swap every pair of positions in seq; check must raise exactly when
+    some window stops being a basis.  Returns how many swaps it rejected."""
+    rejected = 0
+    for i, j in itertools.combinations(positions, 2):
+        bad = list(seq)
+        bad[i], bad[j] = bad[j], bad[i]
+        if windows_are_bases(m, bad):
+            check(m, tuple(bad), *args)
+        else:
+            with pytest.raises(InternalCheckError):
+                check(m, tuple(bad), *args)
+            rejected += 1
+    return rejected
 
 
 # -- window counting -----------------------------------------------------------
@@ -152,6 +177,7 @@ def test_orderability_triple_agreement(name, m):
     assert (got is not None) == (oracle is not None) == dens
     if got is not None:
         assert ch_interval_count(m, got) == 0
+        cyclic.check_cyclic_order(m, got)
     else:
         assert m.r * wit.bit_count() > rank_of(m, wit) * m.n
 
@@ -165,10 +191,24 @@ def test_find_cyclic_order_large_instances(name, m):
     a = find_cyclic_order(m)
     assert a is not None
     assert ch_interval_count(m, a) == 0
+    cyclic.check_cyclic_order(m, a)
     assert find_cyclic_order(m) == a  # deterministic for the default seed
     for seed in (1, 2, 3):
         b = find_cyclic_order(m, seed=seed)
         assert ch_interval_count(m, b) == 0
+
+
+def test_check_cyclic_order_rejects_corruptions():
+    rejected = 0
+    for _, m in with_max_n(9):
+        order = find_cyclic_order(m)
+        if order is None or m.n < 2:
+            continue
+        rejected += judge_swaps(cyclic.check_cyclic_order, m, order, range(m.n))
+        for bad in (order[:-1], order[:-1] + order[:1], None):
+            with pytest.raises(InternalCheckError):
+                cyclic.check_cyclic_order(m, bad)
+    assert rejected > 100
 
 
 def test_witness_also_covers_the_dual():
@@ -252,8 +292,30 @@ def test_gabow_cycle_exhaustive_small():
             assert as_mask(cyc[: m.r]) == b
             assert as_mask(cyc[m.r :]) == other
             assert ch_interval_count(m, cyc) == 0
+            cyclic.check_block_cycle(m, cyc, b, other)
             checked += 1
     assert checked > 500
+
+
+def test_check_block_cycle_rejects_corruptions():
+    rejected = 0
+    for _, m in with_max_n(10):
+        r = m.r
+        if m.n != 2 * r or r < 2:
+            continue
+        for b in itertools.islice(subset_masks(m.n, r), 30):
+            other = m.ground & ~b
+            if not (is_basis(m, b) and is_basis(m, other)):
+                continue
+            cyc = gabow_cycle(m, b, other)
+            with pytest.raises(InternalCheckError):
+                cyclic.check_block_cycle(m, cyc[r:] + cyc[:r], b, other)
+            with pytest.raises(InternalCheckError):
+                cyclic.check_block_cycle(m, cyc[:-1], b, other)
+            # swaps inside a block keep the blocks; only windows can fail
+            for block in (range(r), range(r, 2 * r)):
+                rejected += judge_swaps(cyclic.check_block_cycle, m, cyc, block, b, other)
+    assert rejected > 500
 
 
 def test_gabow_cycle_any_restricts_and_relabels():
@@ -280,6 +342,7 @@ def test_gabow_cycle_any_restricts_and_relabels():
             kept = [e for e in range(m.n) if ((b1 | b2) >> e) & 1]
             back = {e: i for i, e in enumerate(kept)}
             assert ch_interval_count(sub, tuple(back[e] for e in cyc)) == 0
+            cyclic.check_block_cycle(m, cyc, b1, b2)
             checked += 1
     assert checked > 50
 

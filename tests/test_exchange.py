@@ -13,6 +13,7 @@ from sparsepaving import (
     BasisPairVertex,
     ExchangeViolation,
     ExplicitMatroid,
+    InternalCheckError,
     Move,
     Multiset,
     NotAVertex,
@@ -46,6 +47,20 @@ def mask(*elts: int) -> int:
 
 def bases_of(m):
     return [b for b in subset_masks(m.n, m.r) if is_basis(m, b)]
+
+
+def replay_lands(m, src, dst, moves, ordered) -> bool:
+    """Replay through the public one-move functions; True when it reaches dst."""
+    step = apply_tuple_move if ordered else apply_white_move
+    state, want = tuple(src), tuple(dst)
+    if not ordered:
+        state, want = tuple(sorted(state)), tuple(sorted(want))
+    try:
+        for mv in moves:
+            state = step(m, state, mv)
+    except ExchangeViolation:
+        return False
+    return state == want
 
 
 # -- multiset and move plumbing --------------------------------------------------
@@ -127,6 +142,25 @@ def test_bpg_path_is_a_verified_walk(name, m):
         assert len(path) - 1 <= 4 * m.n
         for a, b in zip(path, path[1:]):
             assert bpg_adjacent(m, a, b)
+        exchange.check_bpg_walk(m, path, u, v)
+        w = path[len(path) // 2]
+        corrupt = [[u, BasisPairVertex(w.a1, w.a1, w.a3), *path[1:]]]  # non-vertex
+        if u != v:
+            corrupt.append([v, *path[1:]])  # wrong start
+        if len(path) >= 3 and not bpg_adjacent(m, path[0], path[2]):
+            corrupt.append([path[0], *path[2:]])  # two swaps in one step
+        for bad in corrupt:
+            with pytest.raises(InternalCheckError):
+                exchange.check_bpg_walk(m, bad, u, v)
+
+
+def test_check_bpg_walk_rejects_a_dependent_block():
+    u = bpg_vertex(P44, {0, 1}, {2, 3}, set())
+    v = bpg_vertex(P44, {0, 2}, {1, 3}, set())
+    exchange.check_bpg_walk(P44, [u, v], u, v)
+    # {0, 3} and {1, 2} are the dependent pairs; each step is one swap
+    with pytest.raises(InternalCheckError):
+        exchange.check_bpg_walk(P44, [u, BasisPairVertex(0b1001, 0b0110, 0), v], u, v)
 
 
 def test_bpg_path_exhaustive_small():
@@ -177,6 +211,18 @@ def test_white_moves_validation():
         white_moves(P44, [{0, 1}], [{0, 1}, {2, 3}])
 
 
+def test_check_moves_frozen():
+    src, dst = [mask(0, 1), mask(2, 3)], [mask(0, 2), mask(1, 3)]
+    exchange.check_moves(P44, src, dst, [Move(0, 1, 1, 2)], ordered=False)
+    exchange.check_moves(P44, src, dst[::-1], [Move(0, 1, 1, 2)], ordered=False)
+    with pytest.raises(InternalCheckError):
+        exchange.check_moves(P44, src, dst, [], ordered=False)  # dropped move
+    with pytest.raises(InternalCheckError):
+        exchange.check_moves(P44, src, dst[::-1], [Move(0, 1, 1, 2)], ordered=True)
+    with pytest.raises(ExchangeViolation):
+        exchange.check_moves(P44, src, dst, [Move(0, 1, 0, 2)], ordered=False)
+
+
 def test_white2_path_reorders_equal_multisets():
     # same multiset, swapped positions: the ordered walk has real work
     moves = white2_path(U24, [{0, 1}, {2, 3}], [{2, 3}, {0, 1}])
@@ -220,6 +266,7 @@ def _scramble(m, rng, col, steps):
 @pytest.mark.parametrize("k", [2, 3])
 def test_collection_walks_land_on_scrambled_targets(k):
     rng = random.Random(90 + k)
+    rejected = 0
     pool = [m for _, m in with_max_n(9, min_rank=1)]
     for m in pool:
         for _ in range(6):
@@ -238,6 +285,19 @@ def test_collection_walks_land_on_scrambled_targets(k):
             for mv in moves2:
                 state2 = apply_tuple_move(m, state2, mv)
             assert state2 == tuple(dst)
+
+            for ordered, mvs in ((False, moves), (True, moves2)):
+                exchange.check_moves(m, src, dst, mvs, ordered)
+                # drop one move; the public replay decides the verdict
+                for t in {0, len(mvs) // 2, len(mvs) - 1} if mvs else ():
+                    bad = mvs[:t] + mvs[t + 1 :]
+                    if replay_lands(m, src, dst, bad, ordered):
+                        exchange.check_moves(m, src, dst, bad, ordered)
+                    else:
+                        rejected += 1
+                        with pytest.raises((InternalCheckError, ExchangeViolation)):
+                            exchange.check_moves(m, src, dst, bad, ordered)
+    assert rejected > 100
 
 
 def test_graph_connected_collections_frozen():

@@ -6,6 +6,7 @@ import pytest
 
 from corpusdef import CORPUS, P44, U24, with_max_n
 from sparsepaving import (
+    InternalCheckError,
     PreconditionViolated,
     RangeError,
     TooLarge,
@@ -21,6 +22,8 @@ from sparsepaving import (
     uniform,
     zn_census,
 )
+from sparsepaving.core import MAX_GROUND
+from sparsepaving.flats import check_cyclic_flats
 
 
 def mask(*elts: int) -> int:
@@ -37,6 +40,15 @@ def scan_cyclic_flats(m):
         if all(rank_of(m, f & ~(1 << e)) == rf for e in range(m.n) if (f >> e) & 1):
             out.append(f)
     return out
+
+
+def assert_check_judges(m, flats, want):
+    """check_cyclic_flats accepts flats and rejects it plus one set outside want."""
+    check_cyclic_flats(m, flats)
+    extra = next((f for f in range(1 << m.n) if f not in set(want)), None)
+    if extra is not None:
+        with pytest.raises(InternalCheckError):
+            check_cyclic_flats(m, [*flats, extra])
 
 
 # -- enumeration ------------------------------------------------------------------
@@ -59,7 +71,9 @@ def test_cyclic_flats_explicit_guard():
 def test_fast_path_matches_definition_scan(name, m):
     fast = cyclic_flats_of(m)
     assert sorted(fast) == sorted(set(fast))
-    assert sorted(fast) == sorted(scan_cyclic_flats(m))
+    want = scan_cyclic_flats(m)
+    assert sorted(fast) == sorted(want)
+    assert_check_judges(m, fast, want)
 
 
 @pytest.mark.parametrize("name,m", with_max_n(9), ids=[n for n, _ in with_max_n(9)])
@@ -79,6 +93,7 @@ def test_fast_path_matches_explicit_enumeration(name, m):
             want.append(f)
     assert sorted(cyclic_flats_of(m)) == want
     assert sorted(cyclic_flats_of(em)) == want
+    assert_check_judges(em, want, want)
 
 
 def test_flat_histogram_frozen():
@@ -141,6 +156,9 @@ def test_bounds_errors():
         bounds(0)
     with pytest.raises(PreconditionViolated):
         bounds(5, 6)
+    with pytest.raises(RangeError):
+        bounds(MAX_GROUND + 1)
+    assert bounds(MAX_GROUND).zn_lower_int > 2
 
 
 def test_ch_upper_met_with_equality_at_p44():
@@ -185,10 +203,6 @@ def test_census_respects_both_bounds():
         rep = zn_census(n)
         assert rep.limits.zn_lower_int <= rep.lower_bound <= rep.limits.zn_upper
         assert rep.gap_to_upper == rep.limits.zn_upper - rep.lower_bound
-
-
-def test_census_parallel_agrees_with_serial():
-    assert zn_census(9, jobs=3) == zn_census(9)
 
 
 def test_census_rows_match_direct_construction():
