@@ -46,15 +46,26 @@ def lowest_element(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def bits(mask: int) -> list[int]:
+    """The one-element masks of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+def swap(mask: int, x: int, y: int) -> int:
+    """mask - x + y, for x in mask and y outside it."""
+    return (mask ^ (1 << x)) | (1 << y)
+
+
 def subset_masks(n: int, r: int) -> Iterator[int]:
-    """All r-element subsets of {0, .., n-1} as masks."""
+    """All r-element subsets of {0, .., n-1} as masks, in lexicographic order."""
     if r < 0:
-        return
-    for combo in combinations(range(n), r):
-        m = 0
-        for e in combo:
-            m |= 1 << e
-        yield m
+        return iter(())
+    return map(sum, combinations(bits((1 << n) - 1), r))
 
 
 def format_set(mask: int) -> str:

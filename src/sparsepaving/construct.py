@@ -16,7 +16,7 @@ import random
 from itertools import combinations
 from math import comb
 
-from .bitset import as_mask, iter_elements
+from .bitset import as_mask, iter_elements, subset_masks
 from .core import SparsePavingMatroid, check_ground, validate
 from .errors import RangeError, RankOutOfRange, ResidueOutOfRange, TooLarge
 
@@ -96,7 +96,7 @@ def random_sparse_paving(
     if comb(n, r) > cap:
         raise TooLarge(f"{comb(n, r)} r-subsets exceed the cap {cap}")
     rng = random.Random(seed)
-    pool = [as_mask(combo) for combo in combinations(range(n), r)]
+    pool = list(subset_masks(n, r))
     rng.shuffle(pool)
     total = len(pool)
     taken: list[int] = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Iterable
 
-from .bitset import ElementSet, as_mask, format_set, iter_elements, subset_masks
+from .bitset import ElementSet, as_mask, format_set, iter_elements, subset_masks, swap
 from .errors import (
     DistanceViolation,
     ElementOutOfRange,
@@ -295,9 +295,8 @@ def swap_witnesses(
     out = 0
     idx = m._index
     for y in iter_elements(cand):
-        yb = 1 << y
-        if ((b1 ^ xb) | yb) not in idx and ((b2 ^ yb) | xb) not in idx:
-            out |= yb
+        if swap(b1, x, y) not in idx and swap(b2, y, x) not in idx:
+            out |= 1 << y
     return out
 
 
@@ -345,14 +344,14 @@ def explicit_rank(em: ExplicitMatroid, s: ElementSet) -> int:
 
 
 def explicit_closure(em: ExplicitMatroid, s: ElementSet) -> int:
+    """s plus each element that no basis B with |B & s| = rank(s) contains."""
     s = as_mask(s)
-    _check_subset(em.n, s)
     rk = explicit_rank(em, s)
-    out = s
-    for e in iter_elements(em.ground & ~s):
-        if explicit_rank(em, s | (1 << e)) == rk:
-            out |= 1 << e
-    return out
+    reach = 0
+    for b in em.bases:
+        if (s & b).bit_count() == rk:
+            reach |= b
+    return em.ground & ~(reach & ~s)
 
 
 def explicit_minor(

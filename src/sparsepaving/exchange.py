@@ -28,11 +28,13 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .bitset import (
     ElementSet,
     as_mask,
+    bits,
     elements,
     format_set,
     iter_elements,
     lowest_element,
     subset_masks,
+    swap,
 )
 from .core import basis_predicate
 from .errors import (
@@ -155,6 +157,27 @@ def check_bpg_walk(m, path: Sequence[BasisPairVertex], u, v) -> None:
             raise InternalCheckError(f"walk step {a} -> {b} is not one swap")
 
 
+def _exchange(
+    pred: Callable[[int], bool], b1: int, b2: int, pairs: Iterable[tuple[int, int]]
+) -> tuple[int, int] | None:
+    """The first (x, y) in pairs with b1 - x + y and b2 - y + x both bases."""
+    for x, y in pairs:
+        if pred(swap(b1, x, y)) and pred(swap(b2, y, x)):
+            return x, y
+    return None
+
+
+def _anchor(
+    pred: Callable[[int], bool], b1: int, x: int, a1: int, a2: int
+) -> tuple[int, int]:
+    """Order (a1, a2) so that b1 - x + a1 is the blocked square's dependent corner."""
+    if not pred(swap(b1, x, a1)):
+        return a1, a2
+    if not pred(swap(b1, x, a2)):
+        return a2, a1
+    raise InternalCheckError("blocked square lost its anchor")
+
+
 def _disjoint_pair_path(
     pred: Callable[[int], bool],
     cur1: int,
@@ -172,6 +195,12 @@ def _disjoint_pair_path(
     through a shared element works.
     """
     out: list[tuple[int, int]] = []
+
+    def step(x: int, y: int) -> None:
+        nonlocal cur1, cur2
+        cur1, cur2 = swap(cur1, x, y), swap(cur2, y, x)
+        out.append((cur1, cur2))
+
     while cur1 != tgt1:
         gap = cur1 & ~tgt1
         need = tgt1 & ~cur1  # sits inside cur2
@@ -182,50 +211,30 @@ def _disjoint_pair_path(
             continue
         if gap.bit_count() >= 3:
             x = lowest_element(gap)
-            for y in iter_elements(need):
-                n1 = (cur1 ^ (1 << x)) | (1 << y)
-                n2 = (cur2 ^ (1 << y)) | (1 << x)
-                if pred(n1) and pred(n2):
-                    break
-            else:
+            hit = _exchange(pred, cur1, cur2, ((x, y) for y in iter_elements(need)))
+            if hit is None:
                 raise InternalCheckError("no pruned-exchange witness in pair walk")
-            cur1, cur2 = n1, n2
-            out.append((cur1, cur2))
+            step(*hit)
             continue
         b1, b2 = elements(gap)
         a1, a2 = elements(need)
-        hit = None
-        for b, a in ((b1, a1), (b1, a2), (b2, a1), (b2, a2)):
-            n1 = (cur1 ^ (1 << b)) | (1 << a)
-            n2 = (cur2 ^ (1 << a)) | (1 << b)
-            if pred(n1) and pred(n2):
-                hit = (n1, n2)
-                break
+        hit = _exchange(pred, cur1, cur2, itertools.product((b1, b2), (a1, a2)))
         if hit is not None:
-            cur1, cur2 = hit
-            out.append((cur1, cur2))
+            step(*hit)
             continue
         # Blocked square.  One of the two sets (cur1 - b1) + a must be
         # dependent; anchoring on it forces the other three corners, and
         # a shared element exists because the pattern is impossible in
         # rank two.
-        if not pred((cur1 ^ (1 << b1)) | (1 << a1)):
-            pass
-        elif not pred((cur1 ^ (1 << b1)) | (1 << a2)):
-            a1, a2 = a2, a1
-        else:
-            raise InternalCheckError("blocked exchange square lost its anchor")
+        a1, a2 = _anchor(pred, cur1, b1, a1, a2)
         common = cur1 & tgt1
         if not common:
             raise InternalCheckError("blocked exchange square in rank two")
         x = lowest_element(common)
         for b, a in ((x, a1), (b2, a2)):
-            n1 = (cur1 ^ (1 << b)) | (1 << a)
-            n2 = (cur2 ^ (1 << a)) | (1 << b)
-            if not (pred(n1) and pred(n2)):
+            if _exchange(pred, cur1, cur2, [(b, a)]) is None:
                 raise InternalCheckError("detour step left the basis family")
-            cur1, cur2 = n1, n2
-            out.append((cur1, cur2))
+            step(b, a)
     return out
 
 
@@ -256,39 +265,33 @@ def bpg_path(m, u: BasisPairVertex, v: BasisPairVertex) -> list[BasisPairVertex]
         if leave.bit_count() >= 2:
             # at most one landing spot is a dependent completion
             for a3c in iter_elements(leave):
-                nb = (block ^ (1 << b)) | (1 << a3c)
+                nb = swap(block, b, a3c)
                 if pred(nb):
                     break
             else:
                 raise InternalCheckError("third-block alignment found no landing")
         else:
             a3c = lowest_element(leave)
-            nb = (block ^ (1 << b)) | (1 << a3c)
+            nb = swap(block, b, a3c)
             if not pred(nb):
                 # dodge: trade an element with the other basis block
                 # first, stepping clear of the dependent completion
                 other = cur2 if t1 else cur1
-                found = False
-                for a1c in iter_elements(block & ~(1 << b)):
-                    for a2c in iter_elements(other):
-                        m1 = (block ^ (1 << a1c)) | (1 << a2c)
-                        m2 = (other ^ (1 << a2c)) | (1 << a1c)
-                        if pred(m1) and pred(m2):
-                            found = True
-                            break
-                    if found:
-                        break
-                if not found:
+                pairs = itertools.product(elements(block & ~(1 << b)), elements(other))
+                hit = _exchange(pred, block, other, pairs)
+                if hit is None:
                     raise InternalCheckError("third-block dodge found no swap")
+                a1c, a2c = hit
+                m1, m2 = swap(block, a1c, a2c), swap(other, a2c, a1c)
                 if t1:
                     emit(m1, m2, cur3)
                 else:
                     emit(m2, m1, cur3)
                 block = m1
-                nb = (block ^ (1 << b)) | (1 << a3c)
+                nb = swap(block, b, a3c)
                 if not pred(nb):
                     raise InternalCheckError("third-block dodge did not unblock")
-        n3 = (cur3 ^ (1 << a3c)) | (1 << b)
+        n3 = swap(cur3, a3c, b)
         if t1:
             emit(nb, cur2, n3)
         else:
@@ -314,8 +317,7 @@ def _apply_positions(m, members: list[int], move: Move) -> None:
     if not bj & yb or bi & yb:
         raise ExchangeViolation(f"element {y} is not in member {j} only")
     pred, _, _ = basis_predicate(m)
-    nbi = (bi ^ xb) | yb
-    nbj = (bj ^ yb) | xb
+    nbi, nbj = swap(bi, x, y), swap(bj, y, x)
     if not pred(nbi) or not pred(nbj):
         raise ExchangeViolation(f"move {i}:{j}:{x}:{y} does not map bases to bases")
     members[i], members[j] = nbi, nbj
@@ -356,7 +358,7 @@ def check_moves(m, src, dst, moves: Iterable[Move], ordered: bool) -> None:
         raise InternalCheckError("replayed moves do not reach the target")
 
 
-def _mk_move(state: tuple[int, ...], vi: int, vj: int, x: int, y: int) -> Move:
+def _mk_move(state: Sequence[int], vi: int, vj: int, x: int, y: int) -> Move:
     """Move record between the members of state holding values vi and vj."""
     i = state.index(vi)
     j = state.index(vj)
@@ -368,11 +370,11 @@ def _mk_move(state: tuple[int, ...], vi: int, vj: int, x: int, y: int) -> Move:
 
 
 class _Side:
-    """One endpoint's evolving multiset, with its move and state log.
+    """One endpoint's evolving multiset, with its move log.
 
-    act counts the members not yet matched with the other side; touched
-    collects the values whose act count changed since the caller last
-    cleared it.
+    undo[t] reverses moves[t] on the state that move left.  act counts
+    the members not yet matched with the other side; touched collects
+    the values whose act count changed since the caller last cleared it.
     """
 
     def __init__(self, members: tuple[int, ...]):
@@ -380,7 +382,7 @@ class _Side:
         self.act = Counter(members)
         self.touched: set[int] = set()
         self.moves: list[Move] = []
-        self.history: list[tuple[int, ...]] = [members]
+        self.undo: list[Move] = []
 
     def _count(self, v: int, delta: int) -> None:
         c = self.act[v] + delta
@@ -393,7 +395,9 @@ class _Side:
     def match(self, v: int) -> None:
         self._count(v, -1)
 
-    def push(self, m, vi: int, vj: int, x: int, y: int) -> None:
+    def push(self, m, vi: int, vj: int, x: int, y: int) -> tuple[int, int]:
+        """Exchange x of member vi for y of member vj; returns their new values."""
+        nvi, nvj = swap(vi, x, y), swap(vj, y, x)
         mv = _mk_move(self.state, vi, vj, x, y)
         members = list(self.state)
         _apply_positions(m, members, mv)
@@ -403,7 +407,8 @@ class _Side:
         self._count(members[mv.j], 1)
         self.state = tuple(sorted(members))
         self.moves.append(mv)
-        self.history.append(self.state)
+        self.undo.append(_mk_move(self.state, nvi, nvj, y, x))
+        return nvi, nvj
 
 
 def _pick_helper(act: Counter, amb: int, bma: int) -> int:
@@ -436,47 +441,30 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
         q = (b2 & bma).bit_count()
         if q == 0:
             a = lowest_element(b2 & amb)
-            for bh in iter_elements(bma):
-                if pred((b1 ^ (1 << bh)) | (1 << a)) and pred(
-                    (b2 ^ (1 << a)) | (1 << bh)
-                ):
-                    side.push(m, b1, b2, bh, a)
-                    return
-            raise InternalCheckError("pruned exchange failed with no overlap")
-        if p >= 3:
+            hit = _exchange(pred, b1, b2, ((bh, a) for bh in iter_elements(bma)))
+            if hit is None:
+                raise InternalCheckError("pruned exchange failed with no overlap")
+        elif p >= 3:
             bh = lowest_element(bma & ~b2)
-            for a in iter_elements(b2 & amb):
-                if pred((b1 ^ (1 << bh)) | (1 << a)) and pred(
-                    (b2 ^ (1 << a)) | (1 << bh)
-                ):
-                    side.push(m, b1, b2, bh, a)
-                    return
-            raise InternalCheckError("pruned exchange failed on a rich helper")
-        # p = 2, q = 1
-        a1c, a2c = elements(b2 & amb)
-        rest = bma & ~b2
-        b1c = lowest_element(rest)
-        b2c = lowest_element(rest ^ (1 << b1c))
-        for bh, a in ((b1c, a1c), (b1c, a2c), (b2c, a1c), (b2c, a2c)):
-            if pred((b1 ^ (1 << bh)) | (1 << a)) and pred(
-                (b2 ^ (1 << a)) | (1 << bh)
-            ):
-                side.push(m, b1, b2, bh, a)
-                return
-        if not pred((b1 ^ (1 << b1c)) | (1 << a1c)):
-            pass
-        elif not pred((b1 ^ (1 << b1c)) | (1 << a2c)):
-            a1c, a2c = a2c, a1c
+            hit = _exchange(pred, b1, b2, ((bh, a) for a in iter_elements(b2 & amb)))
+            if hit is None:
+                raise InternalCheckError("pruned exchange failed on a rich helper")
         else:
-            raise InternalCheckError("blocked square lost its anchor")
-        spare = b2 & ~(a1_mask | b1)
-        if not spare:
-            raise InternalCheckError("anchored case needs an outside element")
-        y = lowest_element(spare)
-        side.push(m, b1, b2, b1c, y)
-        nb1 = (b1 ^ (1 << b1c)) | (1 << y)
-        nb2 = (b2 ^ (1 << y)) | (1 << b1c)
-        side.push(m, nb1, nb2, b2c, a1c)
+            # p = 2, q = 1
+            a1c, a2c = elements(b2 & amb)
+            rest = bma & ~b2
+            b1c = lowest_element(rest)
+            b2c = lowest_element(rest ^ (1 << b1c))
+            hit = _exchange(pred, b1, b2, itertools.product((b1c, b2c), (a1c, a2c)))
+            if hit is None:
+                a1c, a2c = _anchor(pred, b1, b1c, a1c, a2c)
+                spare = b2 & ~(a1_mask | b1)
+                if not spare:
+                    raise InternalCheckError("anchored case needs an outside element")
+                nb1, nb2 = side.push(m, b1, b2, b1c, lowest_element(spare))
+                side.push(m, nb1, nb2, b2c, a1c)
+                return
+        side.push(m, b1, b2, *hit)
         return
 
     if half == 2:
@@ -486,46 +474,38 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
         q0 = b2 & bma
         if q0 == 0:
             a = lowest_element(b2 & amb)
-            for bh in (b1c, b2c):
-                if pred((b1 ^ (1 << bh)) | (1 << a)) and pred(
-                    (b2 ^ (1 << a)) | (1 << bh)
-                ):
-                    side.push(m, b1, b2, bh, a)
-                    return
+            hit = _exchange(pred, b1, b2, ((b1c, a), (b2c, a)))
+            if hit is not None:
+                side.push(m, b1, b2, *hit)
+                return
             # anchor on the blocked (b1 - b) + a completion, relabeling
             # so b1c names it; the helper side of the other pair is then
             # a forced second dependent set
-            if pred((b1 ^ (1 << b1c)) | (1 << a)):
+            if pred(swap(b1, b1c, a)):
                 b1c, b2c = b2c, b1c
             for z in iter_elements(b2 & ~a1_mask):
-                if pred((b2 ^ (1 << z)) | (1 << b1c)):
+                if pred(swap(b2, z, b1c)):
                     break
             else:
                 raise InternalCheckError("no escape element beside the anchor")
-            side.push(m, b1, b2, b1c, z)
-            nb1 = (b1 ^ (1 << b1c)) | (1 << z)
-            nb2 = (b2 ^ (1 << z)) | (1 << b1c)
+            nb1, nb2 = side.push(m, b1, b2, b1c, z)
             side.push(m, nb1, nb2, b2c, a)
             return
         # the helper meets {b1c, b2c} in one element; call it b1c
         if q0 != (1 << b1c):
             b1c, b2c = b2c, b1c
-        for a in (a1c, a2c):
-            if pred((b1 ^ (1 << b2c)) | (1 << a)) and pred(
-                (b2 ^ (1 << a)) | (1 << b2c)
-            ):
-                side.push(m, b1, b2, b2c, a)
-                return
-        if pred((b1 ^ (1 << b2c)) | (1 << a1c)):
+        hit = _exchange(pred, b1, b2, ((b2c, a1c), (b2c, a2c)))
+        if hit is not None:
+            side.push(m, b1, b2, *hit)
+            return
+        if pred(swap(b1, b2c, a1c)):
             a1c, a2c = a2c, a1c
         for x in iter_elements((a1_mask & b1) & ~b2):
-            if pred((b2 ^ (1 << a1c)) | (1 << x)):
+            if pred(swap(b2, a1c, x)):
                 break
         else:
             raise InternalCheckError("no shared element escapes the anchor")
-        side.push(m, b1, b2, x, a1c)
-        nb1 = (b1 ^ (1 << x)) | (1 << a1c)
-        nb2 = (b2 ^ (1 << a1c)) | (1 << x)
+        nb1, nb2 = side.push(m, b1, b2, x, a1c)
         side.push(m, nb1, nb2, b2c, a2c)
         return
 
@@ -555,47 +535,28 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
             if (bh >> b1c) & 1 or not x_mask & ~bh:
                 continue
             y = lowest_element(x_mask & ~bh)
-            for z in iter_elements(bh & ~b2):
-                if pred((bh ^ (1 << z)) | (1 << y)) and pred(
-                    (b2 ^ (1 << y)) | (1 << z)
-                ):
-                    break
-            else:
+            hit = _exchange(pred, bh, b2, ((z, y) for z in iter_elements(bh & ~b2)))
+            if hit is None:
                 raise InternalCheckError("symmetric exchange witness missing")
-            side.push(m, b2, bh, y, z)
-            nb2 = (b2 ^ (1 << y)) | (1 << z)
+            nb2, _ = side.push(m, b2, bh, y, hit[0])
             side.push(m, b1, nb2, b1c, a1c)
             return
-        # interferers hold b1c without a1c; hand each one an a1c from
-        # the helper, shrinking their number by one per pass
-        fixed = False
-        for bh in ordered:
-            if not (bh >> b1c) & 1 or (bh >> a1c) & 1:
-                continue
-            for z in iter_elements(bh & ~b2):
-                if pred((b2 ^ (1 << a1c)) | (1 << z)) and pred(
-                    (bh ^ (1 << z)) | (1 << a1c)
-                ):
-                    break
-            else:
+        # interferers hold b1c without a1c; hand the first one an a1c
+        # from the helper, shrinking their number by one per pass
+        bh = next((v for v in ordered if (v >> b1c) & 1 and not (v >> a1c) & 1), None)
+        if bh is not None:
+            hit = _exchange(pred, b2, bh, ((a1c, z) for z in iter_elements(bh & ~b2)))
+            if hit is None:
                 raise InternalCheckError("interferer fix found no exchange")
-            side.push(m, b2, bh, a1c, z)
-            fixed = True
-            break
-        if fixed:
+            side.push(m, b2, bh, *hit)
             continue
         for bh in ordered:
             if (bh >> b1c) & 1 and (bh >> a1c) & 1 and (b2 ^ bh).bit_count() >= 4:
                 x = lowest_element(bh & ~(1 << b1c) & ~b2)
-                for y in iter_elements(b2 & ~bh):
-                    if pred((bh ^ (1 << x)) | (1 << y)) and pred(
-                        (b2 ^ (1 << y)) | (1 << x)
-                    ):
-                        break
-                else:
+                hit = _exchange(pred, bh, b2, ((x, y) for y in iter_elements(b2 & ~bh)))
+                if hit is None:
                     raise InternalCheckError("symmetric exchange witness missing")
-                side.push(m, b2, bh, y, x)
-                nb2 = (b2 ^ (1 << y)) | (1 << x)
+                nb2, _ = side.push(m, b2, bh, hit[1], x)
                 side.push(m, b1, nb2, b1c, a1c)
                 return
         raise InternalCheckError("single-swap chain exhausted every repair")
@@ -690,15 +651,7 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
                     near[a] = nearest(a)
         side_d.touched.clear()
 
-    inverted: list[Move] = []
-    for t in range(len(side_d.moves) - 1, -1, -1):
-        mv = side_d.moves[t]
-        prev = side_d.history[t]
-        after = side_d.history[t + 1]
-        vi2 = (prev[mv.i] ^ (1 << mv.x)) | (1 << mv.y)
-        vj2 = (prev[mv.j] ^ (1 << mv.y)) | (1 << mv.x)
-        inverted.append(_mk_move(after, vi2, vj2, mv.y, mv.x))
-    result = side_s.moves + inverted
+    result = side_s.moves + side_d.undo[::-1]
     check_moves(m, s_members, d_members, result, ordered=False)
     return result
 
@@ -722,20 +675,13 @@ def white2_path(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     cur = list(src_t)
 
     def emit(p: int, q: int, x: int, y: int) -> None:
-        if p > q:
-            p, q, x, y = q, p, y, x
-        cur[p] = (cur[p] ^ (1 << x)) | (1 << y)
-        cur[q] = (cur[q] ^ (1 << y)) | (1 << x)
+        # p < q: _mk_move orders the carried moves, transpositions look right
+        cur[p], cur[q] = swap(cur[p], x, y), swap(cur[q], y, x)
         out.append(Move(p, q, x, y))
 
     for mv in white_moves(m, src_t, dst_t):
         srt = sorted(cur)
-        vi, vj = srt[mv.i], srt[mv.j]
-        p = cur.index(vi)
-        q = cur.index(vj)
-        if q == p:
-            q = cur.index(vj, p + 1)
-        emit(p, q, mv.x, mv.y)
+        emit(*_mk_move(cur, srt[mv.i], srt[mv.j], mv.x, mv.y))
 
     for p in range(k):
         if cur[p] == dst_t[p]:
@@ -771,16 +717,6 @@ def _take(levels: tuple[int, ...], b: int) -> tuple[int, ...]:
     fits when it lies inside levels[0].
     """
     return tuple((lv & ~b) | (up & b) for lv, up in zip(levels, levels[1:] + (0,)))
-
-
-def _bits(mask: int) -> list[int]:
-    """The one-element masks of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low)
-        mask ^= low
-    return out
 
 
 def _connected(
@@ -832,7 +768,7 @@ def graph_connected(
         verts: list[int] = []
         for b1 in bases:
             high = b1 << n
-            rest = _bits(ground & ~b1)
+            rest = bits(ground & ~b1)
             verts.extend(
                 high | b2
                 for b2 in map(sum, itertools.combinations(rest, r))
@@ -844,7 +780,7 @@ def graph_connected(
 
         def pair_neighbours(v: int) -> list[int]:
             a1, a2 = v >> n, v & ground
-            bits1, bits2, bits3 = _bits(a1), _bits(a2), _bits(ground & ~(a1 | a2))
+            bits1, bits2, bits3 = bits(a1), bits(a2), bits(ground & ~(a1 | a2))
             out = [v ^ ((x | y) << n) ^ x ^ y for x in bits1 for y in bits2]
             out += [v ^ ((x | y) << n) for x in bits1 for y in bits3]
             out += [v ^ x ^ y for x in bits2 for y in bits3]
@@ -895,8 +831,8 @@ def graph_connected(
         for i in range(k):
             for j in range(i + 1, k):
                 bi, bj = col[i], col[j]
-                for x in _bits(bi & ~bj):
-                    for y in _bits(bj & ~bi):
+                for x in bits(bi & ~bj):
+                    for y in bits(bj & ~bi):
                         nxt = list(col)
                         nxt[i], nxt[j] = bi ^ x ^ y, bj ^ x ^ y
                         yield tuple(sorted(nxt)) if multiset else tuple(nxt)

@@ -68,12 +68,18 @@ def _cyclic_flat_test(m) -> Callable[[int], bool]:
     return is_cyclic_flat
 
 
-def check_cyclic_flats(m, flats) -> None:
-    """Raise InternalCheckError unless every set in flats is a cyclic flat of m."""
+def check_cyclic_flats(m, flats: list[ElementSet]) -> None:
+    """Raise InternalCheckError unless flats lists every cyclic flat of m once, ascending.
+
+    Each set is re-checked against the definition; completeness comes from
+    the characterization above in the fast path, else from the scan.
+    """
     is_cyclic_flat = _cyclic_flat_test(m)
     for f in flats:
         if f >> m.n or not is_cyclic_flat(f):
             raise InternalCheckError(f"{format_set(f)} is not a cyclic flat")
+    if flats != cyclic_flats_of(m):
+        raise InternalCheckError("the list is not every cyclic flat once, ascending")
 
 
 def flat_histogram(flats) -> dict[int, int]:

@@ -395,6 +395,7 @@ def _corrupt(monkeypatch, name, fn):
             ["conj", "white2", "--k", "2", "--from", "0,1|2,3", "--to", "2,3|0,1"],
         ),
         ("cyclic_flats_of", lambda fl: fl + [0b0011], ["flats"]),
+        ("cyclic_flats_of", lambda fl: fl[:-1], ["flats"]),
     ],
     ids=[
         "order-cyclic",
@@ -405,6 +406,7 @@ def _corrupt(monkeypatch, name, fn):
         "white-illegal-move",
         "white2-dropped-move",
         "flats-non-cyclic",
+        "flats-missing-flat",
     ],
 )
 def test_cli_failed_certificate_exits_3(monkeypatch, p44_file, name, fn, argv):

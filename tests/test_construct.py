@@ -1,5 +1,6 @@
 """Residue-class and randomized constructors."""
 
+import hashlib
 from math import comb
 
 import pytest
@@ -14,6 +15,7 @@ from sparsepaving import (
     gs_best_class,
     gs_class_sizes,
     random_sparse_paving,
+    serialize_matroid,
     subset_masks,
     validate,
 )
@@ -84,6 +86,35 @@ def test_random_generator_is_seed_deterministic():
     assert a == b
     c = random_sparse_paving(10, 4, seed=6, max_sets=12)
     assert c != a  # seeds 5 and 6 happen to disagree, frozen observation
+
+
+# (n, r, seed, max_sets): byte count and sha256 of the serialized matroid
+FROZEN_RANDOM = {
+    (8, 4, 1, None): (
+        124,
+        "ec1972e9fa89552e712860a516a472a2838400bbc6f32a324a031328030eea78",
+    ),
+    (10, 5, 2, None): (
+        314,
+        "5aee5dd50e6720cd603421db7f77b5efbf2f94e286b9c5e57a39d1dc20ea40c7",
+    ),
+    (12, 5, 3, 20): (
+        294,
+        "32446d235184207464a1cdb56f7481cab55c0eca81c387fccefa0a2f296ac49e",
+    ),
+    (13, 6, 4, None): (
+        1969,
+        "251d329c03b28a8c83de628ce223ccf35e65bbcd0d452171974eb9b87ebc3817",
+    ),
+}
+
+
+def test_random_sparse_paving_frozen():
+    """The shuffle runs over the candidate pool, so its order is pinned too."""
+    for (n, r, seed, max_sets), expect in FROZEN_RANDOM.items():
+        text = serialize_matroid(random_sparse_paving(n, r, seed=seed, max_sets=max_sets))
+        got = (len(text), hashlib.sha256(text.encode()).hexdigest())
+        assert got == expect, (n, r, seed, max_sets)
 
 
 def test_random_generator_respects_target_and_validates():

@@ -1,5 +1,6 @@
 """Core representation: validity, rank, closure, duality, minors, swaps."""
 
+import itertools
 import random
 import time
 from math import comb
@@ -46,6 +47,17 @@ from sparsepaving.errors import TooLarge
 
 def mask(*elts: int) -> int:
     return as_mask(elts)
+
+
+# -- bit masks ------------------------------------------------------------------
+
+
+def test_subset_masks_match_combinations():
+    """Lexicographic order of the element tuples; no subsets for r out of range."""
+    for n in range(11):
+        for r in range(-1, n + 2):
+            want = [as_mask(c) for c in itertools.combinations(range(n), r)] if r >= 0 else []
+            assert list(subset_masks(n, r)) == want, (n, r)
 
 
 # -- validation ----------------------------------------------------------------
@@ -355,6 +367,19 @@ def test_explicit_rank_frozen():
     assert explicit_rank(em, {0, 3}) == 1
     assert explicit_rank(em, {0, 1, 2}) == 2
     assert explicit_rank(em, set()) == 0
+
+
+@pytest.mark.parametrize("name,m", with_max_n(8), ids=[n for n, _ in with_max_n(8)])
+def test_explicit_closure_matches_rank_definition(name, m):
+    """e joins the closure of s exactly when adding it keeps the rank."""
+    em = to_explicit(m)
+    for s in range(1 << m.n):
+        rk = explicit_rank(em, s)
+        want = s
+        for e in range(m.n):
+            if explicit_rank(em, s | (1 << e)) == rk:
+                want |= 1 << e
+        assert explicit_closure(em, s) == want, (name, s)
 
 
 @pytest.mark.parametrize("name,m", with_max_n(9), ids=[n for n, _ in with_max_n(9)])

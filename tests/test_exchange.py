@@ -180,6 +180,42 @@ def test_bpg_path_exhaustive_small():
                     assert bpg_adjacent(m, a, b)
 
 
+def _sample_vertex(m, rng):
+    """A random pair-graph vertex by rejection sampling, without listing bases."""
+    while True:
+        b1 = as_mask(rng.sample(range(m.n), m.r))
+        b2 = as_mask(rng.sample([e for e in range(m.n) if not (b1 >> e) & 1], m.r))
+        if is_basis(m, b1) and is_basis(m, b2):
+            return bpg_vertex(m, b1, b2, m.ground & ~(b1 | b2))
+
+
+def _paths_digest(pool, label, count):
+    h = hashlib.sha256()
+    steps = 0
+    for i in range(count):
+        m = pool[i % len(pool)]
+        rng = random.Random(zlib.crc32(f"{label} {i}".encode()))
+        u, v = _sample_vertex(m, rng), _sample_vertex(m, rng)
+        path = bpg_path(m, u, v)
+        steps += len(path) - 1
+        h.update(";".join(f"{w.a1} {w.a2} {w.a3}" for w in path).encode() + b"\n")
+    return steps, h.hexdigest()
+
+
+def test_bpg_path_frozen():
+    """Pins the pair-graph paths, so the order of exchange candidates cannot drift."""
+    pool = [m for _, m in CORPUS if m.r >= 1 and 2 * m.r <= m.n]
+    assert _paths_digest(pool, "corpus", 100) == (
+        276,
+        "d91819332a582644676b883676374da22741d8e980287243dc58f478f1faf187",
+    )
+    gs = [gs_best(n, r) for n, r in ((16, 7), (18, 9), (20, 8), (22, 10))]
+    assert _paths_digest(gs, "gs", 40) == (
+        235,
+        "ddba45705806a6491c329d1e96a34b08ff3f3958323dbf9533ff7d2d8b5b5865",
+    )
+
+
 def test_graph_connected_bpg_frozen():
     assert graph_connected(P44, "bpg") == (True, 4)
     assert graph_connected(U24, "bpg") == (True, 6)

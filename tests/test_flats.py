@@ -43,12 +43,21 @@ def scan_cyclic_flats(m):
 
 
 def assert_check_judges(m, flats, want):
-    """check_cyclic_flats accepts flats and rejects it plus one set outside want."""
+    """check_cyclic_flats accepts flats and rejects it plus one set outside want.
+
+    It also rejects the list with a flat dropped, repeated or out of order.
+    """
     check_cyclic_flats(m, flats)
     extra = next((f for f in range(1 << m.n) if f not in set(want)), None)
+    bad = [flats[:i] + flats[i + 1 :] for i in range(len(flats))]
+    bad.append([*flats, flats[-1]])
+    if len(flats) > 1:
+        bad.append(flats[::-1])
     if extra is not None:
+        bad.append([*flats, extra])
+    for wrong in bad:
         with pytest.raises(InternalCheckError):
-            check_cyclic_flats(m, [*flats, extra])
+            check_cyclic_flats(m, wrong)
 
 
 # -- enumeration ------------------------------------------------------------------
