@@ -3,8 +3,9 @@
 Every subcommand is deterministic for a fixed argv, input files, and
 seed.  Anything the tool prints as a result is re-verified first by the
 checker that sits next to the algorithm that built it (window bases,
-block order, walk steps, move replay, flat definition), never trusted
-straight from the search; a failed check exits with code 3.
+block order, density witness, walk steps, move replay, flat
+definition), never trusted straight from the search; a failed check
+exits with code 3.
 """
 
 from __future__ import annotations
@@ -13,22 +14,22 @@ import argparse
 import sys
 
 from .bitset import elements, format_set
-from .construct import graham_sloane, gs_best_class, random_sparse_paving
+from .construct import graham_sloane, random_sparse_paving
 from .core import (
     MAX_GROUND,
+    ExplicitMatroid,
     SparsePavingMatroid,
     dual,
     explicit_minor,
     minor,
-    rank_of,
     relax,
 )
 from .cyclic import (
     average_ch_intervals,
-    brute_force_order,
     check_block_cycle,
     check_cyclic_order,
     check_density,
+    check_density_witness,
     find_cyclic_order,
     gabow_cycle_any,
 )
@@ -125,8 +126,7 @@ def _emit(m, args, extra_stdout: str | None = None) -> int:
 
 
 def _cmd_gen_gs(args) -> int:
-    c = args.residue if args.residue is not None else gs_best_class(args.n, args.r)[0]
-    return _emit(graham_sloane(args.n, args.r, c, cap=args.cap_explicit), args)
+    return _emit(graham_sloane(args.n, args.r, args.residue, cap=args.cap_explicit), args)
 
 
 def _cmd_gen_random(args) -> int:
@@ -196,35 +196,27 @@ def _cmd_conj_farber(args) -> int:
     return EXIT_OK
 
 
-def _run_collection_walk(args, ordered: bool) -> int:
+def _run_collection_walk(args) -> int:
     m = _load_spm(args)
     src = _parse_members(args.src)
     dst = _parse_members(args.dst)
     if len(src) != args.k or len(dst) != args.k:
         print(f"error: --k {args.k} does not match the member lists", file=sys.stderr)
         return EXIT_USAGE
-    moves = (white2_path if ordered else white_moves)(m, src, dst)
-    check_moves(m, src, dst, moves, ordered)
+    moves = (white2_path if args.ordered else white_moves)(m, src, dst)
+    check_moves(m, src, dst, moves, args.ordered)
     print(f"moves {len(moves)}")
     for mv in moves:
         print(f"move {mv.i} {mv.j} {mv.x} {mv.y}")
     if args.oracle:
         s = Multiset.from_elements(e for b in src for e in elements(b))
-        kind = "white_tuple" if ordered else "white_multiset"
+        kind = "white_tuple" if args.ordered else "white_multiset"
         connected, count = graph_connected(m, kind, s=s, cap=args.cap_vertices)
         if not connected:
             print("WITNESS disconnected", count)
             return EXIT_FAILS
         print(f"oracle connected {count} vertices")
     return EXIT_OK
-
-
-def _cmd_conj_white(args) -> int:
-    return _run_collection_walk(args, ordered=False)
-
-
-def _cmd_conj_white2(args) -> int:
-    return _run_collection_walk(args, ordered=True)
 
 
 def _cmd_order_cyclic(args) -> int:
@@ -234,10 +226,7 @@ def _cmd_order_cyclic(args) -> int:
         ok, wit = check_density(m)
         if ok:
             raise InternalCheckError("density holds but no order was produced")
-        if m.r * wit.bit_count() <= rank_of(m, wit) * m.n:
-            raise InternalCheckError("density witness failed re-verification")
-        if m.n <= args.cap_order and brute_force_order(m, cap=args.cap_order) is not None:
-            raise InternalCheckError("exhaustive search contradicts the refusal")
+        check_density_witness(m, wit)
         print("not orderable")
         print("WITNESS", *elements(wit))
         return EXIT_FAILS
@@ -257,6 +246,10 @@ def _cmd_order_pair(args) -> int:
 
 def _cmd_flats(args) -> int:
     m = _load(args)
+    if isinstance(m, ExplicitMatroid) and len(m.bases) << m.n > args.cap_explicit:
+        raise TooLarge(
+            f"scanning 2^{m.n} subsets against {len(m.bases)} bases exceeds the work cap"
+        )
     flats = cyclic_flats_of(m)
     check_cyclic_flats(m, flats)
     print(f"count {len(flats)}")
@@ -299,99 +292,77 @@ def _cmd_census(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--cap-vertices",
-        type=_non_negative,
-        default=1_000_000,
-        help="graph enumeration cap",
+    def parent(*names: str, **kw) -> argparse.ArgumentParser:
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*names, **kw)
+        return p
+
+    # each subcommand takes only the caps it reads
+    explicit = parent(
+        "--cap-explicit", type=_non_negative, default=10_000_000, help="explicit-work cap"
     )
-    common.add_argument(
-        "--cap-explicit",
-        type=_non_negative,
-        default=10_000_000,
-        help="explicit-work cap",
+    vertices = parent(
+        "--cap-vertices", type=_non_negative, default=1_000_000, help="graph enumeration cap"
     )
-    common.add_argument(
-        "--cap-order",
-        type=_non_negative,
-        default=9,
-        help="exhaustive order-oracle size cap",
-    )
+    infile = parent("file")
+    output = parent("-o", "--output")
 
     top = argparse.ArgumentParser(prog="spm", description=__doc__)
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    def leaf(parent, name: str, fn, **kw):
-        p = parent.add_parser(name, parents=[common], **kw)
+    def leaf(group, name: str, fn, parents=(explicit, infile), **kw):
+        p = group.add_parser(name, parents=list(parents), **kw)
         p.set_defaults(fn=fn)
         return p
 
     gen = sub.add_parser("gen").add_subparsers(dest="kind", required=True)
-    g = leaf(gen, "gs", _cmd_gen_gs, help="residue-class construction")
+    made = (explicit, output)
+    g = leaf(gen, "gs", _cmd_gen_gs, made, help="residue-class construction")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--r", type=int, required=True)
     g.add_argument("--class", dest="residue", type=int, default=None)
-    g.add_argument("-o", "--output")
-    g = leaf(gen, "random", _cmd_gen_random, help="seeded greedy construction")
+    g = leaf(gen, "random", _cmd_gen_random, made, help="seeded greedy construction")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--r", type=int, required=True)
     g.add_argument("--target", type=int, required=True)
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("-o", "--output")
 
-    p = leaf(sub, "validate", _cmd_validate)
-    p.add_argument("file")
-
-    p = leaf(sub, "dual", _cmd_dual)
-    p.add_argument("file")
-    p.add_argument("-o", "--output")
-
-    p = leaf(sub, "minor", _cmd_minor)
-    p.add_argument("file")
+    leaf(sub, "validate", _cmd_validate)
+    leaf(sub, "dual", _cmd_dual, (explicit, infile, output))
+    p = leaf(sub, "minor", _cmd_minor, (explicit, infile, output))
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--delete", type=int)
     grp.add_argument("--contract", type=int)
-    p.add_argument("-o", "--output")
-
-    p = leaf(sub, "relax", _cmd_relax)
-    p.add_argument("file")
+    p = leaf(sub, "relax", _cmd_relax, (explicit, infile, output))
     p.add_argument("--ch", required=True, help="dependent set to relax, e.g. '0,3'")
-    p.add_argument("-o", "--output")
 
     conj = sub.add_parser("conj").add_subparsers(dest="which", required=True)
-    p = leaf(conj, "farber", _cmd_conj_farber, help="basis pair graph connectivity")
-    p.add_argument("file")
+    walk = (explicit, vertices, infile)
+    p = leaf(conj, "farber", _cmd_conj_farber, walk, help="basis pair graph connectivity")
     p.add_argument("--from", dest="src", help="vertex 'A1;A2'")
     p.add_argument("--to", dest="dst", help="vertex 'B1;B2'")
     p.add_argument("--oracle", action="store_true")
-    for name, fn in (("white", _cmd_conj_white), ("white2", _cmd_conj_white2)):
-        p = leaf(conj, name, fn, help="basis collection walk")
-        p.add_argument("file")
+    for name, ordered in (("white", False), ("white2", True)):
+        p = leaf(conj, name, _run_collection_walk, walk, help="basis collection walk")
+        p.set_defaults(ordered=ordered)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--from", dest="src", required=True, help="'B1|B2|...'")
         p.add_argument("--to", dest="dst", required=True)
         p.add_argument("--oracle", action="store_true")
 
     order = sub.add_parser("order").add_subparsers(dest="what", required=True)
-    p = leaf(order, "cyclic", _cmd_order_cyclic, help="witness cyclic order")
-    p.add_argument("file")
+    leaf(order, "cyclic", _cmd_order_cyclic, help="witness cyclic order")
     p = leaf(order, "pair", _cmd_order_pair, help="two-block cycle for disjoint bases")
-    p.add_argument("file")
     p.add_argument("--b1", required=True)
     p.add_argument("--b2", required=True)
 
-    p = leaf(sub, "flats", _cmd_flats)
-    p.add_argument("file")
+    leaf(sub, "flats", _cmd_flats)
+    leaf(sub, "avg", _cmd_avg, help="mean dependent-window count, exact")
 
-    p = leaf(sub, "avg", _cmd_avg, help="mean dependent-window count, exact")
-    p.add_argument("file")
-
-    p = leaf(sub, "bounds", _cmd_bounds)
+    p = leaf(sub, "bounds", _cmd_bounds, ())
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=None)
-
-    p = leaf(sub, "census", _cmd_census)
+    p = leaf(sub, "census", _cmd_census, ())
     p.add_argument("--n", type=int, required=True)
 
     return top

@@ -17,31 +17,36 @@ from itertools import combinations
 from math import comb
 
 from .bitset import as_mask, iter_elements, subset_masks
-from .core import SparsePavingMatroid, check_ground, validate
+from .core import SparsePavingMatroid, _comb_exceeds, check_ground, validate
 from .errors import RangeError, RankOutOfRange, ResidueOutOfRange, TooLarge
 
 
-def _check_nr(n: int, r: int) -> None:
+def _check_nr(n: int, r: int, cap: int | None = None) -> None:
+    """Range checks, and the cap on enumerating all C(n, r) subsets."""
     if n < 1:
         raise RangeError(f"ground size {n} must be at least 1")
     check_ground(n)
     if not 0 <= r <= n:
         raise RankOutOfRange(f"rank {r} not in 0..{n}")
+    if cap is not None and _comb_exceeds(n, r, cap):
+        raise TooLarge(f"C({n}, {r}) r-subsets exceed the cap {cap}")
 
 
 def graham_sloane(
-    n: int, r: int, c: int, cap: int = 10_000_000
+    n: int, r: int, c: int | None = None, cap: int = 10_000_000
 ) -> SparsePavingMatroid:
     """Designate the r-subsets with element sum congruent to c mod n.
 
-    The result is validated before returning; the only way a class can
-    fail is by designating every r-set, which needs binomial(n, r) = 1.
+    c defaults to a largest class (gs_best_class), picked only after the
+    cap check.  The result is validated before returning; the only way a
+    class can fail is by designating every r-set, which needs
+    binomial(n, r) = 1.
     """
-    _check_nr(n, r)
+    _check_nr(n, r, cap)
+    if c is None:
+        c = gs_best_class(n, r)[0]
     if not 0 <= c < n:
         raise ResidueOutOfRange(f"residue {c} not in 0..{n - 1}")
-    if comb(n, r) > cap:
-        raise TooLarge(f"{comb(n, r)} r-subsets exceed the cap {cap}")
     chs = []
     for combo in combinations(range(n), r):
         if sum(combo) % n == c:
@@ -92,9 +97,7 @@ def random_sparse_paving(
     at least one basis.  The proximity test hashes (r-1)-subsets, the
     same trick validate() uses.
     """
-    _check_nr(n, r)
-    if comb(n, r) > cap:
-        raise TooLarge(f"{comb(n, r)} r-subsets exceed the cap {cap}")
+    _check_nr(n, r, cap)
     rng = random.Random(seed)
     pool = list(subset_masks(n, r))
     rng.shuffle(pool)

@@ -10,8 +10,10 @@ closed form on (n, r).
 The constructive route works on the side with 2r <= n (a cyclic order
 witnesses a matroid iff it witnesses the dual, by complementing
 windows).  It samples cycles until one has at most one dependent
-window; one must exist because the average count over all cycles is
-ch * r! * (n-r)! / (n-1)!, which is below two in this regime.  A lone
+window.  By Markov's inequality and the (r-1)-subset packing bound a
+uniform draw has at most one dependent window with probability at
+least 2 / (n+2), so all 64n draws miss with probability at most
+e^(-128n / (n+2)), which is e^(-96) or less once r >= 3.  A lone
 bad window is then repaired by trying six fixed rearrangements of four
 consecutive entries, the last of which ends at the window's first
 slot.  The case analysis behind the six candidates uses only the fact
@@ -42,6 +44,7 @@ from .core import (
     explicit_rank,
     is_basis,
     minor,
+    rank_of,
 )
 from .errors import (
     GroundSetMismatch,
@@ -141,6 +144,19 @@ def check_density(m) -> tuple[bool, ElementSet | None]:
     raise TypeError(f"expected a matroid, got {type(m).__name__}")
 
 
+def check_density_witness(m, w: ElementSet) -> None:
+    """Raise InternalCheckError unless w proves that m has no witness order.
+
+    A witness order needs r * |w| <= rank(w) * n: each element of w sits
+    in r of the n windows, and each window, being a basis, meets w in at
+    most rank(w) elements.  A nonempty w that breaks the bound is
+    therefore a certificate that no witness order exists.
+    """
+    rank = rank_of if isinstance(m, SparsePavingMatroid) else explicit_rank
+    if w >> m.n or m.r * w.bit_count() <= rank(m, w) * m.n:
+        raise InternalCheckError(f"{format_set(w)} is not a density witness")
+
+
 def _rank_two_order(m: SparsePavingMatroid) -> tuple[int, ...]:
     # r = 2 and at least one dependent pair; density gave n >= 4.
     # Separate each dependent pair cyclically: first members, then the
@@ -160,12 +176,16 @@ def _rank_two_order(m: SparsePavingMatroid) -> tuple[int, ...]:
 
 
 def _near_witness_cycle(m: SparsePavingMatroid, seed: int) -> tuple[int, ...]:
-    """A cycle with at most one dependent window.
+    """A cycle with at most one dependent window, by seeded sampling.
 
-    Seeded sampling first; the averaging bound makes hits plentiful, so
-    the cap is generous.  Small ground sets fall back to exhaustion,
-    where existence is guaranteed; beyond that a cap overrun would mean
-    the sampler is broken and is surfaced for investigation.
+    Needs 2r <= n and r >= 3.  Each window of a uniform cycle is a
+    uniform r-set, so the dependent-window count X has mean
+    E[X] = |ch| * n / C(n, r) <= n / (n-r+1) <= 2n / (n+2), by the
+    (r-1)-subset packing bound |ch| <= C(n, r) / (n-r+1).  Markov's
+    inequality P(X >= 2) <= E[X] / 2 then makes each draw hit with
+    probability at least 2 / (n+2), so all 64n draws miss with
+    probability at most e^(-128n / (n+2)) <= e^(-96), as n >= 6.
+    Running out means the sampler is broken.
     """
     pred, n, r = basis_predicate(m)
     rng = random.Random(seed)
@@ -174,13 +194,7 @@ def _near_witness_cycle(m: SparsePavingMatroid, seed: int) -> tuple[int, ...]:
         rng.shuffle(work)
         if len(_dependent_windows(pred, n, r, work)) <= 1:
             return tuple(work)
-    if n > 9:
-        raise InternalCheckError("sampling cap hit while looking for a near-witness cycle")
-    for tail in itertools.permutations(range(1, n)):
-        cand = (0, *tail)
-        if len(_dependent_windows(pred, n, r, cand)) <= 1:
-            return cand
-    raise InternalCheckError("no cycle with at most one dependent window exists")
+    raise InternalCheckError("sampling cap hit while looking for a near-witness cycle")
 
 
 def _repair_single_window(m: SparsePavingMatroid, cand: tuple[int, ...]) -> tuple[int, ...]:

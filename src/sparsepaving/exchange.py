@@ -82,19 +82,19 @@ class Multiset:
     counts: tuple[tuple[int, int], ...]
 
     def __init__(self, counts: Iterable[tuple[int, int]]) -> None:
-        agg: Counter = Counter()
+        agg: dict[int, int] = {}
         for e, c in counts:
             if not isinstance(e, int) or e < 0:
                 raise ElementOutOfRange(f"bad multiset element {e!r}")
             if c < 0:
                 raise PreconditionViolated("negative multiplicity")
-            agg[e] += c
+            agg[e] = agg.get(e, 0) + c
         canon = tuple(sorted((e, c) for e, c in agg.items() if c > 0))
         object.__setattr__(self, "counts", canon)
 
     @classmethod
     def from_elements(cls, it: Iterable[int]) -> "Multiset":
-        return cls((e, 1) for e in it)
+        return cls(Counter(it).items())
 
     @property
     def total(self) -> int:
@@ -362,8 +362,6 @@ def _mk_move(state: Sequence[int], vi: int, vj: int, x: int, y: int) -> Move:
     """Move record between the members of state holding values vi and vj."""
     i = state.index(vi)
     j = state.index(vj)
-    if i == j:
-        j = state.index(vj, i + 1)
     if i > j:
         i, j, x, y = j, i, y, x
     return Move(i, j, x, y)
@@ -576,14 +574,6 @@ def _as_members(m, col: Sequence[ElementSet], what: str) -> tuple[int, ...]:
     return members
 
 
-def _element_union(members: Iterable[int]) -> Counter:
-    u: Counter = Counter()
-    for b in members:
-        for e in iter_elements(b):
-            u[e] += 1
-    return u
-
-
 def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list[Move]:
     """Moves turning the multiset src into the multiset dst.
 
@@ -604,9 +594,10 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     d_members = tuple(sorted(_as_members(m, dst, "dst")))
     if len(s_members) != len(d_members):
         raise UnionMismatch("collections have different member counts")
-    union = _element_union(s_members)
-    if union != _element_union(d_members):
+    s_union = Multiset.from_elements(e for b in s_members for e in iter_elements(b))
+    if s_union != Multiset.from_elements(e for b in d_members for e in iter_elements(b)):
         raise UnionMismatch("collections have different multiset unions")
+    union = s_union.counter()
 
     side_s = _Side(s_members)
     side_d = _Side(d_members)

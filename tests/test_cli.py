@@ -6,6 +6,7 @@ the contract.  A result that fails its certificate exits with code 3
 and prints nothing.
 """
 
+import argparse
 import io
 import os
 import subprocess
@@ -317,13 +318,73 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("order", "cyclic", str(e))[0] == 2
 
 
-@pytest.mark.parametrize("cap", ["--cap-vertices", "--cap-explicit", "--cap-order"])
+@pytest.mark.parametrize("cap", ["--cap-vertices", "--cap-explicit"])
 def test_cli_caps_are_non_negative(p44_file, capsys, cap):
     assert main(["conj", "farber", p44_file, cap, "-1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "non-negative" in err
     run_cli("conj", "farber", p44_file, cap, "0")
     assert "usage:" not in capsys.readouterr().err
+
+
+def _leaf_parsers(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, (*path, name))
+
+
+def test_cli_each_subcommand_takes_only_the_caps_it_reads(p44_file):
+    explicit, walk = {"--cap-explicit"}, {"--cap-explicit", "--cap-vertices"}
+    want = {
+        "gen gs": explicit,
+        "gen random": explicit,
+        "validate": explicit,
+        "dual": explicit,
+        "minor": explicit,
+        "relax": explicit,
+        "conj farber": walk,
+        "conj white": walk,
+        "conj white2": walk,
+        "order cyclic": explicit,
+        "order pair": explicit,
+        "flats": explicit,
+        "avg": explicit,
+        "bounds": set(),
+        "census": set(),
+    }
+    got = {
+        name: {s for a in p._actions for s in a.option_strings if s.startswith("--cap-")}
+        for name, p in _leaf_parsers(cli._build_parser())
+    }
+    assert got == want
+    assert sum(map(len, got.values())) == 16
+    assert main(["order", "cyclic", p44_file, "--cap-order", "9"]) == 2
+    assert main(["bounds", "--n", "8", "--cap-vertices", "1"]) == 2
+
+
+def test_cli_gen_gs_refuses_before_picking_the_class():
+    # the class-size table alone is O(n^2 r), about 3.4e10 steps at this size
+    start = time.perf_counter()
+    assert run_cli("gen", "gs", "--n", "4096", "--r", "2048") == (2, "")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_flats_caps_the_explicit_definition_scan(tmp_path, p44_file):
+    # 2^20 subsets, each checked against 190 bases, twice
+    f = tmp_path / "u2_20.txt"
+    f.write_text(serialize_matroid(to_explicit(uniform(20, 2))))
+    start = time.perf_counter()
+    assert run_cli("flats", str(f)) == (2, "")
+    assert time.perf_counter() - start < 1.0
+    f.write_text(serialize_matroid(to_explicit(uniform(9, 1))))
+    code, out = run_cli("flats", str(f))
+    assert code == 0
+    assert out == "count 2\nflat\nflat 0 1 2 3 4 5 6 7 8\nhist 0 1\nhist 9 1\n"
+    f.write_text(serialize_matroid(to_explicit(P44)))
+    assert run_cli("flats", str(f)) == run_cli("flats", p44_file)
 
 
 def test_cli_validate_refuses_huge_ground_fast(tmp_path):
@@ -359,43 +420,54 @@ def _corrupt(monkeypatch, name, fn):
     monkeypatch.setattr(cli, name, lambda *args: fn(real(*args)))
 
 
+TIGHT_TEXT = "spm 1\nn 3\nr 2\nch 0 1\n"
+
+
 @pytest.mark.parametrize(
-    "name,fn,argv",
+    "name,fn,argv,text",
     [
         # swapping the last two entries of 0 1 3 2 makes windows {1,2} and {3,0}
-        ("find_cyclic_order", lambda o: o[:2] + o[:1:-1], ["order", "cyclic"]),
+        ("find_cyclic_order", lambda o: o[:2] + o[:1:-1], ["order", "cyclic"], P44_TEXT),
         (
             "gabow_cycle_any",
             lambda c: c[:2] + c[:1:-1],
             ["order", "pair", "--b1", "0,1", "--b2", "2,3"],
+            P44_TEXT,
         ),
         (
             "gabow_cycle_any",
             lambda c: c[2:] + c[:2],  # blocks in the wrong order
             ["order", "pair", "--b1", "0,1", "--b2", "2,3"],
+            P44_TEXT,
         ),
         (
             "bpg_path",
             lambda p: p[:1] + [BasisPairVertex(0b1001, 0b0110, 0)] + p[1:],
             ["conj", "farber", "--from", "0,1;2,3", "--to", "0,2;1,3"],
+            P44_TEXT,
         ),
         (
             "white_moves",
             lambda mv: mv[:-1],
             ["conj", "white", "--k", "2", "--from", "0,1|2,3", "--to", "0,2|1,3"],
+            P44_TEXT,
         ),
         (
             "white_moves",
             lambda mv: [Move(0, 1, 0, 2)],  # lands member 0 on {1, 2}
             ["conj", "white", "--k", "2", "--from", "0,1|2,3", "--to", "0,2|1,3"],
+            P44_TEXT,
         ),
         (
             "white2_path",
             lambda mv: mv[:-1],
             ["conj", "white2", "--k", "2", "--from", "0,1|2,3", "--to", "2,3|0,1"],
+            P44_TEXT,
         ),
-        ("cyclic_flats_of", lambda fl: fl + [0b0011], ["flats"]),
-        ("cyclic_flats_of", lambda fl: fl[:-1], ["flats"]),
+        ("cyclic_flats_of", lambda fl: fl + [0b0011], ["flats"], P44_TEXT),
+        ("cyclic_flats_of", lambda fl: fl[:-1], ["flats"], P44_TEXT),
+        # {0} meets the density bound: 2 * 1 <= rank 1 * 3
+        ("check_density", lambda res: (False, 0b001), ["order", "cyclic"], TIGHT_TEXT),
     ],
     ids=[
         "order-cyclic",
@@ -407,11 +479,14 @@ def _corrupt(monkeypatch, name, fn):
         "white2-dropped-move",
         "flats-non-cyclic",
         "flats-missing-flat",
+        "order-cyclic-refusal",
     ],
 )
-def test_cli_failed_certificate_exits_3(monkeypatch, p44_file, name, fn, argv):
+def test_cli_failed_certificate_exits_3(monkeypatch, tmp_path, name, fn, argv, text):
+    f = tmp_path / "m.txt"
+    f.write_text(text)
     _corrupt(monkeypatch, name, fn)
-    assert run_cli(*argv[:2], p44_file, *argv[2:]) == (3, "")
+    assert run_cli(*argv[:2], str(f), *argv[2:]) == (3, "")
 
 
 def test_cli_farber_non_adjacent_step_exits_3(monkeypatch, tmp_path):

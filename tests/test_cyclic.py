@@ -142,6 +142,12 @@ def test_check_density_against_explicit_scan():
         if not ok:
             for w in (wit, wit2):
                 assert m.r * w.bit_count() > rank_of(m, w) * m.n
+            cyclic.check_density_witness(m, wit)
+            cyclic.check_density_witness(to_explicit(m), wit2)
+            # the whole ground set meets the bound with equality
+            for target in (m, to_explicit(m)):
+                with pytest.raises(InternalCheckError):
+                    cyclic.check_density_witness(target, m.ground)
 
 
 def test_check_density_explicit_guard():
@@ -229,6 +235,17 @@ def test_rank_two_direct_construction():
     m = SparsePavingMatroid(7, 2, [{0, 4}, {1, 5}, {2, 6}])
     got = find_cyclic_order(m)
     assert got is not None and ch_interval_count(m, got) == 0
+
+
+def test_sampler_exhaustion_raises(monkeypatch):
+    # with the shuffle a no-op every draw is the identity order, which has
+    # three dependent windows here; no exhaustive search may hide that
+    m = dict(CORPUS)["gs6_3"]
+    pred, n, r = basis_predicate(m)
+    assert len(cyclic._dependent_windows(pred, n, r, range(n))) >= 2
+    monkeypatch.setattr(random.Random, "shuffle", lambda self, seq: None)
+    with pytest.raises(InternalCheckError, match="sampling cap"):
+        cyclic._near_witness_cycle(m, 0)
 
 
 def test_repair_patterns_all_exercised():
