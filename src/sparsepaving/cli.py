@@ -4,8 +4,8 @@ Every subcommand is deterministic for a fixed argv, input files, and
 seed.  Anything the tool prints as a result is re-verified first by the
 checker that sits next to the algorithm that built it (window bases,
 block order, density witness, walk steps, move replay, flat
-definition), never trusted straight from the search; a failed check
-exits with code 3.
+definition, bound ceiling), never trusted straight from the search; a
+failed check exits with code 3.
 """
 
 from __future__ import annotations
@@ -51,7 +51,14 @@ from .exchange import (
     white_moves,
 )
 from .fileio import parse_matroid, serialize_matroid
-from .flats import bounds, check_cyclic_flats, cyclic_flats_of, flat_histogram, zn_census
+from .flats import (
+    bounds,
+    check_bounds,
+    check_cyclic_flats,
+    cyclic_flats_of,
+    flat_histogram,
+    zn_census,
+)
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -267,6 +274,7 @@ def _cmd_avg(args) -> int:
 
 def _cmd_bounds(args) -> int:
     b = bounds(args.n, args.r)
+    check_bounds(b)
     print("zn_upper", b.zn_upper)
     print("zn_lower_int", b.zn_lower_int)
     print("zn_lower", b.zn_lower_radical, "=", b.zn_lower_decimal)

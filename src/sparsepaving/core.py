@@ -127,15 +127,16 @@ def validate(m: SparsePavingMatroid) -> None:
             )
     seen: dict[int, int] = {}
     for h in m.chset:
-        for e in iter_elements(h):
-            key = h ^ (1 << e)
-            other = seen.get(key)
-            if other is not None and other != h:
+        rest = h
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            other = seen.setdefault(h ^ low, h)
+            if other != h:
                 raise DistanceViolation(
                     f"designated sets {format_set(other)} and {format_set(h)} "
                     "are at symmetric difference 2"
                 )
-            seen[key] = h
     # chset holds distinct r-sets, so no basis is left exactly when it has
     # C(n, r) of them
     if not _comb_exceeds(m.n, m.r, len(m.chset)):

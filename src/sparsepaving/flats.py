@@ -31,7 +31,7 @@ from .core import (
     rank_of,
 )
 from .errors import InternalCheckError, PreconditionViolated, RangeError, TooLarge
-from .construct import gs_best_class
+from .construct import _class_table, _largest_class
 
 
 def cyclic_flats_of(m) -> list[ElementSet]:
@@ -114,33 +114,49 @@ def bounds(n: int, r: int | None = None) -> BoundsReport:
     check_ground(n)
     if r is not None and not 0 <= r <= n:
         raise PreconditionViolated(f"rank {r} not in 0..{n}")
-    zn_upper = Fraction(1 << (n + 1), n + 2)
     # ceil(2^{n-1} / n^{3/2}) without floats: the smallest q with
-    # q^2 * n^3 >= 2^{2(n-1)}
-    t = 1 << (2 * (n - 1))
-    n3 = n**3
-    q = isqrt(t // n3)
-    while q * q * n3 < t:
-        q += 1
+    # q^2 >= ceil(2^{2(n-1)} / n^3)
+    q = isqrt(-(-(1 << (2 * (n - 1))) // n**3) - 1) + 1
     with localcontext() as ctx:
         ctx.prec = 36
         dec = Decimal(1 << (n - 1)) / Decimal(n) ** Decimal("1.5") + 2
     report = BoundsReport(
         n=n,
         r=r,
-        zn_upper=zn_upper,
+        zn_upper=Fraction(1 << (n + 1), n + 2),
         zn_lower_int=q + 2,
         zn_lower_decimal=f"{dec:.12g}",
         zn_lower_radical=f"2^{n - 1}/{n}^(3/2) + 2",
         ch_upper=Fraction(comb(n, r), n - r + 1) if r is not None else None,
     )
+    check_bounds(report)
+    return report
+
+
+def check_bounds(report: BoundsReport) -> None:
+    """Raise InternalCheckError unless report holds the exact bounds for its n and r.
+
+    q = zn_lower_int - 2 is the ceiling of 2^{n-1}/n^{3/2} exactly when
+    (q-1)^2 n^3 < 2^{2(n-1)} <= q^2 n^3, which also forces q >= 1;
+    zn_upper and ch_upper are re-derived as fractions.
+    """
+    n, r = report.n, report.r
+    t, n3 = 1 << (2 * (n - 1)), n**3
+    q = report.zn_lower_int - 2
+    if not (q - 1) ** 2 * n3 < t <= q * q * n3:
+        raise InternalCheckError(f"zn_lower_int {q + 2} is not the ceiling plus 2")
+    zn_upper = Fraction(1 << (n + 1), n + 2)
+    if report.zn_upper != zn_upper:
+        raise InternalCheckError(f"zn_upper {report.zn_upper} should be {zn_upper}")
+    ch_upper = Fraction(comb(n, r), n - r + 1) if r is not None else None
+    if report.ch_upper != ch_upper:
+        raise InternalCheckError(f"ch_upper {report.ch_upper} should be {ch_upper}")
     if 4 <= n <= 24:
         # sanity: the real lower bound sits below the upper bound here;
         # compare squares to keep the radical out of it
         d = zn_upper - 2
         if d <= 0 or Fraction(t, n3) > d * d:
             raise InternalCheckError(f"bound formulas crossed at n={n}")
-    return report
 
 
 @dataclass(frozen=True)
@@ -163,9 +179,10 @@ def zn_census(n: int) -> CensusReport:
     """
     if not 4 <= n <= 24:
         raise RangeError(f"census supported for 4 <= n <= 24, got {n}")
+    table = _class_table(n, n - 2)
     rows = []
     for r in range(2, n - 1):
-        c, size = gs_best_class(n, r)
+        c, size = _largest_class(table[r])
         rows.append((r, c, size + 2))  # plus the empty and full flats
     best = max(rows, key=lambda row: row[2])  # ties keep the smallest rank
     limits = bounds(n)

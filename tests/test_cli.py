@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -468,6 +469,19 @@ TIGHT_TEXT = "spm 1\nn 3\nr 2\nch 0 1\n"
         ("cyclic_flats_of", lambda fl: fl[:-1], ["flats"], P44_TEXT),
         # {0} meets the density bound: 2 * 1 <= rank 1 * 3
         ("check_density", lambda res: (False, 0b001), ["order", "cyclic"], TIGHT_TEXT),
+        # bounds reads no file
+        (
+            "bounds",
+            lambda b: replace(b, zn_lower_int=b.zn_lower_int + 1),
+            ["bounds", "--n", "8"],
+            None,
+        ),
+        (
+            "bounds",
+            lambda b: replace(b, ch_upper=b.ch_upper + 1),
+            ["bounds", "--n", "8", "--r", "4"],
+            None,
+        ),
     ],
     ids=[
         "order-cyclic",
@@ -480,13 +494,17 @@ TIGHT_TEXT = "spm 1\nn 3\nr 2\nch 0 1\n"
         "flats-non-cyclic",
         "flats-missing-flat",
         "order-cyclic-refusal",
+        "bounds-ceiling",
+        "bounds-ch-upper",
     ],
 )
 def test_cli_failed_certificate_exits_3(monkeypatch, tmp_path, name, fn, argv, text):
-    f = tmp_path / "m.txt"
-    f.write_text(text)
+    if text is not None:
+        f = tmp_path / "m.txt"
+        f.write_text(text)
+        argv = [*argv[:2], str(f), *argv[2:]]
     _corrupt(monkeypatch, name, fn)
-    assert run_cli(*argv[:2], str(f), *argv[2:]) == (3, "")
+    assert run_cli(*argv) == (3, "")
 
 
 def test_cli_farber_non_adjacent_step_exits_3(monkeypatch, tmp_path):

@@ -1,12 +1,16 @@
 """Residue-class and randomized constructors."""
 
 import hashlib
+import time
+import tracemalloc
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from corpusdef import P44
 from sparsepaving import (
+    NoBasis,
     RangeError,
     RankOutOfRange,
     ResidueOutOfRange,
@@ -78,6 +82,109 @@ def test_graham_sloane_errors():
         graham_sloane(4, 5, 0)
     with pytest.raises(TooLarge):
         graham_sloane(30, 15, 0, cap=1000)
+
+
+def test_graham_sloane_matches_the_plain_filter():
+    """Differential: the split enumerator against a filter over all r-subsets."""
+    for n in range(1, 13):
+        for r in range(n + 1):
+            classes = [[] for _ in range(n)]
+            for combo in combinations(range(n), r):
+                classes[sum(combo) % n].append(sum(1 << e for e in combo))
+            for c, want in enumerate(classes):
+                if len(want) == comb(n, r):  # the class takes every r-set
+                    with pytest.raises(NoBasis):
+                        graham_sloane(n, r, c)
+                else:
+                    assert graham_sloane(n, r, c).chset == tuple(sorted(want)), (n, r, c)
+
+
+# (n, r, c): byte count and sha256 of the serialized class, or the error
+# it raises; recorded with the filter over all C(n, r) subsets
+FROZEN_GS = {
+    (22, 7, 3): (
+        161398,
+        "7cea65a083187e1a201282c69a2084b9bdc61184b302b640d31f3fbdf22f2c14",
+    ),
+    (22, 11, 0): (
+        994062,
+        "af5d70fcfe9d59bcabbba01f8590d0dcca4124b74333e40c61a50bfdd0262b8f",
+    ),
+    (24, 12, 5): (
+        3829504,
+        "7a1af7f0a6d1a2879e6006d0fdb138dbc7807cf8ae0341af51341b50b4e0a5ba",
+    ),
+    (18, 9, 0): (
+        67615,
+        "a46b9d9743264d7f36162c3adfddf82c4fa95ef51f586f47768f010873b571a7",
+    ),
+    (20, 6, 13): (
+        35007,
+        "f95b214d954807180fd959727fd288a9c4993a59b11938867f68c31391156828",
+    ),
+    (200, 3, 7): (
+        87685,
+        "e428428ae47468589144b07c717da4ca34914aee39bd2b5c25aaf6f13f8fd553",
+    ),
+    (5, 0, 2): (14, "5533192ff1fcb02a9a3b66cbd659a583299ecdbf4d56db06350cf2bd6a2e99ad"),
+    (5, 1, 4): (19, "735acf83aeb7d0b489aa38c107ea9ba28fcbea4cb973a193b0cc63c638455096"),
+    (5, 4, 1): (25, "5255e47c6f9ab824251ed23a1adff1bfa9e0d3e310445a9bcc2869df526582cc"),
+    (5, 5, 3): (14, "2ab0b2dd09c91981e2a09a9c8beebc2f8f485c2e46c995169e2740cba59a1b6e"),
+    (6, 1, 2): (19, "47955da0aca1975dc7649766fb338dff63f440a9784619f9aff53bc186aa27fb"),
+    (6, 5, 0): (27, "6b366f45c9921bd9019cb17d607a7a8a8be6ece689518d32226cc12fb1349412"),
+    (7, 6, 6): (29, "a3a6096e0aa0926dc3c20c7266e153537bb7affb1946e55ddf719103153789b6"),
+    (9, 4, None): (168, "bd4ff04fb21e284ac7ab5773b125c6f8e821b34abf0c36355480074bfd64e4c1"),
+    (13, 6, None): (
+        2178,
+        "4bd14f0ff962e023b5e50e481e695aeb80543e1569867161bc2e9c70b2f7dc1c",
+    ),
+    (22, 7, None): (
+        161397,
+        "9ff2a979b344f2bb7b7dfe9222da1ffb4e2ea50f74e2f9748c909cd1aa643d00",
+    ),
+    (1, 0, 0): "all 1 r-subsets are designated dependent",
+    (1, 1, 0): "all 1 r-subsets are designated dependent",
+    (5, 0, 0): "all 1 r-subsets are designated dependent",
+    (5, 5, 0): "all 1 r-subsets are designated dependent",
+    (6, 6, 3): "all 1 r-subsets are designated dependent",
+}
+
+
+def test_graham_sloane_frozen():
+    for (n, r, c), expect in FROZEN_GS.items():
+        if isinstance(expect, str):
+            with pytest.raises(NoBasis) as err:
+                graham_sloane(n, r, c)
+            assert str(err.value) == expect, (n, r, c)
+            continue
+        text = serialize_matroid(graham_sloane(n, r, c))
+        got = (len(text), hashlib.sha256(text.encode()).hexdigest())
+        assert got == expect, (n, r, c)
+
+
+def test_graham_sloane_large_ground_is_fast():
+    # the filter over all C(4096, 2) pairs took 1.4 s; the split takes ~0.1 s
+    best = min(_timed(graham_sloane, 4096, 2, 5) for _ in range(3))
+    assert best < 0.4
+
+
+def test_graham_sloane_large_ground_memory():
+    """The buckets stay near the class size: peak within 1.5x the filter's."""
+    filter_peak = 2_988_236  # bytes, the filter over all C(4096, 2) pairs, CPython 3.11
+    graham_sloane(4096, 2, 5)  # warm caches, so only the build is traced
+    tracemalloc.start()
+    try:
+        graham_sloane(4096, 2, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * filter_peak
+
+
+def _timed(fn, *args) -> float:
+    t = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t
 
 
 def test_random_generator_is_seed_deterministic():

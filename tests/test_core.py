@@ -107,6 +107,70 @@ def test_validate_requires_a_basis():
         validate(SparsePavingMatroid(3, 0, [set()]))
 
 
+# (n, r, chset) -> (error, message), recorded before the separation pass
+# became one setdefault loop; the order in which errors win is part of it
+VALIDATE_ERRORS = {
+    # two close pairs, {0,1,2}~{1,2,6} and {0,3,4}~{0,3,5}: the pair whose
+    # second member comes first in chset order is named
+    "first-close-pair": (
+        (8, 3, [{0, 1, 2}, {0, 3, 4}, {0, 3, 5}, {1, 2, 6}]),
+        DistanceViolation,
+        "designated sets 0,3,4 and 0,3,5 are at symmetric difference 2",
+    ),
+    "close-triple": (
+        (6, 3, [{0, 1, 4}, {0, 1, 3}, {0, 1, 2}]),
+        DistanceViolation,
+        "designated sets 0,1,2 and 0,1,3 are at symmetric difference 2",
+    ),
+    # each member is range-checked before its size is
+    "range-beats-size": (
+        (4, 2, [{0, 1, 9}]),
+        ElementOutOfRange,
+        "designated set 0,1,9 is not inside 0..3",
+    ),
+    # members are checked in chset order, and an in-range mask sorts first
+    "size-member-first": (
+        (4, 2, [{0, 5}, {0, 1, 2}]),
+        SizeMismatch,
+        "designated set 0,1,2 has size 3, expected 2",
+    ),
+    "range-beats-close-pair": (
+        (4, 2, [{0, 1}, {0, 2}, {1, 7}]),
+        ElementOutOfRange,
+        "designated set 1,7 is not inside 0..3",
+    ),
+    "size-beats-close-pair": (
+        (6, 3, [{0, 1, 2}, {0, 1, 3}, {4, 5}]),
+        SizeMismatch,
+        "designated set 4,5 has size 2, expected 3",
+    ),
+    "close-pair-beats-no-basis": (
+        (2, 1, [{0}, {1}]),
+        DistanceViolation,
+        "designated sets 0 and 1 are at symmetric difference 2",
+    ),
+    "size-beats-no-basis": (
+        (1, 0, [{0}]),
+        SizeMismatch,
+        "designated set 0 has size 1, expected 0",
+    ),
+    "no-basis": (
+        (4, 4, [{0, 1, 2, 3}]),
+        NoBasis,
+        "all 1 r-subsets are designated dependent",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VALIDATE_ERRORS.values(), ids=VALIDATE_ERRORS.keys())
+def test_validate_error_precedence_and_messages(case):
+    (n, r, chset), error, message = case
+    with pytest.raises(error) as err:
+        validate(SparsePavingMatroid(n, r, chset))
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 def test_comb_exceeds_matches_comb():
     for n in range(13):
         for r in range(n + 1):

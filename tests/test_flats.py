@@ -1,6 +1,8 @@
 """Cyclic flats, the z_n bounds, and the per-rank census."""
 
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -23,7 +25,7 @@ from sparsepaving import (
     zn_census,
 )
 from sparsepaving.core import MAX_GROUND
-from sparsepaving.flats import check_cyclic_flats
+from sparsepaving.flats import check_bounds, check_cyclic_flats
 
 
 def mask(*elts: int) -> int:
@@ -170,6 +172,29 @@ def test_bounds_errors():
     assert bounds(MAX_GROUND).zn_lower_int > 2
 
 
+def test_check_bounds_accepts_every_report():
+    for n in range(1, 40):
+        for r in (None, *range(n + 1)):
+            check_bounds(bounds(n, r))
+    check_bounds(bounds(MAX_GROUND, 7))
+
+
+def test_check_bounds_rejects_each_corrupted_field():
+    b = bounds(10, 4)
+    for bad in (
+        replace(b, zn_lower_int=b.zn_lower_int + 1),
+        replace(b, zn_lower_int=b.zn_lower_int - 1),
+        replace(b, zn_lower_int=2),  # q = 0
+        replace(b, zn_upper=b.zn_upper + 1),
+        replace(b, ch_upper=b.ch_upper + Fraction(1, 7)),
+        replace(b, ch_upper=None),
+        replace(bounds(10), ch_upper=Fraction(1)),
+        replace(b, n=11),
+    ):
+        with pytest.raises(InternalCheckError):
+            check_bounds(bad)
+
+
 def test_ch_upper_met_with_equality_at_p44():
     assert len(P44.chset) == bounds(4, 2).ch_upper == 2
 
@@ -222,3 +247,16 @@ def test_census_rows_match_direct_construction():
         m = gs_best(7, r)
         assert len(cyclic_flats_of(m)) == count
         assert len(m.chset) + 2 == count
+
+
+def test_census_rows_are_largest_classes_by_enumeration():
+    """Each row is a largest class, smallest residue on ties, counted directly."""
+    for n in range(4, 15):
+        rows = []
+        for r in range(2, n - 1):
+            sizes = [0] * n
+            for combo in combinations(range(n), r):
+                sizes[sum(combo) % n] += 1
+            size = max(sizes)
+            rows.append((r, sizes.index(size), size + 2))
+        assert zn_census(n).entries == tuple(rows), n
