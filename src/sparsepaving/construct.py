@@ -9,13 +9,11 @@ class has at least binomial(n, r) / n members.
 A class is built without visiting the other n - 1: the ground set is
 split in half, and the j-subsets of the low half, bucketed by sum mod
 n, are joined with the (r - j)-subsets of the high half whose sums
-complete the residue.  By Vandermonde's identity a bucketed side holds
-at most about binomial(n, r) / (n/2) masks, so memory stays within a
-small multiple of the class size, and the time is about r times the
-class size plus n log n for the splits.  On a shared x86-64 host with
-CPython 3.11 that is 3 ms at n = 22, r = 11 and 45 ms at n = 4096,
-r = 2, where a filter over all binomial(n, r) subsets took 0.15 and
-1.2 s.
+complete the residue.  An r-set of more than half its range is read
+off its complement, so every split asks for at most half its range.  By
+Vandermonde's identity each bucketed side then holds at most about
+binomial(n, r) / (n/2) masks, a small multiple of the class size; the
+time is about r times the class size plus the splits.
 
 The random generator greedily grows a designated family in a shuffled
 order, which is enough to produce awkward test instances.
@@ -28,7 +26,7 @@ from itertools import combinations
 from math import comb
 from operator import add
 
-from .bitset import iter_elements, subset_masks
+from .bitset import bits, iter_elements, subset_masks
 from .core import SparsePavingMatroid, _comb_exceeds, check_ground, validate
 from .errors import RangeError, RankOutOfRange, ResidueOutOfRange, TooLarge
 
@@ -52,9 +50,9 @@ def graham_sloane(
     c defaults to a largest class (gs_best_class), picked only after the
     cap check.  Only class c is enumerated, by splitting the ground set
     in half (see _class_masks), so memory stays O(class size) and the
-    cap still bounds the work.  The result is validated before
-    returning; the only way a class can fail is by designating every
-    r-set, which needs binomial(n, r) = 1.
+    work stays within the C(n, r) that the cap bounds.  The result is
+    validated before returning; the only way a class can fail is by
+    designating every r-set, which needs binomial(n, r) = 1.
     """
     _check_nr(n, r, cap)
     if c is None:
@@ -69,12 +67,13 @@ def graham_sloane(
 def _class_masks(lo: int, hi: int, r: int, c: int, n: int) -> list[int]:
     """The r-subsets of lo..hi-1 with element sum congruent to c mod n.
 
-    Split at mid: an r-set has j elements below mid and r - j above.
-    j = 0 and j = r recurse into one half with the same residue; for
-    0 < j < r the j-subsets of the low half, bucketed by sum mod n, are
-    joined with the (r - j)-subsets of the high half in the matching
-    bucket.  Every element is below n, so a 1-subset is in class c only
-    as {c}.
+    Past half the range, take the complements of the (hi - lo - r)-sets
+    of the complementary residue.  Otherwise split at mid: an r-set has
+    j elements below mid and r - j above.  j = 0 and j = r recurse into
+    one half with the same residue; for 0 < j < r the j-subsets of the
+    low half, bucketed by sum mod n, are joined with the (r - j)-subsets
+    of the high half in the matching bucket.  Every element is below n,
+    so a 1-subset is in class c only as {c}.
     """
     if r == 0:
         return [0] if c == 0 else []
@@ -82,9 +81,13 @@ def _class_masks(lo: int, hi: int, r: int, c: int, n: int) -> list[int]:
         return [1 << c] if lo <= c < hi else []
     if hi - lo < r:
         return []
+    if 2 * r > hi - lo:
+        full, total = (1 << hi) - (1 << lo), sum(range(lo, hi))
+        rest = _class_masks(lo, hi, hi - lo - r, (total - c) % n, n)
+        return [full ^ m for m in rest]
     mid = (lo + hi) // 2
     out = _class_masks(lo, mid, r, c, n) + _class_masks(mid, hi, r, c, n)
-    for j in range(1, r):
+    for j in range(max(1, r - (hi - mid)), min(r - 1, mid - lo) + 1):
         low = _sum_buckets(lo, mid, j, n)
         high = _sum_buckets(mid, hi, r - j, n)
         for s, lows in low.items():
@@ -102,7 +105,7 @@ def _sum_buckets(lo: int, hi: int, k: int, n: int) -> dict[int, list[int]]:
     """
     out: dict[int, list[int]] = {}
     sums = map(sum, combinations(range(lo, hi), k))
-    masks = map(sum, combinations([1 << e for e in range(lo, hi)], k))
+    masks = map(sum, combinations(bits((1 << hi) - (1 << lo)), k))
     for s, mask in zip(sums, masks):
         out.setdefault(s % n, []).append(mask)
     return out

@@ -1,6 +1,7 @@
 """Residue-class and randomized constructors."""
 
 import hashlib
+import sys
 import time
 import tracemalloc
 from itertools import combinations
@@ -142,6 +143,21 @@ FROZEN_GS = {
         161397,
         "9ff2a979b344f2bb7b7dfe9222da1ffb4e2ea50f74e2f9748c909cd1aa643d00",
     ),
+    # r > n/2: the classes are built from the complements
+    (24, 20, 3): (
+        24070,
+        "056519f6ab831899a8310c550b2613c723f5e90cfd05a7331ef92ebbdb2ae152",
+    ),
+    (30, 28, 4): (1181, "c5a81b56dfcfe2386523ea6c9b6778a78aac2b0df4790c8747fbd10382083746"),
+    (60, 58, 17): (5036, "7463e056606252c351d185a03fb013ff6c303eb9408dbce02e75e2b8725100ec"),
+    (64, 61, 9): (
+        114897,
+        "f2b47bb2aa23984f0fb6358c0e42d2423708e7894a368c8cf50bed7d021eda67",
+    ),
+    (4096, 4095, 5): (
+        19388,
+        "9cab12075173beb9d933d2167e6a93127483692823fadeaf64241a13144d1f25",
+    ),
     (1, 0, 0): "all 1 r-subsets are designated dependent",
     (1, 1, 0): "all 1 r-subsets are designated dependent",
     (5, 0, 0): "all 1 r-subsets are designated dependent",
@@ -165,20 +181,33 @@ def test_graham_sloane_frozen():
 def test_graham_sloane_large_ground_is_fast():
     # the filter over all C(4096, 2) pairs took 1.4 s; the split takes ~0.1 s
     best = min(_timed(graham_sloane, 4096, 2, 5) for _ in range(3))
-    assert best < 0.4
+    assert best < 0.7
+
+
+def test_graham_sloane_near_full_rank_is_fast():
+    """r > n/2 is read off the complements, so both calls take milliseconds.
+
+    Bucketing every j in 1..r-1 at (60, 58) would hold about 1.5e8 masks.
+    """
+    for n, r in [(60, 58), (4096, 4095)]:
+        assert _timed(graham_sloane, n, r, 5) < 0.7, (n, r)
 
 
 def test_graham_sloane_large_ground_memory():
-    """The buckets stay near the class size: peak within 1.5x the filter's."""
-    filter_peak = 2_988_236  # bytes, the filter over all C(4096, 2) pairs, CPython 3.11
-    graham_sloane(4096, 2, 5)  # warm caches, so only the build is traced
+    """The buckets stay near the class size: peak within 5x the class's masks.
+
+    The peak, validate's hash of (r-1)-subsets included, is about 3.4x
+    the bytes of the 2,048 masks the class holds.
+    """
+    m = graham_sloane(4096, 2, 5)  # warm caches, so only the build is traced
+    held = sys.getsizeof(m.chset) + sum(map(sys.getsizeof, m.chset))
     tracemalloc.start()
     try:
         graham_sloane(4096, 2, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * filter_peak
+    assert peak <= 5 * held
 
 
 def _timed(fn, *args) -> float:
