@@ -4,8 +4,9 @@ Every subcommand is deterministic for a fixed argv, input files, and
 seed.  Anything the tool prints as a result is re-verified first by the
 checker that sits next to the algorithm that built it (window bases,
 block order, density witness, walk steps, move replay, flat
-definition, bound ceiling), never trusted straight from the search; a
-failed check exits with code 3.
+definition, bound ceiling), never trusted straight from the search, and
+every matroid it writes is re-read and validated; a failed check exits
+with code 3.
 """
 
 from __future__ import annotations
@@ -115,8 +116,11 @@ def _load_spm(args) -> SparsePavingMatroid:
 
 def _emit(m, args, extra_stdout: str | None = None) -> int:
     text = serialize_matroid(m)
-    if isinstance(m, SparsePavingMatroid) and parse_matroid(text) != m:
-        raise InternalCheckError("serialization did not round-trip")
+    try:  # a minor has no more bases than its input, loaded under this cap
+        if parse_matroid(text, explicit_work_cap=args.cap_explicit) != m:
+            raise InternalCheckError("serialization did not round-trip")
+    except ValidationError as e:
+        raise InternalCheckError(f"output does not re-read: {e}") from e
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

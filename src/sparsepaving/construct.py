@@ -74,13 +74,14 @@ def _class_masks(lo: int, hi: int, r: int, c: int, n: int) -> list[int]:
     low half, bucketed by sum mod n, are joined with the (r - j)-subsets
     of the high half in the matching bucket.  Every element is below n,
     so a 1-subset is in class c only as {c}.
+
+    Invariant: r <= hi - lo.  It holds for r <= n, for the complement's
+    hi - lo - r, and for both halves, as a split needs hi - lo >= 2r.
     """
     if r == 0:
         return [0] if c == 0 else []
     if r == 1:
         return [1 << c] if lo <= c < hi else []
-    if hi - lo < r:
-        return []
     if 2 * r > hi - lo:
         full, total = (1 << hi) - (1 << lo), sum(range(lo, hi))
         rest = _class_masks(lo, hi, hi - lo - r, (total - c) % n, n)

@@ -20,11 +20,13 @@ slot.  The case analysis behind the six candidates uses only the fact
 that two dependent r-sets never differ in exactly two elements, so a
 failure of all six is reported as an internal error.
 
-For a pair of disjoint bases covering the ground set, gabow_cycle
-builds a witness that keeps the two bases contiguous: a greedy pass
-orders the second block so that every window starting in the first
-block is a basis, then local repairs strictly reduce the number of bad
-windows starting in the second block.
+For disjoint bases B1 and B2, gabow_cycle_any orders X = B1 | B2 so
+that both stay contiguous and every r cyclically consecutive elements
+form a basis: a greedy pass orders the second block so that every window
+starting in the first block is a basis, then local repairs strictly
+reduce the number of bad windows starting in the second block.  X
+contains B1, so M|X has rank r and an r-subset of X is a basis of M|X
+exactly when it is one of M: windows are tested in m's own labels.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .core import (
     dual,
     explicit_rank,
     is_basis,
-    minor,
     rank_of,
 )
 from .errors import (
@@ -284,9 +285,8 @@ def check_block_cycle(m, cyc, b1: int, b2: int) -> None:
     """Raise InternalCheckError unless cyc is a witness cycle with blocks b1, b2.
 
     cyc must list the elements of b1, then those of b2, and every
-    window of r cyclically consecutive entries must be a basis.  Windows
-    are tested as r-sets of m itself, so the cycles of gabow_cycle_any,
-    which live in a restriction, are checked under their own labels.
+    window of r cyclically consecutive entries must be a basis of m.
+    The blocks need not cover the ground set, as with gabow_cycle_any.
     """
     pred, _, r = basis_predicate(m)
     if len(cyc) != 2 * r or as_mask(cyc[:r]) != b1 or as_mask(cyc[r:]) != b2:
@@ -298,18 +298,30 @@ def check_block_cycle(m, cyc, b1: int, b2: int) -> None:
 def gabow_cycle(m: SparsePavingMatroid, b1, b2) -> tuple[int, ...]:
     """Witness cycle (first block, second block) for disjoint bases.
 
-    Requires the two bases to partition the ground set, so n = 2r; use
-    gabow_cycle_any to restrict a larger matroid first.  The greedy
-    pass orders the second block so every window starting in the first
-    block is a basis; each later repair permutes at most three entries
-    and strictly reduces the number of bad windows, so at most r - 1
-    rounds run.
+    Requires the two bases to partition the ground set, so n = 2r;
+    gabow_cycle_any drops that requirement.
     """
     b1m, b2m = _disjoint_bases(m, b1, b2)
     if b1m | b2m != m.ground:
-        raise GroundSetMismatch(
-            "bases do not cover the ground set; restrict first (gabow_cycle_any)"
-        )
+        raise GroundSetMismatch("bases do not cover the ground set; use gabow_cycle_any")
+    return _block_cycle(m, b1m, b2m)
+
+
+def gabow_cycle_any(m: SparsePavingMatroid, b1, b2) -> tuple[int, ...]:
+    """Witness cycle of the restriction to b1 | b2, in m's own labels.
+
+    b1 | b2 contains the basis b1, so the restriction's bases are the
+    bases of m inside it, and no minor is built.
+    """
+    return _block_cycle(m, *_disjoint_bases(m, b1, b2))
+
+
+def _block_cycle(m, b1m: int, b2m: int) -> tuple[int, ...]:
+    """b1m's elements, then b2m's, ordered so every r-window is a basis.
+
+    Each repair after the greedy pass permutes at most three entries and
+    strictly reduces the number of bad windows, so at most r - 1 run.
+    """
     pred, _, r = basis_predicate(m)
     b = list(elements(b1m))
     c: list[int] = []
@@ -353,26 +365,6 @@ def gabow_cycle(m: SparsePavingMatroid, b1, b2) -> tuple[int, ...]:
     out = tuple(b) + tuple(c)
     check_block_cycle(m, out, b1m, b2m)
     return out
-
-
-def gabow_cycle_any(m: SparsePavingMatroid, b1, b2) -> tuple[int, ...]:
-    """gabow_cycle after deleting everything outside the two bases.
-
-    Output uses the original element labels.
-    """
-    b1m, b2m = _disjoint_bases(m, b1, b2)
-    keep = b1m | b2m
-    sub = m
-    for e in reversed(elements(m.ground & ~keep)):
-        sub, _ = minor(sub, "delete", e)  # high to low keeps lower labels stable
-    kept = elements(keep)
-    back = {e: i for i, e in enumerate(kept)}
-    cyc = gabow_cycle(
-        sub,
-        as_mask(back[e] for e in elements(b1m)),
-        as_mask(back[e] for e in elements(b2m)),
-    )
-    return tuple(kept[x] for x in cyc)
 
 
 def brute_force_order(m, cap: int = 9):

@@ -7,8 +7,10 @@ and prints nothing.
 """
 
 import argparse
+import ast
 import io
 import os
+import re
 import subprocess
 import sys
 import time
@@ -35,6 +37,7 @@ from sparsepaving import (
 from sparsepaving.cli import main
 
 P44_TEXT = "spm 1\nn 4\nr 2\nch 1 2\nch 0 3\n"
+P44_BASES_TEXT = "bases 1\nn 4\nr 2\nb 0 1\nb 0 2\nb 1 3\nb 2 3\n"
 
 
 def run_cli(*argv):
@@ -208,6 +211,15 @@ def test_cli_dual_relax_minor(p44_file, tmp_path):
     assert out == "labels 1 2 3\n"
     assert outfile.read_text() == "spm 1\nn 3\nr 1\nch 2\n"
 
+    # explicit minors go through the same round trip
+    assert serialize_matroid(to_explicit(P44)) == P44_BASES_TEXT
+    f = tmp_path / "p44b.txt"
+    f.write_text(P44_BASES_TEXT)
+    code, out = run_cli("minor", str(f), "--delete", "3")
+    assert (code, out) == (0, "# labels 0 1 2\nbases 1\nn 3\nr 2\nb 0 1\nb 0 2\n")
+    code, out = run_cli("minor", str(f), "--contract", "0")
+    assert (code, out) == (0, "# labels 1 2 3\nbases 1\nn 3\nr 1\nb 0\nb 1\n")
+
 
 def test_cli_order_cyclic(p44_file, tmp_path):
     code, out = run_cli("order", "cyclic", p44_file)
@@ -257,6 +269,16 @@ def test_cli_conj_commands(p44_file):
         "conj", "white", p44_file, "--k", "3", "--from", "0,1|2,3", "--to", "0,2|1,3"
     )
     assert code == 2
+
+
+def test_cli_disconnected_oracle_exits_1(monkeypatch, p44_file):
+    monkeypatch.setattr(cli, "graph_connected", lambda *args, **kw: (False, 7))
+    assert run_cli("conj", "farber", p44_file) == (1, "WITNESS disconnected 7\n")
+    code, out = run_cli(
+        "conj", "white", p44_file,
+        "--k", "2", "--from", "0,1|2,3", "--to", "0,2|1,3", "--oracle",
+    )
+    assert (code, out) == (1, "moves 1\nmove 0 1 1 2\nWITNESS disconnected 7\n")
 
 
 def test_cli_conj_farber_path_frozen(tmp_path):
@@ -313,6 +335,7 @@ def test_cli_exit_codes(tmp_path):
     f = tmp_path / "p.txt"
     f.write_text(P44_TEXT)
     assert run_cli("relax", str(f), "--ch", "0,1")[0] == 2
+    assert run_cli("conj", "farber", str(f), "--from", "0,1;2,3") == (2, "")  # no --to
     # explicit file where a sparse-paving command is required
     e = tmp_path / "e.txt"
     e.write_text(serialize_matroid(to_explicit(P44)))
@@ -482,6 +505,14 @@ TIGHT_TEXT = "spm 1\nn 3\nr 2\nch 0 1\n"
             ["bounds", "--n", "8", "--r", "4"],
             None,
         ),
+        # {0, 1} and {0, 2} differ in two elements: not a sparse paving family
+        ("dual", lambda m: SparsePavingMatroid(m.n, m.r, [0b011, 0b101]), ["dual"], P44_TEXT),
+        (
+            "explicit_minor",
+            lambda res: (ExplicitMatroid(res[0].n, res[0].r, [0b1]), res[1]),  # |{0}| < r
+            ["minor", "--delete=3"],
+            P44_BASES_TEXT,
+        ),
     ],
     ids=[
         "order-cyclic",
@@ -496,6 +527,8 @@ TIGHT_TEXT = "spm 1\nn 3\nr 2\nch 0 1\n"
         "order-cyclic-refusal",
         "bounds-ceiling",
         "bounds-ch-upper",
+        "dual-close-pair",
+        "minor-explicit-non-matroid",
     ],
 )
 def test_cli_failed_certificate_exits_3(monkeypatch, tmp_path, name, fn, argv, text):
@@ -520,15 +553,33 @@ def test_cli_import_loads_no_process_pool():
     src = str(Path(sparsepaving.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # site's .pth hooks may preload third-party modules, so only what the
+    # import itself adds is held to the zero-dependency rule
     code = (
-        "import sys, sparsepaving.cli; "
+        "import sys; before = set(sys.modules); import sparsepaving.cli; "
         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
-        "if m in sys.modules))"
+        "if m in sys.modules)); "
+        "allowed = sys.stdlib_module_names | {'sparsepaving'}; "
+        "print(sorted(m for m in set(sys.modules) - before "
+        "if m.partition('.')[0] not in allowed))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout == "[]\n"
+    assert out.stdout == "[]\n[]\n"
+
+
+def test_sources_parse_at_the_python_floor():
+    root = Path(sparsepaving.__file__).resolve().parents[2]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M)
+    assert floor, "requires-python must read '>=X.Y'"
+    version = (int(floor[1]), int(floor[2]))
+    assert version == (3, 10)
+    sources = sorted(Path(sparsepaving.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
 
 
 def test_cli_byte_determinism_across_commands(p44_file):

@@ -1,12 +1,14 @@
 """Cyclic orders: interval counts, density, construction, disjoint-pair cycles."""
 
+import hashlib
 import itertools
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
 
-from corpusdef import CORPUS, P44, U24, with_max_n
+from corpusdef import CORPUS, P44, U24, gs_best, with_max_n
 from sparsepaving import (
     GroundSetMismatch,
     InternalCheckError,
@@ -360,8 +362,48 @@ def test_gabow_cycle_any_restricts_and_relabels():
             back = {e: i for i, e in enumerate(kept)}
             assert ch_interval_count(sub, tuple(back[e] for e in cyc)) == 0
             cyclic.check_block_cycle(m, cyc, b1, b2)
+            # reference: gabow_cycle inside the restriction, mapped back
+            ref = gabow_cycle(
+                sub,
+                as_mask(back[e] for e in kept if (b1 >> e) & 1),
+                as_mask(back[e] for e in kept if (b2 >> e) & 1),
+            )
+            assert cyc == tuple(kept[x] for x in ref)
             checked += 1
     assert checked > 50
+
+
+def _sample_disjoint_pair(m, rng):
+    """A random disjoint basis pair by rejection sampling, without listing bases."""
+    while True:
+        b1 = as_mask(rng.sample(range(m.n), m.r))
+        b2 = as_mask(rng.sample([e for e in range(m.n) if not (b1 >> e) & 1], m.r))
+        if is_basis(m, b1) and is_basis(m, b2):
+            return b1, b2
+
+
+# (n, r): sha256 of gabow_cycle_any on 20 crc32-seeded disjoint pairs of gs_best(n, r)
+FROZEN_ANY = {
+    (10, 4): "348beb1110b3e61c7bd2f7588767cd10aeafb095424aae632e4ba831b087c5c2",
+    (12, 5): "9e36bad5f67be7e97df530bfd19df9cd41bdd0dd3b154e99cfcd1bb5c7c1a5da",
+    (20, 6): "86f7292839b7ddffa38b33880982e5711a7a42f6635290eb8b3d789eb40c9ca7",
+    (22, 8): "18ecf837751fbf42f51c16ee94bfebc43e2c981d3c6680a3543754c48de5f6c5",
+    (24, 5): "ad4e268dbb96d035a2cf2887796ec36d707a94f08ea06907ee9df6397e17452a",
+}
+
+
+def test_gabow_cycle_any_frozen():
+    """Pins the two-block cycles of pairs that leave elements outside, in m's labels."""
+    got = {}
+    for n, r in FROZEN_ANY:
+        m = gs_best(n, r)
+        h = hashlib.sha256()
+        for i in range(20):
+            rng = random.Random(zlib.crc32(f"gs{n}_{r} {i}".encode()))
+            b1, b2 = _sample_disjoint_pair(m, rng)
+            h.update(" ".join(map(str, gabow_cycle_any(m, b1, b2))).encode() + b"\n")
+        got[n, r] = h.hexdigest()
+    assert got == FROZEN_ANY
 
 
 def test_gabow_cycle_any_validation():
