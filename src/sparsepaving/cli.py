@@ -17,7 +17,9 @@ import sys
 from .bitset import elements, format_set
 from .construct import graham_sloane, random_sparse_paving
 from .core import (
+    MAX_EXPLICIT_WORK,
     MAX_GROUND,
+    MAX_VERTICES,
     ExplicitMatroid,
     SparsePavingMatroid,
     dual,
@@ -102,22 +104,23 @@ def _parse_members(spec: str) -> list[int]:
     return [_parse_set(part) for part in spec.split("|")]
 
 
-def _load(args):
+def _load(args, explicit_work_cap: float):
     with open(args.file, encoding="utf-8") as fh:
-        return parse_matroid(fh.read(), explicit_work_cap=args.cap_explicit)
+        return parse_matroid(fh.read(), explicit_work_cap=explicit_work_cap)
 
 
 def _load_spm(args) -> SparsePavingMatroid:
-    m = _load(args)
-    if not isinstance(m, SparsePavingMatroid):
-        raise PreconditionViolated("this command needs an 'spm 1' file")
-    return m
+    # cap 0: the parser's only TooLarge, raised before validating a nonempty 'bases 1' file
+    try:
+        return _load(args, 0)
+    except TooLarge:
+        raise PreconditionViolated("this command needs an 'spm 1' file") from None
 
 
 def _emit(m, args, extra_stdout: str | None = None) -> int:
     text = serialize_matroid(m)
-    try:  # a minor has no more bases than its input, loaded under this cap
-        if parse_matroid(text, explicit_work_cap=args.cap_explicit) != m:
+    try:  # no cap: a minor has no more bases than its input, loaded under one
+        if parse_matroid(text, explicit_work_cap=float("inf")) != m:
             raise InternalCheckError("serialization did not round-trip")
     except ValidationError as e:
         raise InternalCheckError(f"output does not re-read: {e}") from e
@@ -148,7 +151,7 @@ def _cmd_gen_random(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    m = _load(args)
+    m = _load(args, args.cap_explicit)
     if isinstance(m, SparsePavingMatroid):
         print(f"ok spm n={m.n} r={m.r} dependent={len(m.chset)} bases={m.basis_count}")
     else:
@@ -161,7 +164,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_minor(args) -> int:
-    m = _load(args)
+    m = _load(args, args.cap_explicit)
     if args.delete is not None:
         kind, e = "delete", args.delete
     else:
@@ -256,7 +259,7 @@ def _cmd_order_pair(args) -> int:
 
 
 def _cmd_flats(args) -> int:
-    m = _load(args)
+    m = _load(args, args.cap_explicit)
     if isinstance(m, ExplicitMatroid) and len(m.bases) << m.n > args.cap_explicit:
         raise TooLarge(
             f"scanning 2^{m.n} subsets against {len(m.bases)} bases exceeds the work cap"
@@ -309,20 +312,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(*names, **kw)
         return p
 
+    def cap(name: str, default: int, what: str) -> argparse.ArgumentParser:
+        return parent(name, type=_non_negative, default=default, help=what)
+
     # each subcommand takes only the caps it reads
-    explicit = parent(
-        "--cap-explicit", type=_non_negative, default=10_000_000, help="explicit-work cap"
-    )
-    vertices = parent(
-        "--cap-vertices", type=_non_negative, default=1_000_000, help="graph enumeration cap"
-    )
+    explicit = cap("--cap-explicit", MAX_EXPLICIT_WORK, "explicit-work cap")
+    vertices = cap("--cap-vertices", MAX_VERTICES, "graph enumeration cap")
     infile = parent("file")
     output = parent("-o", "--output")
 
     top = argparse.ArgumentParser(prog="spm", description=__doc__)
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    def leaf(group, name: str, fn, parents=(explicit, infile), **kw):
+    def leaf(group, name: str, fn, parents=(infile,), **kw):
         p = group.add_parser(name, parents=list(parents), **kw)
         p.set_defaults(fn=fn)
         return p
@@ -339,17 +341,17 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--target", type=int, required=True)
     g.add_argument("--seed", type=int, required=True)
 
-    leaf(sub, "validate", _cmd_validate)
-    leaf(sub, "dual", _cmd_dual, (explicit, infile, output))
+    leaf(sub, "validate", _cmd_validate, (explicit, infile))
+    leaf(sub, "dual", _cmd_dual, (infile, output))
     p = leaf(sub, "minor", _cmd_minor, (explicit, infile, output))
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--delete", type=int)
     grp.add_argument("--contract", type=int)
-    p = leaf(sub, "relax", _cmd_relax, (explicit, infile, output))
+    p = leaf(sub, "relax", _cmd_relax, (infile, output))
     p.add_argument("--ch", required=True, help="dependent set to relax, e.g. '0,3'")
 
     conj = sub.add_parser("conj").add_subparsers(dest="which", required=True)
-    walk = (explicit, vertices, infile)
+    walk = (vertices, infile)
     p = leaf(conj, "farber", _cmd_conj_farber, walk, help="basis pair graph connectivity")
     p.add_argument("--from", dest="src", help="vertex 'A1;A2'")
     p.add_argument("--to", dest="dst", help="vertex 'B1;B2'")
@@ -368,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b1", required=True)
     p.add_argument("--b2", required=True)
 
-    leaf(sub, "flats", _cmd_flats)
+    leaf(sub, "flats", _cmd_flats, (explicit, infile))
     leaf(sub, "avg", _cmd_avg, help="mean dependent-window count, exact")
 
     p = leaf(sub, "bounds", _cmd_bounds, ())

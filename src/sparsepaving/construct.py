@@ -27,8 +27,10 @@ from math import comb
 from operator import add
 
 from .bitset import bits, iter_elements, subset_masks
-from .core import SparsePavingMatroid, _comb_exceeds, check_ground, validate
-from .errors import RangeError, RankOutOfRange, ResidueOutOfRange, TooLarge
+from .core import MAX_EXPLICIT_WORK, SparsePavingMatroid, _comb_exceeds
+from .core import check_ground, validate
+from .errors import InternalCheckError, RangeError, RankOutOfRange
+from .errors import ResidueOutOfRange, TooLarge
 
 
 def _check_nr(n: int, r: int, cap: int | None = None) -> None:
@@ -43,7 +45,7 @@ def _check_nr(n: int, r: int, cap: int | None = None) -> None:
 
 
 def graham_sloane(
-    n: int, r: int, c: int | None = None, cap: int = 10_000_000
+    n: int, r: int, c: int | None = None, cap: int = MAX_EXPLICIT_WORK
 ) -> SparsePavingMatroid:
     """Designate the r-subsets with element sum congruent to c mod n.
 
@@ -131,7 +133,8 @@ def _class_table(n: int, rmax: int) -> list[list[int]]:
         for k in range(min(e + 1, rmax), 0, -1):
             prev = table[k - 1]
             table[k] = list(map(add, table[k], prev[cut:] + prev[:cut]))
-    assert all(sum(row) == comb(n, k) for k, row in enumerate(table))
+    if any(sum(row) != comb(n, k) for k, row in enumerate(table)):
+        raise InternalCheckError(f"class sizes for n={n} do not sum to C(n, k)")
     return table
 
 
@@ -147,11 +150,7 @@ def _largest_class(sizes: list[int]) -> tuple[int, int]:
 
 
 def random_sparse_paving(
-    n: int,
-    r: int,
-    seed: int,
-    max_sets: int | None = None,
-    cap: int = 10_000_000,
+    n: int, r: int, seed: int, max_sets: int | None = None, cap: int = MAX_EXPLICIT_WORK
 ) -> SparsePavingMatroid:
     """Greedy random designated family, deterministic for a fixed seed.
 
@@ -166,7 +165,7 @@ def random_sparse_paving(
     rng.shuffle(pool)
     total = len(pool)
     taken: list[int] = []
-    seen: dict[int, int] = {}
+    seen: set[int] = set()
     for s in pool:
         if max_sets is not None and len(taken) >= max_sets:
             break
@@ -175,8 +174,7 @@ def random_sparse_paving(
         keys = [s ^ (1 << e) for e in iter_elements(s)]
         if any(k in seen for k in keys):
             continue
-        for k in keys:
-            seen[k] = s
+        seen.update(keys)
         taken.append(s)
     m = SparsePavingMatroid(n, r, taken)
     validate(m)

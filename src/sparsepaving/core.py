@@ -84,6 +84,9 @@ class ExplicitMatroid:
 # millisecond, and the basis count still prints under Python's default
 # 4,300-digit limit on int-to-str conversion.
 MAX_GROUND = 4096
+MAX_EXPLICIT_WORK = 10_000_000  # default cap: bases squared to validate, bases to list
+MAX_SCAN_GROUND = 20  # largest n whose 2^n subsets a definition scan visits
+MAX_VERTICES = 1_000_000  # default cap on the vertices graph_connected enumerates
 
 
 def check_ground(n: int) -> None:
@@ -301,10 +304,11 @@ def swap_witnesses(
     return out
 
 
-def to_explicit(m: SparsePavingMatroid, cap: int = 10_000_000) -> ExplicitMatroid:
+def to_explicit(m: SparsePavingMatroid) -> ExplicitMatroid:
+    """The bases listed; refuses C(n, r) > MAX_EXPLICIT_WORK (10,000,000)."""
     total = comb(m.n, m.r)
-    if total > cap:
-        raise TooLarge(f"{total} bases exceed the explicit cap {cap}")
+    if total > MAX_EXPLICIT_WORK:
+        raise TooLarge(f"{total} bases exceed the explicit cap {MAX_EXPLICIT_WORK}")
     idx = m._index
     return ExplicitMatroid(
         m.n, m.r, (s for s in subset_masks(m.n, m.r) if s not in idx)

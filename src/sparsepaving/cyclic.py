@@ -39,6 +39,7 @@ from fractions import Fraction
 
 from .bitset import ElementSet, as_mask, elements, format_set
 from .core import (
+    MAX_SCAN_GROUND,
     ExplicitMatroid,
     SparsePavingMatroid,
     basis_predicate,
@@ -136,7 +137,7 @@ def check_density(m) -> tuple[bool, ElementSet | None]:
             return True, None
         return False, m.chset[0]
     if isinstance(m, ExplicitMatroid):
-        if m.n > 20:
+        if m.n > MAX_SCAN_GROUND:
             raise TooLarge(f"explicit density scan over 2^{m.n} subsets refused")
         for a in range(1, 1 << m.n):
             if m.r * a.bit_count() > explicit_rank(m, a) * m.n:
@@ -367,14 +368,14 @@ def _block_cycle(m, b1m: int, b2m: int) -> tuple[int, ...]:
     return out
 
 
-def brute_force_order(m, cap: int = 9):
+def brute_force_order(m):
     """Exhaustive witness search over all rooted cycles; oracle use only.
 
     Fixing element 0 in front enumerates each cyclic order exactly once.
-    Returns the lexicographically first witness, or None.
+    Returns the lexicographically first witness, or None; refuses n > 9.
     """
     pred, n, r = basis_predicate(m)
-    if n > cap:
+    if n > 9:
         raise TooLarge(f"{math.factorial(max(n - 1, 0))} cycles is past the oracle guard")
     if n == 0:
         return ()

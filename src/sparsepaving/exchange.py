@@ -36,7 +36,7 @@ from .bitset import (
     subset_masks,
     swap,
 )
-from .core import basis_predicate
+from .core import MAX_VERTICES, basis_predicate
 from .errors import (
     ElementOutOfRange,
     ExchangeViolation,
@@ -731,7 +731,7 @@ def graph_connected(
     m,
     kind: str,
     s: Multiset | None = None,
-    cap: int = 1_000_000,
+    cap: int = MAX_VERTICES,
 ) -> tuple[bool, int]:
     """Exhaustive connectivity check; returns (connected, vertex count).
 

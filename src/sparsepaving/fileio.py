@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from .bitset import elements
 from .core import (
+    MAX_EXPLICIT_WORK,
     MAX_GROUND,
     ExplicitMatroid,
     SparsePavingMatroid,
@@ -46,7 +47,7 @@ def _named_int(row: tuple[int, list[str]], name: str) -> int:
     return _int_token(lineno, toks[1])
 
 
-def parse_matroid(text: str, explicit_work_cap: int = 10_000_000):
+def parse_matroid(text: str, explicit_work_cap: float = MAX_EXPLICIT_WORK):
     """Read either format; returns the validated matroid object.
 
     explicit_work_cap bounds the quadratic exchange-axiom check run on
@@ -98,9 +99,7 @@ def parse_matroid(text: str, explicit_work_cap: int = 10_000_000):
         validate(spm)
         return spm
     if len(masks) * len(masks) > explicit_work_cap:
-        raise TooLarge(
-            f"validating {len(masks)} explicit bases exceeds the work cap"
-        )
+        raise TooLarge(f"validating {len(masks)} explicit bases exceeds the work cap")
     em = ExplicitMatroid(n, r, masks)
     explicit_validate(em)
     return em

@@ -22,6 +22,7 @@ from typing import Callable
 
 from .bitset import ElementSet, format_set, iter_elements
 from .core import (
+    MAX_SCAN_GROUND,
     ExplicitMatroid,
     SparsePavingMatroid,
     check_ground,
@@ -45,7 +46,7 @@ def cyclic_flats_of(m) -> list[ElementSet]:
     if isinstance(m, SparsePavingMatroid) and m.r >= 2 and m.n - m.r >= 2:
         return [0, *m.chset, m.ground]
     is_cyclic_flat = _cyclic_flat_test(m)
-    if m.n > 20:
+    if m.n > MAX_SCAN_GROUND:
         raise TooLarge(f"definition scan over 2^{m.n} subsets refused")
     return [f for f in range(1 << m.n) if is_cyclic_flat(f)]
 

@@ -21,6 +21,7 @@ import pytest
 
 import sparsepaving
 import sparsepaving.cli as cli
+import sparsepaving.construct as construct
 from corpusdef import CORPUS, P44, U24
 from sparsepaving import (
     BasisPairVertex,
@@ -29,11 +30,13 @@ from sparsepaving import (
     ParseError,
     SparsePavingMatroid,
     TooLarge,
+    graham_sloane,
     parse_matroid,
     serialize_matroid,
     to_explicit,
     uniform,
 )
+from sparsepaving.bitset import subset_masks
 from sparsepaving.cli import main
 
 P44_TEXT = "spm 1\nn 4\nr 2\nch 1 2\nch 0 3\n"
@@ -342,12 +345,16 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("order", "cyclic", str(e))[0] == 2
 
 
-@pytest.mark.parametrize("cap", ["--cap-vertices", "--cap-explicit"])
-def test_cli_caps_are_non_negative(p44_file, capsys, cap):
-    assert main(["conj", "farber", p44_file, cap, "-1"]) == 2
+@pytest.mark.parametrize(
+    "cap,cmd",
+    [("--cap-vertices", ["conj", "farber"]), ("--cap-explicit", ["validate"])],
+    ids=["--cap-vertices", "--cap-explicit"],
+)
+def test_cli_caps_are_non_negative(p44_file, capsys, cap, cmd):
+    assert main([*cmd, p44_file, cap, "-1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "non-negative" in err
-    run_cli("conj", "farber", p44_file, cap, "0")
+    run_cli(*cmd, p44_file, cap, "0")
     assert "usage:" not in capsys.readouterr().err
 
 
@@ -361,21 +368,21 @@ def _leaf_parsers(parser, path=()):
 
 
 def test_cli_each_subcommand_takes_only_the_caps_it_reads(p44_file):
-    explicit, walk = {"--cap-explicit"}, {"--cap-explicit", "--cap-vertices"}
+    explicit, walk = {"--cap-explicit"}, {"--cap-vertices"}
     want = {
         "gen gs": explicit,
         "gen random": explicit,
         "validate": explicit,
-        "dual": explicit,
+        "dual": set(),
         "minor": explicit,
-        "relax": explicit,
+        "relax": set(),
         "conj farber": walk,
         "conj white": walk,
         "conj white2": walk,
-        "order cyclic": explicit,
-        "order pair": explicit,
+        "order cyclic": set(),
+        "order pair": set(),
         "flats": explicit,
-        "avg": explicit,
+        "avg": set(),
         "bounds": set(),
         "census": set(),
     }
@@ -384,9 +391,54 @@ def test_cli_each_subcommand_takes_only_the_caps_it_reads(p44_file):
         for name, p in _leaf_parsers(cli._build_parser())
     }
     assert got == want
-    assert sum(map(len, got.values())) == 16
+    assert sum(map(len, got.values())) == 8
     assert main(["order", "cyclic", p44_file, "--cap-order", "9"]) == 2
     assert main(["bounds", "--n", "8", "--cap-vertices", "1"]) == 2
+
+
+# the commands that read only 'spm 1' files, with the options each requires
+_B = "0,1,2,3,4"
+_WALK = ["--k", "1", "--from", _B, "--to", _B]
+SPM_ONLY = {
+    "dual": [],
+    "relax": ["--ch", _B],
+    "order cyclic": [],
+    "order pair": ["--b1", _B, "--b2", "5,6,7,8,9"],
+    "avg": [],
+    "conj farber": [],
+    "conj white": _WALK,
+    "conj white2": _WALK,
+}
+
+
+@pytest.fixture(scope="module")
+def gs12_5_bases_file(tmp_path_factory):
+    f = tmp_path_factory.mktemp("bases") / "gs12_5.txt"
+    m = to_explicit(graham_sloane(12, 5))
+    assert len(m.bases) == 726
+    f.write_text(serialize_matroid(m))
+    return str(f)
+
+
+@pytest.mark.parametrize("name", list(SPM_ONLY))
+def test_cli_spm_only_commands_refuse_bases_files_unvalidated(
+    name, gs12_5_bases_file, capsys
+):
+    argv = [*name.split(), gs12_5_bases_file, *SPM_ONLY[name]]
+    assert main([*argv, "--cap-explicit", "5"]) == 2
+    assert capsys.readouterr().err.startswith("usage:")
+    # validating the exchange axiom on 726 bases takes seconds
+    start = time.perf_counter()
+    assert run_cli(*argv) == (2, "")
+    assert time.perf_counter() - start < 1.0
+    assert "needs an 'spm 1' file" in capsys.readouterr().err
+
+
+def test_cli_spm_only_command_keeps_empty_bases_refusal(tmp_path, capsys):
+    f = tmp_path / "empty.txt"
+    f.write_text("bases 1\nn 3\nr 1\n")
+    assert run_cli("dual", str(f)) == (2, "")
+    assert "at least one basis" in capsys.readouterr().err
 
 
 def test_cli_gen_gs_refuses_before_picking_the_class():
@@ -445,6 +497,9 @@ def _corrupt(monkeypatch, name, fn):
 
 
 TIGHT_TEXT = "spm 1\nn 3\nr 2\nch 0 1\n"
+# the pairs of 0..5 except {0, 1}, {0, 2} and {2, 3}: 0 is parallel to
+# 1 and to 2, yet {1, 2} is a basis, so they are not the bases of a matroid
+PAIRS_12 = [b for b in subset_masks(6, 2) if b not in (0b0011, 0b0101, 0b1100)]
 
 
 @pytest.mark.parametrize(
@@ -513,6 +568,13 @@ TIGHT_TEXT = "spm 1\nn 3\nr 2\nch 0 1\n"
             ["minor", "--delete=3"],
             P44_BASES_TEXT,
         ),
+        # 12^2 > 100: more bases than the cap the 10-basis input was loaded under
+        (
+            "explicit_minor",
+            lambda res: (ExplicitMatroid(6, 2, PAIRS_12), res[1]),
+            ["minor", "--delete=3", "--cap-explicit", "100"],
+            serialize_matroid(to_explicit(uniform(5, 2))),
+        ),
     ],
     ids=[
         "order-cyclic",
@@ -529,6 +591,7 @@ TIGHT_TEXT = "spm 1\nn 3\nr 2\nch 0 1\n"
         "bounds-ch-upper",
         "dual-close-pair",
         "minor-explicit-non-matroid",
+        "minor-explicit-oversize",
     ],
 )
 def test_cli_failed_certificate_exits_3(monkeypatch, tmp_path, name, fn, argv, text):
@@ -537,6 +600,15 @@ def test_cli_failed_certificate_exits_3(monkeypatch, tmp_path, name, fn, argv, t
         f.write_text(text)
         argv = [*argv[:2], str(f), *argv[2:]]
     _corrupt(monkeypatch, name, fn)
+    assert run_cli(*argv) == (3, "")
+
+
+@pytest.mark.parametrize(
+    "argv", [["census", "--n", "8"], ["gen", "gs", "--n", "9", "--r", "4"]]
+)
+def test_cli_class_table_self_check_exits_3(monkeypatch, argv):
+    # the class sizes are checked against C(n, k), so a wrong binomial fails it
+    monkeypatch.setattr(construct, "comb", lambda n, k: 0)
     assert run_cli(*argv) == (3, "")
 
 
@@ -580,6 +652,19 @@ def test_sources_parse_at_the_python_floor():
     assert sources
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
+
+
+def test_sources_hold_no_assert_statement():
+    # python -O strips asserts; a self-check raises InternalCheckError instead
+    sources = sorted(Path(sparsepaving.__file__).parent.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_cli_byte_determinism_across_commands(p44_file):

@@ -1,7 +1,10 @@
-"""Property tests: the exchange walks on random sparse paving matroids, n <= 12.
+"""Property tests on random sparse paving matroids, n <= 12.
 
-Each walk must pass its certificate and stay within its theorem bound:
-4n steps for a pair-graph path, 4kr moves for a collection walk.
+Each exchange walk must pass its certificate and stay within its
+theorem bound: 4n steps for a pair-graph path, 4kr moves for a
+collection walk.  The file format round-trips both representations,
+the sparse paving minors agree with the explicit ones, and the dual's
+bases are the complements of the bases.
 """
 
 import random
@@ -15,8 +18,14 @@ from sparsepaving import (
     as_mask,
     bpg_path,
     bpg_vertex,
+    dual,
+    explicit_minor,
     is_basis,
+    minor,
+    parse_matroid,
     random_sparse_paving,
+    serialize_matroid,
+    to_explicit,
     white2_path,
     white_moves,
 )
@@ -25,8 +34,8 @@ from sparsepaving.exchange import check_bpg_walk, check_moves
 
 
 @st.composite
-def matroids(draw, max_rank):
-    n = draw(st.integers(2, 12))
+def matroids(draw, max_rank, max_n=12):
+    n = draw(st.integers(2, max_n))
     r = draw(st.integers(1, max_rank(n)))
     seed = draw(st.integers(0, 2**32 - 1))
     max_sets = draw(st.none() | st.integers(0, 3 * n))
@@ -91,3 +100,28 @@ def test_collection_walks_certified_within_4kr(data, m, k, seed):
     moves2 = white2_path(m, src, dst)
     check_moves(m, src, dst, moves2, ordered=True)
     assert len(moves2) <= 4 * k * m.r
+
+
+@given(matroids(lambda n: n))
+def test_file_round_trip(m):
+    assert parse_matroid(serialize_matroid(m)) == m
+    if m.n <= 9:
+        em = to_explicit(m)
+        assert parse_matroid(serialize_matroid(em)) == em
+
+
+@given(matroids(lambda n: n, max_n=9))
+def test_minors_agree_with_explicit_minors(m):
+    em = to_explicit(m)
+    for kind in ("delete", "contract"):
+        for e in range(m.n):
+            out, labels = minor(m, kind, e)
+            want, want_labels = explicit_minor(em, kind, e)
+            assert to_explicit(out) == want
+            assert labels == want_labels
+
+
+@given(matroids(lambda n: n))
+def test_dual_bases_are_complements(m):
+    complements = {m.ground ^ b for b in to_explicit(m).bases}
+    assert to_explicit(dual(m)).bases == complements
