@@ -711,20 +711,22 @@ def _take(levels: tuple[int, ...], b: int) -> tuple[int, ...]:
 
 
 def _connected(
-    verts: Sequence, neighbours: Callable[[object], Iterable]
+    unseen: set, neighbours: Callable[[object], Iterable]
 ) -> tuple[bool, int]:
-    """Search the graph on verts; returns (connected, vertex count).
+    """Search the graph on the vertex set unseen, emptying it as it goes;
+    returns (connected, vertex count).
 
     neighbours(v) may yield candidates that are not vertices: an edge is
-    a candidate that lies in verts.
+    a candidate that lies in the vertex set.  The search stops once no
+    vertex is left unseen, since no further edge can change the answer.
     """
-    unseen = set(verts)
+    count = len(unseen)
     stack = [unseen.pop()] if unseen else []
-    while stack:
+    while stack and unseen:
         hit = unseen.intersection(neighbours(stack.pop()))
         unseen -= hit
         stack.extend(hit)
-    return not unseen, len(verts)
+    return not unseen, count
 
 
 def graph_connected(
@@ -737,14 +739,17 @@ def graph_connected(
 
     kind is "bpg", "white_multiset", or "white_tuple"; the white kinds
     need the multiset union s.  Enumerating more than cap vertices
-    raises TooLarge.  An empty or single-vertex graph counts as
-    connected.
+    raises TooLarge; the pair graph compares its count with cap after
+    each first block's row, so the cap bounds that pass as well.  An
+    empty or single-vertex graph counts as connected.
 
-    Every vertex is enumerated first, so adjacency is decided by
-    membership in the vertex set: a single swap keeps a pair disjoint
-    and a collection's union fixed, so the swapped pair or collection
-    is a neighbour exactly when it is a vertex, that is, when both
-    changed blocks or members are bases.
+    Every vertex is enumerated before the search, so adjacency is
+    decided by membership in the vertex set: a single swap keeps a pair
+    disjoint and a collection's union fixed, so the swapped pair or
+    collection is a neighbour exactly when it is a vertex, that is, when
+    both changed blocks or members are bases.  No theorem is assumed:
+    the search tries every swap out of each vertex it takes, and stops
+    when every vertex has been reached or none is left to take.
     """
     pred, n, r = basis_predicate(m)
     ground = (1 << n) - 1
@@ -754,17 +759,11 @@ def graph_connected(
         if s is not None:
             raise PreconditionViolated("the pair graph takes no multiset")
         # vertex (a1, a2) is the int (a1 << n) | a2
-        bases = [b for b in subset_masks(n, r) if pred(b)]
-        basis_set = set(bases)
-        verts: list[int] = []
-        for b1 in bases:
-            high = b1 << n
-            rest = bits(ground & ~b1)
-            verts.extend(
-                high | b2
-                for b2 in map(sum, itertools.combinations(rest, r))
-                if b2 in basis_set
-            )
+        verts: set[int] = set()
+        for b1 in filter(pred, subset_masks(n, r)):
+            # b1's row: the bases among the r-subsets of its complement
+            row = filter(pred, map(sum, itertools.combinations(bits(ground & ~b1), r)))
+            verts.update(map((b1 << n).__or__, row))
             # checked per first block; a negative cap still admits an empty graph
             if len(verts) > max(cap, 0):
                 raise TooLarge(f"pair graph exceeds {cap} vertices")
@@ -800,11 +799,11 @@ def graph_connected(
     # out as canonical (sorted) tuples
     support = as_mask(counts)
     bases = sorted(b for b in subset_masks(n, r) if not b & ~support and pred(b))
-    cols: list[tuple[int, ...]] = []
+    cols: set[tuple[int, ...]] = set()
 
     def rec(lo: int, levels: tuple[int, ...], chosen: list[int]) -> None:
         if len(chosen) == k:
-            cols.append(tuple(chosen))
+            cols.add(tuple(chosen))
             if len(cols) > cap:
                 raise TooLarge(f"collection graph exceeds {cap} vertices")
             return

@@ -2,7 +2,10 @@
 
 import hashlib
 import itertools
+import math
 import random
+import time
+import tracemalloc
 import zlib
 from collections import Counter
 
@@ -29,6 +32,7 @@ from sparsepaving import (
     bpg_adjacent,
     bpg_path,
     bpg_vertex,
+    graham_sloane,
     graph_connected,
     is_basis,
     subset_masks,
@@ -227,6 +231,47 @@ def test_graph_connected_bpg_frozen():
         graph_connected(P44, "bpg", s=Multiset.from_elements([0]))
     with pytest.raises(PreconditionViolated):
         graph_connected(P44, "nope")
+
+
+def test_graph_connected_bpg_cap_bounds_the_first_pass():
+    """The vertex cap is compared after each first block's row.
+
+    graham_sloane(22, 11, 0) has 705,432 candidate bases; listing them
+    all before the first comparison took about 0.4 s.
+    """
+    m = graham_sloane(22, 11, 0)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        graph_connected(m, "bpg", cap=0)
+    assert time.perf_counter() - start < 0.1
+    # a negative cap still admits an empty graph, and nothing more
+    assert graph_connected(uniform(5, 3), "bpg", cap=-1) == (True, 0)
+    with pytest.raises(TooLarge):
+        graph_connected(U24, "bpg", cap=-1)
+
+
+@pytest.mark.parametrize(
+    "n,r",
+    [(5, 3), (6, 3), (7, 3), (14, 2), (5, 0), (7, 1)],
+    ids=["n<2r", "n=2r", "n=2r+1", "n>>2r", "r=0", "r=1"],
+)
+def test_graph_connected_bpg_uniform_closed_form(n, r):
+    """Every r-set of U(r, n) is a basis: C(n, r) * C(n - r, r) vertices, connected."""
+    want = (True, math.comb(n, r) * math.comb(n - r, r))
+    assert graph_connected(uniform(n, r), "bpg") == want
+
+
+def test_graph_connected_bpg_memory():
+    """The search holds one set of its 13,964 vertices: about 1.5 MiB."""
+    m = graham_sloane(12, 5, 3)
+    graph_connected(m, "bpg")  # warm caches, so only the search is traced
+    tracemalloc.start()
+    try:
+        graph_connected(m, "bpg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
 
 
 # -- collection walks -------------------------------------------------------------
@@ -471,20 +516,46 @@ def test_graph_connected_matches_definition(name, m):
     _check_all_kinds(name, (m, to_explicit(m)), bases_of(m))
 
 
+# (name, n, r, density); at density 0.5 every family with r >= 3 and
+# n > 2r has a connected pair graph, so the density-0.25 group is what
+# splits graphs with a nonempty leftover block
 FAMILIES = [
-    (n, r, i) for n, r in ((5, 2), (6, 2), (6, 3), (7, 3), (8, 3)) for i in range(3)
+    (f"family{n}_{r}_{i}", n, r, 0.5)
+    for n, r in ((5, 2), (6, 2), (6, 3), (7, 3), (8, 3))
+    for i in range(3)
+]
+SPARSE_FAMILIES = [
+    (f"sparse{n}_{r}_{i}", n, r, 0.25)
+    for n, r in ((7, 3), (8, 3), (9, 3), (9, 4))
+    for i in range(3)
 ]
 
 
-@pytest.mark.parametrize(
-    "n,r,i", FAMILIES, ids=[f"family{n}_{r}_{i}" for n, r, i in FAMILIES]
-)
-def test_graph_connected_matches_definition_on_set_families(n, r, i):
-    """Random r-set families need not be matroids, so their graphs can split."""
-    name = f"family{n}_{r}_{i}"
+def _set_family(name, n, r, density):
     rng = random.Random(zlib.crc32(name.encode()))
-    family = [b for b in subset_masks(n, r) if rng.random() < 0.5]
+    return [b for b in subset_masks(n, r) if rng.random() < density]
+
+
+@pytest.mark.parametrize(
+    "name,n,r,density",
+    FAMILIES + SPARSE_FAMILIES,
+    ids=[f[0] for f in FAMILIES + SPARSE_FAMILIES],
+)
+def test_graph_connected_matches_definition_on_set_families(name, n, r, density):
+    """Random r-set families need not be matroids, so their graphs can split."""
+    family = _set_family(name, n, r, density)
     _check_all_kinds(name, (ExplicitMatroid(n, r, family),), family)
+
+
+def test_sparse_set_families_have_both_outcomes():
+    """The density-0.25 group holds connected and split pair graphs."""
+    outcomes = set()
+    for name, n, r, density in SPARSE_FAMILIES:
+        family = _set_family(name, n, r, density)
+        ok, count = graph_connected(ExplicitMatroid(n, r, family), "bpg")
+        assert count and n > 2 * r
+        outcomes.add(ok)
+    assert outcomes == {True, False}
 
 
 # -- the one-round improvement engine, branch by branch ----------------------------
