@@ -282,6 +282,8 @@ def swap_witnesses(
     Both b1 - x + y and b2 - y + x must be bases.  x must come from
     b1 - b2 and candidates must sit inside b2 - b1.
     """
+    if not isinstance(m, SparsePavingMatroid):
+        raise TypeError(f"expected a SparsePavingMatroid, got {type(m).__name__}")
     b1 = as_mask(b1)
     b2 = as_mask(b2)
     cand = as_mask(candidates)

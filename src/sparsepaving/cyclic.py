@@ -32,7 +32,6 @@ exactly when it is one of M: windows are tested in m's own labels.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 import random
 from fractions import Fraction
@@ -42,10 +41,10 @@ from .core import (
     MAX_SCAN_GROUND,
     ExplicitMatroid,
     SparsePavingMatroid,
+    _check_subset,
     basis_predicate,
     dual,
     explicit_rank,
-    is_basis,
     rank_of,
 )
 from .errors import (
@@ -55,9 +54,8 @@ from .errors import (
     NotDisjoint,
     PreconditionViolated,
     TooLarge,
+    guaranteed,
 )
-
-log = logging.getLogger(__name__)
 
 CyclicOrder = tuple
 
@@ -207,12 +205,9 @@ def _repair_single_window(m: SparsePavingMatroid, cand: tuple[int, ...]) -> tupl
     # rotate the lone bad window to start at position 3
     p = bad[0]
     rot = tuple(cand[(p - 3 + i) % n] for i in range(n))
-    for k, pat in enumerate(_REPAIR_PATTERNS):
-        trial = tuple(rot[pat[i]] if i < 4 else rot[i] for i in range(n))
-        if not _dependent_windows(pred, n, r, trial):
-            log.debug("window repair used pattern %d of %d", k + 1, len(_REPAIR_PATTERNS))
-            return trial
-    raise InternalCheckError("all repair patterns left a dependent window")
+    trials = (tuple(rot[i] for i in pat) + rot[4:] for pat in _REPAIR_PATTERNS)
+    fixed = (t for t in trials if not _dependent_windows(pred, n, r, t))
+    return guaranteed(next(fixed, None), "all repair patterns left a dependent window")
 
 
 def find_cyclic_order(m: SparsePavingMatroid, seed: int = 0):
@@ -221,6 +216,8 @@ def find_cyclic_order(m: SparsePavingMatroid, seed: int = 0):
     The density test is exact for sparse paving matroids, so None means
     no witness exists at all, not a search failure.
     """
+    if not isinstance(m, SparsePavingMatroid):
+        raise TypeError(f"expected a SparsePavingMatroid, got {type(m).__name__}")
     ok, _ = check_density(m)
     if not ok:
         return None
@@ -274,8 +271,11 @@ def _swapped(seq: list, i: int, j: int) -> list:
 
 
 def _disjoint_bases(m, b1, b2) -> tuple[int, int]:
+    pred, n, _ = basis_predicate(m)
     b1m, b2m = as_mask(b1), as_mask(b2)
-    if not is_basis(m, b1m) or not is_basis(m, b2m):
+    for b in (b1m, b2m):
+        _check_subset(n, b)
+    if not pred(b1m) or not pred(b2m):
         raise NotBases(f"{format_set(b1m)} / {format_set(b2m)} are not both bases")
     if b1m & b2m:
         raise NotDisjoint(f"{format_set(b1m)} and {format_set(b2m)} share elements")
@@ -330,11 +330,9 @@ def _block_cycle(m, b1m: int, b2m: int) -> tuple[int, ...]:
     suffix = b1m
     for i in range(r):
         suffix ^= 1 << b[i]  # b[i + 1 :] plus the picks so far
+        # none would contradict independent-set augmentation against the second basis
         pick = next((y for y in unused if pred(suffix | (1 << y))), None)
-        if pick is None:
-            # contradicts independent-set augmentation against the second basis
-            raise InternalCheckError("greedy block ordering stalled")
-        c.append(pick)
+        c.append(guaranteed(pick, "greedy block ordering stalled"))
         unused.remove(pick)
         suffix |= 1 << pick
 
@@ -355,13 +353,13 @@ def _block_cycle(m, b1m: int, b2m: int) -> tuple[int, ...]:
                 third = list(c)
                 third[r - 3 :] = [c[r - 2], c[r - 1], c[r - 3]]
                 trials.append((b, third))
-        for nb, nc in trials:
-            np_ = _problem_positions(m, nb, nc)
-            if len(np_) < len(probs) and _starts_properly(m, nb, nc):
-                b, c, probs = nb, nc, np_
-                break
-        else:
-            raise InternalCheckError("no repair reduced the bad window count")
+        fewer = (
+            (nb, nc, np_)
+            for nb, nc in trials
+            if len(np_ := _problem_positions(m, nb, nc)) < len(probs)
+            and _starts_properly(m, nb, nc)
+        )
+        b, c, probs = guaranteed(next(fewer, None), "no repair reduced the bad window count")
 
     out = tuple(b) + tuple(c)
     check_block_cycle(m, out, b1m, b2m)

@@ -2,10 +2,16 @@
 
 ValidationError covers every way an input object can be malformed; its
 subclasses carry enough context to report a precise witness.  The flat
-names are re-exported from the package root.
+names are re-exported from the package root.  guaranteed() is the one
+place where a search the proofs guarantee, found empty, turns into an
+InternalCheckError.
 """
 
 from __future__ import annotations
+
+from typing import TypeVar
+
+T = TypeVar("T")
 
 
 class MatroidError(Exception):
@@ -93,3 +99,10 @@ class InternalCheckError(MatroidError):
 
     Reaching this is a bug in this package, not a usage error.
     """
+
+
+def guaranteed(hit: T | None, what: str) -> T:
+    """hit, unless a search the proofs guarantee found nothing (None)."""
+    if hit is None:
+        raise InternalCheckError(what)
+    return hit

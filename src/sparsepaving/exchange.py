@@ -48,6 +48,7 @@ from .errors import (
     TooLarge,
     UnionMismatch,
     ValidationError,
+    guaranteed,
 )
 
 
@@ -171,11 +172,8 @@ def _anchor(
     pred: Callable[[int], bool], b1: int, x: int, a1: int, a2: int
 ) -> tuple[int, int]:
     """Order (a1, a2) so that b1 - x + a1 is the blocked square's dependent corner."""
-    if not pred(swap(b1, x, a1)):
-        return a1, a2
-    if not pred(swap(b1, x, a2)):
-        return a2, a1
-    raise InternalCheckError("blocked square lost its anchor")
+    corners = (o for o in ((a1, a2), (a2, a1)) if not pred(swap(b1, x, o[0])))
+    return guaranteed(next(corners, None), "blocked square lost its anchor")
 
 
 def _disjoint_pair_path(
@@ -212,9 +210,7 @@ def _disjoint_pair_path(
         if gap.bit_count() >= 3:
             x = lowest_element(gap)
             hit = _exchange(pred, cur1, cur2, ((x, y) for y in iter_elements(need)))
-            if hit is None:
-                raise InternalCheckError("no pruned-exchange witness in pair walk")
-            step(*hit)
+            step(*guaranteed(hit, "no pruned-exchange witness in pair walk"))
             continue
         b1, b2 = elements(gap)
         a1, a2 = elements(need)
@@ -232,9 +228,8 @@ def _disjoint_pair_path(
             raise InternalCheckError("blocked exchange square in rank two")
         x = lowest_element(common)
         for b, a in ((x, a1), (b2, a2)):
-            if _exchange(pred, cur1, cur2, [(b, a)]) is None:
-                raise InternalCheckError("detour step left the basis family")
-            step(b, a)
+            hit = _exchange(pred, cur1, cur2, [(b, a)])
+            step(*guaranteed(hit, "detour step left the basis family"))
     return out
 
 
@@ -264,12 +259,9 @@ def bpg_path(m, u: BasisPairVertex, v: BasisPairVertex) -> list[BasisPairVertex]
         b = lowest_element(enter & block)
         if leave.bit_count() >= 2:
             # at most one landing spot is a dependent completion
-            for a3c in iter_elements(leave):
-                nb = swap(block, b, a3c)
-                if pred(nb):
-                    break
-            else:
-                raise InternalCheckError("third-block alignment found no landing")
+            land = (e for e in iter_elements(leave) if pred(swap(block, b, e)))
+            a3c = guaranteed(next(land, None), "third-block alignment found no landing")
+            nb = swap(block, b, a3c)
         else:
             a3c = lowest_element(leave)
             nb = swap(block, b, a3c)
@@ -279,9 +271,7 @@ def bpg_path(m, u: BasisPairVertex, v: BasisPairVertex) -> list[BasisPairVertex]
                 other = cur2 if t1 else cur1
                 pairs = itertools.product(elements(block & ~(1 << b)), elements(other))
                 hit = _exchange(pred, block, other, pairs)
-                if hit is None:
-                    raise InternalCheckError("third-block dodge found no swap")
-                a1c, a2c = hit
+                a1c, a2c = guaranteed(hit, "third-block dodge found no swap")
                 m1, m2 = swap(block, a1c, a2c), swap(other, a2c, a1c)
                 if t1:
                     emit(m1, m2, cur3)
@@ -413,10 +403,9 @@ def _pick_helper(act: Counter, amb: int, bma: int) -> int:
     # some member must be richer in amb than in bma, because the side was
     # chosen with the larger multiplicity mass on amb; the member being
     # advanced holds none of amb, so it is never picked
-    cands = [v for v in act if (v & amb).bit_count() > (v & bma).bit_count()]
-    if not cands:
-        raise InternalCheckError("no member is richer in the target difference")
-    return min(cands)
+    richer = (v for v in act if (v & amb).bit_count() > (v & bma).bit_count())
+    hit = min(richer, default=None)
+    return guaranteed(hit, "no member is richer in the target difference")
 
 
 def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
@@ -440,13 +429,11 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
         if q == 0:
             a = lowest_element(b2 & amb)
             hit = _exchange(pred, b1, b2, ((bh, a) for bh in iter_elements(bma)))
-            if hit is None:
-                raise InternalCheckError("pruned exchange failed with no overlap")
+            hit = guaranteed(hit, "pruned exchange failed with no overlap")
         elif p >= 3:
             bh = lowest_element(bma & ~b2)
             hit = _exchange(pred, b1, b2, ((bh, a) for a in iter_elements(b2 & amb)))
-            if hit is None:
-                raise InternalCheckError("pruned exchange failed on a rich helper")
+            hit = guaranteed(hit, "pruned exchange failed on a rich helper")
         else:
             # p = 2, q = 1
             a1c, a2c = elements(b2 & amb)
@@ -481,11 +468,8 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
             # a forced second dependent set
             if pred(swap(b1, b1c, a)):
                 b1c, b2c = b2c, b1c
-            for z in iter_elements(b2 & ~a1_mask):
-                if pred(swap(b2, z, b1c)):
-                    break
-            else:
-                raise InternalCheckError("no escape element beside the anchor")
+            esc = (z for z in iter_elements(b2 & ~a1_mask) if pred(swap(b2, z, b1c)))
+            z = guaranteed(next(esc, None), "no escape element beside the anchor")
             nb1, nb2 = side.push(m, b1, b2, b1c, z)
             side.push(m, nb1, nb2, b2c, a)
             return
@@ -498,11 +482,8 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
             return
         if pred(swap(b1, b2c, a1c)):
             a1c, a2c = a2c, a1c
-        for x in iter_elements((a1_mask & b1) & ~b2):
-            if pred(swap(b2, a1c, x)):
-                break
-        else:
-            raise InternalCheckError("no shared element escapes the anchor")
+        esc = (x for x in iter_elements(a1_mask & b1 & ~b2) if pred(swap(b2, a1c, x)))
+        x = guaranteed(next(esc, None), "no shared element escapes the anchor")
         nb1, nb2 = side.push(m, b1, b2, x, a1c)
         side.push(m, nb1, nb2, b2c, a2c)
         return
@@ -534,9 +515,8 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
                 continue
             y = lowest_element(x_mask & ~bh)
             hit = _exchange(pred, bh, b2, ((z, y) for z in iter_elements(bh & ~b2)))
-            if hit is None:
-                raise InternalCheckError("symmetric exchange witness missing")
-            nb2, _ = side.push(m, b2, bh, y, hit[0])
+            z, _ = guaranteed(hit, "symmetric exchange witness missing")
+            nb2, _ = side.push(m, b2, bh, y, z)
             side.push(m, b1, nb2, b1c, a1c)
             return
         # interferers hold b1c without a1c; hand the first one an a1c
@@ -544,17 +524,14 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
         bh = next((v for v in ordered if (v >> b1c) & 1 and not (v >> a1c) & 1), None)
         if bh is not None:
             hit = _exchange(pred, b2, bh, ((a1c, z) for z in iter_elements(bh & ~b2)))
-            if hit is None:
-                raise InternalCheckError("interferer fix found no exchange")
-            side.push(m, b2, bh, *hit)
+            side.push(m, b2, bh, *guaranteed(hit, "interferer fix found no exchange"))
             continue
         for bh in ordered:
             if (bh >> b1c) & 1 and (bh >> a1c) & 1 and (b2 ^ bh).bit_count() >= 4:
                 x = lowest_element(bh & ~(1 << b1c) & ~b2)
                 hit = _exchange(pred, bh, b2, ((x, y) for y in iter_elements(b2 & ~bh)))
-                if hit is None:
-                    raise InternalCheckError("symmetric exchange witness missing")
-                nb2, _ = side.push(m, b2, bh, hit[1], x)
+                _, y = guaranteed(hit, "symmetric exchange witness missing")
+                nb2, _ = side.push(m, b2, bh, y, x)
                 side.push(m, b1, nb2, b1c, a1c)
                 return
         raise InternalCheckError("single-swap chain exhausted every repair")
@@ -758,6 +735,8 @@ def graph_connected(
     if kind == "bpg":
         if s is not None:
             raise PreconditionViolated("the pair graph takes no multiset")
+        if 2 * r > n:
+            return True, 0  # no r-set fits in the complement of another
         # vertex (a1, a2) is the int (a1 << n) | a2
         verts: set[int] = set()
         for b1 in filter(pred, subset_masks(n, r)):

@@ -346,6 +346,34 @@ def test_cli_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv,text,err",
+    [
+        (["relax", "{f}", "--ch", "-"], P44_TEXT, "- is not a designated set of m"),
+        (["relax", "{f}", "--ch", "0,x"], P44_TEXT, "bad element 'x' in set spec '0,x'"),
+        (["relax", "{f}", "--ch", "1,1"], P44_TEXT, "repeated element 1 in set spec '1,1'"),
+        (
+            ["conj", "farber", "{f}", "--from", "0,1", "--to", "2,3"],
+            P44_TEXT,
+            "vertex spec '0,1' needs 'A1;A2'",
+        ),
+        (["validate", "{f}"], "spm 1\nn 4\n", "line 2: missing 'n' and 'r' lines"),
+    ],
+    ids=[
+        "empty-set-dash",
+        "bad-token",
+        "repeated-element",
+        "vertex-without-semicolon",
+        "missing-n-r",
+    ],
+)
+def test_cli_input_errors_exit_2(tmp_path, capsys, argv, text, err):
+    f = tmp_path / "in.txt"
+    f.write_text(text)
+    assert run_cli(*(a.format(f=f) for a in argv)) == (2, "")
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
     "cap,cmd",
     [("--cap-vertices", ["conj", "farber"]), ("--cap-explicit", ["validate"])],
     ids=["--cap-vertices", "--cap-explicit"],
@@ -631,6 +659,7 @@ def test_cli_import_loads_no_process_pool():
         "import sys; before = set(sys.modules); import sparsepaving.cli; "
         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
         "if m in sys.modules)); "
+        "print('logging' in set(sys.modules) - before); "
         "allowed = sys.stdlib_module_names | {'sparsepaving'}; "
         "print(sorted(m for m in set(sys.modules) - before "
         "if m.partition('.')[0] not in allowed))"
@@ -638,7 +667,7 @@ def test_cli_import_loads_no_process_pool():
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout == "[]\n[]\n"
+    assert out.stdout == "[]\nFalse\n[]\n"
 
 
 def test_sources_parse_at_the_python_floor():

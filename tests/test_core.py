@@ -384,6 +384,8 @@ def test_swap_witnesses_preconditions():
         swap_witnesses(P44, {0, 1}, {2, 3}, 0, {1})
     with pytest.raises(ElementOutOfRange):
         swap_witnesses(P44, {0, 1}, {2, 3}, 9, {2, 3})
+    with pytest.raises(TypeError, match="expected a SparsePavingMatroid, got ExplicitMatroid"):
+        swap_witnesses(to_explicit(P44), {0, 1}, {2, 3}, 0, {2, 3})
 
 
 def test_swap_witnesses_loses_at_most_two():

@@ -10,6 +10,7 @@ import pytest
 
 from corpusdef import CORPUS, P44, U24, gs_best, with_max_n
 from sparsepaving import (
+    ElementOutOfRange,
     GroundSetMismatch,
     InternalCheckError,
     NotBases,
@@ -165,6 +166,8 @@ def test_find_cyclic_order_frozen():
     assert find_cyclic_order(SparsePavingMatroid(3, 2, [{0, 1}])) is None
     assert find_cyclic_order(uniform(7, 3)) == tuple(range(7))
     assert find_cyclic_order(uniform(1, 1)) == (0,)
+    with pytest.raises(TypeError, match="expected a SparsePavingMatroid, got ExplicitMatroid"):
+        find_cyclic_order(to_explicit(P44))
 
 
 def test_brute_force_order_frozen():
@@ -289,12 +292,27 @@ def test_gabow_cycle_frozen():
 
 
 def test_gabow_cycle_validation():
-    with pytest.raises(NotDisjoint):
-        gabow_cycle(P44, {0, 1}, {1, 3})
-    with pytest.raises(NotBases):
-        gabow_cycle(P44, {0, 3}, {1, 2})
-    with pytest.raises(GroundSetMismatch):
-        gabow_cycle(uniform(6, 2), {0, 1}, {2, 3})
+    for form in (lambda m: m, to_explicit):
+        with pytest.raises(NotDisjoint):
+            gabow_cycle(form(P44), {0, 1}, {1, 3})
+        with pytest.raises(NotBases):
+            gabow_cycle(form(P44), {0, 3}, {1, 2})
+        with pytest.raises(ElementOutOfRange):
+            gabow_cycle(form(P44), {0, 1}, {2, 4})
+        with pytest.raises(GroundSetMismatch):
+            gabow_cycle(form(uniform(6, 2)), {0, 1}, {2, 3})
+
+
+def test_gabow_cycle_takes_the_explicit_form():
+    for name, m in with_max_n(8):
+        em = to_explicit(m)
+        b1 = min(em.bases)
+        b2 = min((b for b in em.bases if not b & b1), default=None)
+        if b2 is None:
+            continue
+        assert gabow_cycle_any(em, b1, b2) == gabow_cycle_any(m, b1, b2), name
+        if b1 | b2 == m.ground:
+            assert gabow_cycle(em, b1, b2) == gabow_cycle(m, b1, b2), name
 
 
 def test_gabow_cycle_exhaustive_small():

@@ -14,6 +14,7 @@ import pytest
 from corpusdef import CORPUS, P44, U24, gs_best, with_max_n
 from sparsepaving import (
     BasisPairVertex,
+    ElementOutOfRange,
     ExchangeViolation,
     ExplicitMatroid,
     InternalCheckError,
@@ -89,6 +90,49 @@ def test_apply_white_move_validates():
         apply_white_move(P44, state, Move(0, 1, 2, 3))  # x not in member 0
     with pytest.raises(ExchangeViolation):
         apply_white_move(P44, state, Move(0, 2, 1, 2))  # index range
+
+
+# state (0,1 | 0,2) of U(4, 2), already sorted, so every entry point sees
+# the same positions; each move breaks one condition of a symmetric exchange
+BAD_MOVES = [
+    (Move(0, 1, 3, 2), "element 3 is not in member 0 only"),
+    (Move(0, 1, 0, 2), "element 0 is not in member 0 only"),
+    (Move(0, 1, 1, 3), "element 3 is not in member 1 only"),
+    (Move(0, 1, 1, 0), "element 0 is not in member 1 only"),
+    (Move(0, 2, 1, 2), r"move indices \(0, 2\) out of range"),
+    (Move(-1, 1, 1, 2), r"move indices \(-1, 1\) out of range"),
+    (Move(1, 0, 2, 1), r"move indices \(1, 0\) out of range"),
+    (Move(1, 1, 2, 1), r"move indices \(1, 1\) out of range"),
+]
+
+
+@pytest.mark.parametrize(
+    "move,msg",
+    BAD_MOVES,
+    ids=[
+        "x-in-neither",
+        "x-in-both",
+        "y-in-neither",
+        "y-in-both",
+        "index-past-end",
+        "index-negative",
+        "i>j",
+        "i=j",
+    ],
+)
+@pytest.mark.parametrize(
+    "apply",
+    [
+        apply_white_move,
+        apply_tuple_move,
+        lambda m, st, mv: exchange.check_moves(m, st, st, [mv], ordered=False),
+        lambda m, st, mv: exchange.check_moves(m, st, st, [mv], ordered=True),
+    ],
+    ids=["apply_white_move", "apply_tuple_move", "check_moves", "check_moves-ordered"],
+)
+def test_bad_moves_are_refused(apply, move, msg):
+    with pytest.raises(ExchangeViolation, match=f"^{msg}$"):
+        apply(U24, (mask(0, 1), mask(0, 2)), move)
 
 
 def test_apply_tuple_move_keeps_positions():
@@ -261,6 +305,13 @@ def test_graph_connected_bpg_uniform_closed_form(n, r):
     assert graph_connected(uniform(n, r), "bpg") == want
 
 
+def test_graph_connected_bpg_counts_no_vertex_past_half_rank():
+    """With 2r > n no first block has a row, so no candidate is visited."""
+    start = time.perf_counter()
+    assert graph_connected(uniform(24, 13), "bpg") == (True, 0)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_graph_connected_bpg_memory():
     """The search holds one set of its 13,964 vertices: about 1.5 MiB."""
     m = graham_sloane(12, 5, 3)
@@ -290,6 +341,9 @@ def test_white_moves_validation():
         white_moves(P44, [{0, 1}, {2, 3}], [{0, 1}, {1, 3}])
     with pytest.raises(UnionMismatch):
         white_moves(P44, [{0, 1}], [{0, 1}, {2, 3}])
+    # every 2-set is a basis of U(4, 2), so only the ground check refuses this
+    with pytest.raises(ElementOutOfRange, match="src member 0,4 leaves the ground set"):
+        white_moves(U24, [{0, 4}, {1, 2}], [{0, 1}, {2, 4}])
 
 
 def test_check_moves_frozen():
