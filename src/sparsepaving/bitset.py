@@ -56,6 +56,21 @@ def bits(mask: int) -> list[int]:
     return out
 
 
+def positions(mask: int) -> list[int]:
+    """The set bits of mask, ascending, in time linear in its width.
+
+    For the 2^n-bit family ints of the definition scans, where
+    iter_elements would copy the whole int once per set bit.
+    """
+    digits = bin(mask)[:1:-1]  # bit i at index i
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
 def swap(mask: int, x: int, y: int) -> int:
     """mask - x + y, for x in mask and y outside it."""
     return (mask ^ (1 << x)) | (1 << y)

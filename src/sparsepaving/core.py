@@ -333,11 +333,27 @@ def explicit_validate(em: ExplicitMatroid) -> None:
             raise SizeMismatch(
                 f"basis {format_set(b)} has size {b.bit_count()}, expected {em.r}"
             )
-    for a in em.bases:
-        for b in em.bases:
-            for x in iter_elements(a & ~b):
-                xa = a ^ (1 << x)
-                if all((xa | (1 << y)) not in em.bases for y in iter_elements(b & ~a)):
+    # For a basis a and x in a, reach is every y with a - x + y a basis;
+    # the axiom asks each basis b without x to meet it.  Grouped by x,
+    # that is one and-test per (a, x, b), not an exchange search each.
+    # Only elements of some basis can be x or y.
+    bases = em.bases
+    span = 0
+    for b in bases:
+        span |= b
+    for x in iter_elements(span):
+        bit = 1 << x
+        avoid = [b for b in bases if not b & bit]
+        for a in bases:
+            if not a & bit:
+                continue
+            xa = a ^ bit
+            reach = 0
+            for y in iter_elements(span & ~a):
+                if xa | (1 << y) in bases:
+                    reach |= 1 << y
+            for b in avoid:
+                if not b & reach:
                     raise ExchangeViolation(
                         f"no exchange for {x} out of {format_set(a)} "
                         f"toward {format_set(b)}"
@@ -359,6 +375,74 @@ def explicit_closure(em: ExplicitMatroid, s: ElementSet) -> int:
         if (s & b).bit_count() == rk:
             reach |= b
     return em.ground & ~(reach & ~s)
+
+
+# -- whole-family tables ---------------------------------------------------------
+#
+# A family of subsets of {0, .., n-1} is one int of 2^n bits: bit A is set
+# iff the subset with mask A is in the family.  Shifting a family by 2^e
+# adds or removes element e from every member at once.
+
+
+def _element_families(n: int) -> list[int]:
+    """has[e]: the subsets that contain e, built by doubling, not by division."""
+    has = []
+    for e in range(n):
+        w = 1 << e
+        p = ((1 << w) - 1) << w  # the subsets of {0, .., e} that hold e
+        w <<= 1
+        while w >> n == 0:
+            p |= p << w
+            w <<= 1
+        has.append(p)
+    return has
+
+
+def _size_families(n: int, top: int) -> list[int]:
+    """sizes[k]: the k-subsets, for k = 0..top, one element at a time by doubling."""
+    sizes = [1] + [0] * top  # over the empty ground set
+    for e in range(n):
+        for k in range(min(top, e + 1), 0, -1):
+            sizes[k] |= sizes[k - 1] << (1 << e)
+    return sizes
+
+
+def _rank_levels(m, what: str) -> tuple[list[int], list[int]]:
+    """has[e] and the rank levels R_k = {A : r(A) >= k}, k = 0..r+1, from the bases.
+
+    The independent sets are the downward closure of the bases, and R_k
+    is the upward closure of the independent k-sets: the rank axioms
+    read off the basis family alone.  O((r + 1) * n) shifts and masks
+    on 2^n-bit ints, about n + r of them alive at once; refuses
+    n > MAX_SCAN_GROUND (20) with TooLarge("<what> over 2^n subsets
+    refused"), after the TypeError for a non-matroid.
+    """
+    pred, n, r = basis_predicate(m)
+    if n > MAX_SCAN_GROUND:
+        raise TooLarge(f"{what} over 2^{n} subsets refused")
+    if isinstance(m, ExplicitMatroid):
+        bases = m.bases
+        _check_subset(n, max(bases, default=0), "basis")
+    else:
+        bases = filter(pred, subset_masks(n, r))
+    # the basis family, one bit per subset: |= on an int would copy all
+    # 2^n bits once per basis
+    buf = bytearray(((1 << n) >> 3) + 1)
+    for b in bases:
+        buf[b >> 3] |= 1 << (b & 7)
+    ind = int.from_bytes(buf, "little")
+    has, sizes = _element_families(n), _size_families(n, r)
+    for e, h in enumerate(has):
+        ind |= (ind & h) >> (1 << e)
+    levels = []
+    for k in range(r + 1):
+        up = ind & sizes[k]
+        sizes[k] = 0  # so that about n + r families stay alive
+        for e, h in enumerate(has):
+            up |= (up << (1 << e)) & h
+        levels.append(up)
+    levels.append(0)
+    return has, levels
 
 
 def explicit_minor(

@@ -38,10 +38,11 @@ from fractions import Fraction
 
 from .bitset import ElementSet, as_mask, elements, format_set
 from .core import (
-    MAX_SCAN_GROUND,
     ExplicitMatroid,
     SparsePavingMatroid,
     _check_subset,
+    _rank_levels,
+    _size_families,
     basis_predicate,
     dual,
     explicit_rank,
@@ -128,19 +129,27 @@ def check_density(m) -> tuple[bool, ElementSet | None]:
     Sparse paving closed form: subsets that are not designated
     dependent r-sets satisfy the bound automatically (their rank is
     min(|A|, r)), and a designated set violates it iff r*r > (r-1)*n.
-    Returns (True, None) or (False, witness_mask).
+    An ExplicitMatroid is scanned as whole families: the rank levels
+    R_j of core._rank_levels against the k-subsets, the smallest
+    violating mask being the witness; n > MAX_SCAN_GROUND (20) is
+    refused.  Returns (True, None) or (False, witness_mask).
     """
     if isinstance(m, SparsePavingMatroid):
         if not m.chset or m.n * (m.r - 1) >= m.r * m.r:
             return True, None
         return False, m.chset[0]
     if isinstance(m, ExplicitMatroid):
-        if m.n > MAX_SCAN_GROUND:
-            raise TooLarge(f"explicit density scan over 2^{m.n} subsets refused")
-        for a in range(1, 1 << m.n):
-            if m.r * a.bit_count() > explicit_rank(m, a) * m.n:
-                return False, a
-        return True, None
+        n, r = m.n, m.r
+        _, levels = _rank_levels(m, "explicit density scan")
+        sizes = _size_families(n, n)
+        # a k-set breaks the bound iff its rank is below k*r/n, that is,
+        # iff it lies outside R_j for the least j with j*n >= k*r
+        bad = 0
+        for k in range(1, n + 1):
+            bad |= sizes[k] & ~levels[-(-k * r // n)]
+        if not bad:
+            return True, None
+        return False, (bad & -bad).bit_length() - 1
     raise TypeError(f"expected a matroid, got {type(m).__name__}")
 
 

@@ -9,6 +9,13 @@ sets give lower bounds on the maximum number of cyclic flats any
 matroid on n elements can have, and a packing argument gives the
 2^{n+1}/(n+2) upper bound recorded here alongside the constructive
 2^{n-1}/n^{3/2} + 2 lower bound.
+
+Outside that characterization (rank or corank below two, or an
+ExplicitMatroid) the cyclic flats come from a definition scan over
+whole families: each family of subsets is one 2^n-bit int, the rank
+levels come from the bases alone (core._rank_levels), and the closure
+and coloop tests are O(r * n) shifts and masks on those ints, with
+about n + r families of 2^n bits alive at once.
 """
 
 from __future__ import annotations
@@ -20,18 +27,18 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Callable
 
-from .bitset import ElementSet, format_set, iter_elements
+from .bitset import ElementSet, format_set, iter_elements, positions
 from .core import (
-    MAX_SCAN_GROUND,
     ExplicitMatroid,
     SparsePavingMatroid,
+    _rank_levels,
     check_ground,
     closure_of,
     explicit_closure,
     explicit_rank,
     rank_of,
 )
-from .errors import InternalCheckError, PreconditionViolated, RangeError, TooLarge
+from .errors import InternalCheckError, PreconditionViolated, RangeError
 from .construct import _class_table, _largest_class
 
 
@@ -42,13 +49,34 @@ def cyclic_flats_of(m) -> list[ElementSet]:
     flats always contain a coloop, spanning proper flats cannot be
     closed, and both degenerate directions break those facts, so they
     fall back to the definition scan.
+
+    The scan works on whole families (one 2^n-bit int each) built from
+    the bases alone by core._rank_levels.  With E_k = R_k - R_{k+1} the
+    sets of rank k, a set A in E_k is a cyclic flat unless A + e is in
+    E_k for some e outside A (A is not closed) or A - e is outside R_k
+    for some e in A (e is a coloop of A).  That is O(r * n) shifts and
+    masks on 2^n-bit ints, with about n + r families of 2^n bits alive,
+    for either representation; n > MAX_SCAN_GROUND (20) is refused.
     """
     if isinstance(m, SparsePavingMatroid) and m.r >= 2 and m.n - m.r >= 2:
         return [0, *m.chset, m.ground]
-    is_cyclic_flat = _cyclic_flat_test(m)
-    if m.n > MAX_SCAN_GROUND:
-        raise TooLarge(f"definition scan over 2^{m.n} subsets refused")
-    return [f for f in range(1 << m.n) if is_cyclic_flat(f)]
+    return _definition_scan(m)
+
+
+def _definition_scan(m) -> list[ElementSet]:
+    """Every cyclic flat by the definition, whatever the rank; see cyclic_flats_of."""
+    has, levels = _rank_levels(m, "definition scan")
+    every = levels[0]
+    out = 0
+    for k in range(len(levels) - 1):
+        at_k = levels[k] & ~levels[k + 1]
+        below = every ^ levels[k]
+        bad = 0
+        for e, h in enumerate(has):
+            w = 1 << e
+            bad |= ((at_k & h) >> w) | ((below << w) & h)
+        out |= at_k & ~bad
+    return positions(out)
 
 
 def _cyclic_flat_test(m) -> Callable[[int], bool]:

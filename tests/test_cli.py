@@ -8,6 +8,7 @@ and prints nothing.
 
 import argparse
 import ast
+import hashlib
 import io
 import os
 import re
@@ -489,6 +490,24 @@ def test_cli_flats_caps_the_explicit_definition_scan(tmp_path, p44_file):
     assert out == "count 2\nflat\nflat 0 1 2 3 4 5 6 7 8\nhist 0 1\nhist 9 1\n"
     f.write_text(serialize_matroid(to_explicit(P44)))
     assert run_cli("flats", str(f)) == run_cli("flats", p44_file)
+
+
+def test_cli_flats_on_a_726_basis_file_is_fast(tmp_path):
+    # reading the file checks the exchange axiom over 726^2 basis pairs, and
+    # the definition scan and its certificate run over 2^12 subsets
+    f = tmp_path / "gs12_5.txt"
+    f.write_text(serialize_matroid(to_explicit(graham_sloane(12, 5))))
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        code, out = run_cli("flats", str(f))
+        best = min(best, time.perf_counter() - start)
+    assert code == 0
+    assert out.startswith("count 68\nflat\nflat 0 1 2 4 5\n")
+    assert out.endswith("hist 0 1\nhist 5 66\nhist 12 1\n")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "8ed509935558c0716dea0133f1c940cf4112269a7833551600f3977f1a931262"
+    assert best < 0.5
 
 
 def test_cli_validate_refuses_huge_ground_fast(tmp_path):

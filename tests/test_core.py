@@ -25,6 +25,7 @@ from sparsepaving import (
     as_mask,
     closure_of,
     dual,
+    elements,
     explicit_closure,
     explicit_minor,
     explicit_rank,
@@ -426,6 +427,26 @@ def test_explicit_validate_frozen():
         explicit_validate(ExplicitMatroid(3, 2, []))
     with pytest.raises(SizeMismatch):
         explicit_validate(ExplicitMatroid(3, 2, [{0, 1}, {2}]))
+
+
+def test_explicit_validate_matches_the_exchange_axiom_on_every_family():
+    """Every nonempty family of r-subsets of a 5-set, r = 1, 2, 3, against the axiom."""
+    for r in (1, 2, 3):
+        pool = list(subset_masks(5, r))
+        for pick in range(1, 1 << len(pool)):
+            fam = {s for i, s in enumerate(pool) if pick >> i & 1}
+            ok = all(
+                any(a ^ (1 << x) | (1 << y) in fam for y in elements(b & ~a))
+                for a in fam
+                for b in fam
+                for x in elements(a & ~b)
+            )
+            try:
+                explicit_validate(ExplicitMatroid(5, r, fam))
+            except ExchangeViolation:
+                assert not ok, fam
+            else:
+                assert ok, fam
 
 
 def test_explicit_rank_frozen():

@@ -154,7 +154,7 @@ def test_check_density_against_explicit_scan():
 
 
 def test_check_density_explicit_guard():
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match=r"^explicit density scan over 2\^21 subsets refused$"):
         check_density(to_explicit(uniform(21, 2)))
 
 

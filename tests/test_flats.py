@@ -1,31 +1,42 @@
 """Cyclic flats, the z_n bounds, and the per-rank census."""
 
+import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
 from corpusdef import CORPUS, P44, U24, with_max_n
 from sparsepaving import (
+    ElementOutOfRange,
+    ExplicitMatroid,
     InternalCheckError,
     PreconditionViolated,
     RangeError,
+    SparsePavingMatroid,
     TooLarge,
     as_mask,
     bounds,
+    check_density,
     closure_of,
     cyclic_flats_of,
+    dual,
     explicit_closure,
     explicit_rank,
     flat_histogram,
+    graham_sloane,
+    random_sparse_paving,
     rank_of,
     to_explicit,
     uniform,
     zn_census,
 )
-from sparsepaving.core import MAX_GROUND
-from sparsepaving.flats import check_bounds, check_cyclic_flats
+from sparsepaving.core import MAX_GROUND, _rank_levels
+from sparsepaving.errors import ValidationError
+from sparsepaving.flats import _definition_scan, check_bounds, check_cyclic_flats
 
 
 def mask(*elts: int) -> int:
@@ -74,8 +85,16 @@ def test_cyclic_flats_frozen():
 
 
 def test_cyclic_flats_explicit_guard():
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match=r"^definition scan over 2\^21 subsets refused$"):
         cyclic_flats_of(to_explicit(uniform(21, 1)))
+    with pytest.raises(TooLarge, match=r"^definition scan over 2\^21 subsets refused$"):
+        cyclic_flats_of(uniform(21, 1))
+    # a non-matroid is refused by type before its size is looked at
+    with pytest.raises(TypeError, match="^expected a matroid, got SimpleNamespace$"):
+        cyclic_flats_of(SimpleNamespace(n=21, r=1))
+    # an unvalidated basis list is range-checked before it becomes a family
+    with pytest.raises(ElementOutOfRange, match="^basis 5 is not inside 0..2$"):
+        cyclic_flats_of(ExplicitMatroid(3, 1, [1 << 5]))
 
 
 @pytest.mark.parametrize("name,m", with_max_n(12), ids=[n for n, _ in with_max_n(12)])
@@ -105,6 +124,92 @@ def test_fast_path_matches_explicit_enumeration(name, m):
     assert sorted(cyclic_flats_of(m)) == want
     assert sorted(cyclic_flats_of(em)) == want
     assert_check_judges(em, want, want)
+
+
+def _scan_cases(n):
+    """Every matroid of the family-scan differential test with ground size n."""
+    g = (1 << n) - 1
+    out = [(f"u{n}_{r}", uniform(n, r)) for r in range(n + 1)] if n <= 8 else []
+    if 4 <= n <= 11:
+        for r in range(n + 1):
+            for c in range(n):
+                try:
+                    out.append((f"gs{n}_{r}_{c}", graham_sloane(n, r, c)))
+                except ValidationError:  # the class is every r-set
+                    pass
+    if 4 <= n <= 10:
+        for seed in range(n * 100, n * 100 + 43):
+            m = random_sparse_paving(n, seed % (n + 1), seed=seed, max_sets=1 + seed % 9)
+            out += [(f"rnd{seed}", m), (f"rnd{seed}*", dual(m))]
+    if n >= 3:
+        for e in range(n):
+            out.append((f"one{n}_{e}", SparsePavingMatroid(n, 1, [1 << e])))
+            out.append((f"co{n}_{e}", SparsePavingMatroid(n, n - 1, [g ^ (1 << e)])))
+    return out
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_family_scan_matches_per_subset_scan(n):
+    """The whole-family scan against the per-subset definition, at every rank.
+
+    Uniform matroids up to n = 8 (n = 0, r = 0 and r = n included),
+    every residue class for n 4-11, 301 seeded random sparse paving
+    matroids with their duals (n 4-10), and every rank-1 and corank-1
+    single-set family for n 3-14; explicit forms too, up to n = 10.
+    """
+    cases = _scan_cases(n)
+    assert cases
+    for name, m in cases:
+        want = scan_cyclic_flats(m)
+        assert _definition_scan(m) == want, name
+        assert cyclic_flats_of(m) == want, name
+        if n <= 10:
+            assert _definition_scan(to_explicit(m)) == want, name
+
+
+@pytest.mark.parametrize("name,m", with_max_n(9), ids=[n for n, _ in with_max_n(9)])
+def test_rank_levels_match_explicit_rank(name, m):
+    """R_k holds exactly the subsets of rank >= k, for the explicit form.
+
+    The same per-subset ranks give the density witness the ascending
+    scan returns and the cyclic flats by the definition.
+    """
+    em = to_explicit(m)
+    rank = [explicit_rank(em, a) for a in range(1 << m.n)]
+    _, levels = _rank_levels(em, "definition scan")
+    assert len(levels) == m.r + 2
+    for k, level in enumerate(levels):
+        assert level == sum(1 << a for a, rk in enumerate(rank) if rk >= k), (name, k)
+    bad = [a for a in range(1, 1 << m.n) if m.r * a.bit_count() > rank[a] * m.n]
+    assert check_density(em) == ((False, bad[0]) if bad else (True, None))
+    one = [1 << e for e in range(m.n)]
+    flats = [
+        a
+        for a in range(1 << m.n)
+        if all(rank[a | b] > rank[a] for b in one if not a & b)
+        and all(rank[a ^ b] == rank[a] for b in one if a & b)
+    ]
+    assert _definition_scan(em) == cyclic_flats_of(em) == flats
+
+
+def test_definition_scan_at_the_scan_cap_is_fast_and_small():
+    # corank 1 at n = MAX_SCAN_GROUND: 21 rank levels of 2^20 bits; the
+    # designated set {0, .., 18} is a hyperplane and 19 a coloop
+    m = SparsePavingMatroid(20, 19, [(1 << 19) - 1])
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        flats = cyclic_flats_of(m)
+        best = min(best, time.perf_counter() - start)
+    assert flats == [0, (1 << 19) - 1]
+    assert best < 2.0
+    tracemalloc.start()
+    try:
+        cyclic_flats_of(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 << 20
 
 
 def test_flat_histogram_frozen():
