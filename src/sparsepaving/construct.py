@@ -22,7 +22,8 @@ order, which is enough to produce awkward test instances.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+import sys
+from itertools import combinations, filterfalse
 from math import comb
 from operator import add
 
@@ -156,26 +157,77 @@ def random_sparse_paving(
 
     Candidates are visited in a shuffled order and kept when they stay
     at symmetric difference >= 4 from everything kept so far and leave
-    at least one basis.  The proximity test hashes (r-1)-subsets, the
-    same trick validate() uses.
+    at least one basis.  Up to n = 61 (on 64-bit builds) the test is one
+    lookup in a set of blocked r-sets (_greedy_blocked); wider masks
+    share hash values, so there each candidate looks its (r-1)-subsets
+    up instead (_greedy_by_shadows).
+
+    Memory: the shuffled pool holds C(n, r) masks, the count that cap
+    (MAX_EXPLICIT_WORK by default) bounds, and the blocked set at most
+    as many.
     """
     _check_nr(n, r, cap)
     rng = random.Random(seed)
     pool = list(subset_masks(n, r))
     rng.shuffle(pool)
-    total = len(pool)
+    limit = len(pool) - 1  # keep one basis
+    if max_sets is not None:
+        limit = min(limit, max_sets)
+    if n <= _HASHED_EXACTLY:
+        taken = _greedy_blocked(pool, n, limit)
+    else:
+        taken = _greedy_by_shadows(pool, limit)
+    m = SparsePavingMatroid(n, r, taken)
+    validate(m)
+    return m
+
+
+# Python hashes an int by its value mod 2^61 - 1 (on 64-bit builds), so
+# distinct subsets of a ground set this small never share a hash value;
+# the r-subsets of a 200-set share about 38,000 values among 1.3 million
+# 3-sets, and every set operation on them walks long collision chains.
+_HASHED_EXACTLY = sys.hash_info.modulus.bit_length()
+
+
+def _greedy_blocked(pool: list[int], n: int, limit: int) -> list[int]:
+    """The greedy pass, one set lookup per candidate; consumes pool.
+
+    Two distinct r-sets are at symmetric difference 2 exactly when one
+    is s - x + y for the other, s, with x in s and y outside it.  So
+    keeping s puts every such r-set into a blocked set, and a later
+    candidate is skipped exactly when it is blocked.  The blocked set
+    holds at most C(n, r) masks.  The pool is consumed from its end, so
+    a candidate already read is freed unless it is blocked.
+    """
+    pool.append(-1)  # no mask is negative: the end marker, read last
+    pool.reverse()
+    singles = [1 << e for e in range(n)]
+    taken: list[int] = []
+    blocked: set[int] = set()
+    for s in filterfalse(blocked.__contains__, iter(pool.pop, -1)):
+        if len(taken) >= limit:
+            break
+        taken.append(s)
+        drops = [s ^ x for x in singles if x & s]
+        adds = [y for y in singles if not y & s]
+        blocked.update([d | y for d in drops for y in adds])
+    return taken
+
+
+def _greedy_by_shadows(pool: list[int], limit: int) -> list[int]:
+    """The greedy pass for wide masks: r lookups per candidate.
+
+    A candidate is kept when none of its (r-1)-subsets is one of a set
+    kept earlier; the set of those subsets holds r per kept set.
+    """
     taken: list[int] = []
     seen: set[int] = set()
     for s in pool:
-        if max_sets is not None and len(taken) >= max_sets:
+        if len(taken) >= limit:
             break
-        if len(taken) + 1 == total:
-            break  # keep one basis
         keys = [s ^ (1 << e) for e in iter_elements(s)]
         if any(k in seen for k in keys):
             continue
         seen.update(keys)
         taken.append(s)
-    m = SparsePavingMatroid(n, r, taken)
-    validate(m)
-    return m
+    return taken

@@ -115,9 +115,13 @@ def validate(m: SparsePavingMatroid) -> None:
     """Raise a ValidationError subclass if m is not well formed.
 
     The pairwise separation check is exact but avoids the quadratic
-    pair scan: two r-sets at symmetric difference 2 share an (r-1)-set,
-    so hashing every (r-1)-subset of every designated set finds all
-    close pairs in O(len(chset) * r).
+    pair scan: two distinct r-sets are at symmetric difference 2
+    exactly when they share an (r-1)-subset.  Every (r-1)-subset of
+    every designated set goes into one set, and the family is separated
+    exactly when that set ends with r * len(chset) members, in
+    O(len(chset) * r).  Only when it falls short is the pair located,
+    by a second pass that names the first set in chset order with an
+    (r-1)-subset already seen and the first set that had it.
     """
     check_ground(m.n)
     if not 0 <= m.r <= m.n:
@@ -128,22 +132,36 @@ def validate(m: SparsePavingMatroid) -> None:
             raise SizeMismatch(
                 f"designated set {format_set(h)} has size {h.bit_count()}, expected {m.r}"
             )
-    seen: dict[int, int] = {}
+    shadows: set[int] = set()
+    add = shadows.add
     for h in m.chset:
         rest = h
         while rest:
             low = rest & -rest
+            add(h ^ low)
             rest ^= low
-            other = seen.setdefault(h ^ low, h)
+    if len(shadows) != m.r * len(m.chset):
+        _raise_close_pair(m.chset)
+    # chset holds distinct r-sets, so no basis is left exactly when it has
+    # C(n, r) of them
+    if not _comb_exceeds(m.n, m.r, len(m.chset)):
+        raise NoBasis(f"all {len(m.chset)} r-subsets are designated dependent")
+
+
+def _raise_close_pair(chset: tuple[int, ...]) -> None:
+    """Name the first close pair of chset, in the order validate reports it."""
+    first: dict[int, int] = {}
+    for h in chset:
+        rest = h
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            other = first.setdefault(h ^ low, h)
             if other != h:
                 raise DistanceViolation(
                     f"designated sets {format_set(other)} and {format_set(h)} "
                     "are at symmetric difference 2"
                 )
-    # chset holds distinct r-sets, so no basis is left exactly when it has
-    # C(n, r) of them
-    if not _comb_exceeds(m.n, m.r, len(m.chset)):
-        raise NoBasis(f"all {len(m.chset)} r-subsets are designated dependent")
 
 
 def is_basis(m: SparsePavingMatroid, s: ElementSet) -> bool:

@@ -18,7 +18,7 @@ normal form for t.  Parsed content is validated before it is returned.
 
 from __future__ import annotations
 
-from .bitset import elements
+from .bitset import iter_elements
 from .core import (
     MAX_EXPLICIT_WORK,
     MAX_GROUND,
@@ -112,7 +112,10 @@ def serialize_matroid(m) -> str:
         head, tag, body = "bases 1", "b", tuple(sorted(m.bases))
     else:
         raise TypeError(f"expected a matroid, got {type(m).__name__}")
+    # one label per element, looked up instead of formatted on every line;
+    # the masks ascend, so the last one holds the highest element
+    names = [str(e) for e in range(body[-1].bit_length())] if body else []
+    label = names.__getitem__
     lines = [head, f"n {m.n}", f"r {m.r}"]
-    for s in body:
-        lines.append(" ".join([tag, *[str(e) for e in elements(s)]]))
+    lines += [" ".join([tag, *map(label, iter_elements(s))]) for s in body]
     return "\n".join(lines) + "\n"

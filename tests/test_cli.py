@@ -37,7 +37,7 @@ from sparsepaving import (
     to_explicit,
     uniform,
 )
-from sparsepaving.bitset import subset_masks
+from sparsepaving.bitset import elements, subset_masks
 from sparsepaving.cli import main
 
 P44_TEXT = "spm 1\nn 4\nr 2\nch 1 2\nch 0 3\n"
@@ -64,6 +64,35 @@ def test_serialize_frozen():
     assert (
         serialize_matroid(ExplicitMatroid(3, 2, [{1, 2}, {0, 1}]))
         == "bases 1\nn 3\nr 2\nb 0 1\nb 1 2\n"
+    )
+
+
+def format_per_element(m):
+    """The serializer as it first stood, kept as the reference: str() per element."""
+    if isinstance(m, SparsePavingMatroid):
+        head, tag, body = "spm 1", "ch", m.chset
+    else:
+        head, tag, body = "bases 1", "b", tuple(sorted(m.bases))
+    lines = [head, f"n {m.n}", f"r {m.r}"]
+    for s in body:
+        lines.append(" ".join([tag, *[str(e) for e in elements(s)]]))
+    return "\n".join(lines) + "\n"
+
+
+def test_serialize_matches_the_per_element_formatter():
+    cases = [m for _, m in CORPUS]
+    cases += [to_explicit(m) for m in cases if m.n <= 9]
+    cases += [graham_sloane(4096, 2, c) for c in (0, 5, 4095)]
+    cases += [
+        SparsePavingMatroid(4096, 1, [1 << 4095]),
+        ExplicitMatroid(4096, 1, [1 << 4095]),
+        SparsePavingMatroid(0, 0, []),
+        SparsePavingMatroid(12, 5, []),
+    ]
+    for m in cases:
+        assert serialize_matroid(m) == format_per_element(m), m
+    assert serialize_matroid(SparsePavingMatroid(4096, 1, [1 << 4095])).endswith(
+        "\nch 4095\n"
     )
 
 
@@ -223,6 +252,13 @@ def test_cli_dual_relax_minor(p44_file, tmp_path):
     assert (code, out) == (0, "# labels 0 1 2\nbases 1\nn 3\nr 2\nb 0 1\nb 0 2\n")
     code, out = run_cli("minor", str(f), "--contract", "0")
     assert (code, out) == (0, "# labels 1 2 3\nbases 1\nn 3\nr 1\nb 0\nb 1\n")
+
+
+def test_cli_explicit_minor_element_outside_exits_2(tmp_path, capsys):
+    f = tmp_path / "p44b.txt"
+    f.write_text(P44_BASES_TEXT)
+    assert run_cli("minor", str(f), "--delete", "4") == (2, "")
+    assert capsys.readouterr().err == "error: element 4 not in 0..3\n"
 
 
 def test_cli_order_cyclic(p44_file, tmp_path):

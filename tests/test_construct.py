@@ -1,6 +1,7 @@
 """Residue-class and randomized constructors."""
 
 import hashlib
+import random
 import sys
 import time
 import tracemalloc
@@ -24,6 +25,7 @@ from sparsepaving import (
     subset_masks,
     validate,
 )
+from sparsepaving.bitset import iter_elements
 
 
 def test_p44_is_the_residue_3_class():
@@ -251,6 +253,76 @@ def test_random_sparse_paving_frozen():
         text = serialize_matroid(random_sparse_paving(n, r, seed=seed, max_sets=max_sets))
         got = (len(text), hashlib.sha256(text.encode()).hexdigest())
         assert got == expect, (n, r, seed, max_sets)
+
+
+def greedy_by_shadows(n, r, seed, max_sets=None):
+    """The generator's greedy loop as it first stood, kept as the reference.
+
+    Each candidate hashes its (r-1)-subsets and is kept when none of
+    them belongs to a set kept earlier.
+    """
+    rng = random.Random(seed)
+    pool = list(subset_masks(n, r))
+    rng.shuffle(pool)
+    total = len(pool)
+    taken = []
+    seen = set()
+    for s in pool:
+        if max_sets is not None and len(taken) >= max_sets:
+            break
+        if len(taken) + 1 == total:
+            break  # keep one basis
+        keys = [s ^ (1 << e) for e in iter_elements(s)]
+        if any(k in seen for k in keys):
+            continue
+        seen.update(keys)
+        taken.append(s)
+    return tuple(sorted(taken))
+
+
+def test_random_generator_matches_the_shadow_greedy():
+    """The blocked-set loop against the shadow-hashing loop, every n <= 10.
+
+    max_sets binding, 0 and unset; r = 0 and r = n, where the keep-one-basis
+    stop takes nothing; rank 1 and corank 1, where it fires at n = 2.
+    """
+    for n in range(1, 11):
+        for r in range(n + 1):
+            for seed in range(4):
+                for max_sets in (None, 0, 1, 3, 7):
+                    got = random_sparse_paving(n, r, seed=seed, max_sets=max_sets)
+                    want = greedy_by_shadows(n, r, seed, max_sets)
+                    assert got.chset == want, (n, r, seed, max_sets)
+    assert random_sparse_paving(5, 0, seed=0).chset == ()
+    assert random_sparse_paving(5, 5, seed=0).chset == ()
+    assert len(random_sparse_paving(2, 1, seed=0).chset) == 1
+    assert len(random_sparse_paving(2, 1, seed=0, max_sets=5).chset) == 1
+
+
+def greedy_pairwise(n, r, seed, max_sets=None):
+    """The definition: keep a candidate at symmetric difference >= 4 from all kept."""
+    pool = list(subset_masks(n, r))
+    random.Random(seed).shuffle(pool)
+    limit = len(pool) - 1 if max_sets is None else min(max_sets, len(pool) - 1)
+    taken = []
+    for s in pool:
+        if len(taken) >= limit:
+            break
+        if all((s ^ t).bit_count() >= 4 for t in taken):
+            taken.append(s)
+    return tuple(sorted(taken))
+
+
+def test_random_generator_on_both_sides_of_the_hash_width():
+    """Masks of up to 61 elements take the blocked set, wider ones the shadows."""
+    for n in (60, 61, 62, 63, 70):
+        for r in (1, 2, n - 2, n - 1):
+            for seed, max_sets in ((0, None), (1, 6)):
+                got = random_sparse_paving(n, r, seed=seed, max_sets=max_sets).chset
+                assert got == greedy_pairwise(n, r, seed, max_sets), (n, r, seed)
+    assert random_sparse_paving(64, 3, seed=2, max_sets=20).chset == greedy_pairwise(
+        64, 3, 2, 20
+    )
 
 
 def test_random_generator_respects_target_and_validates():

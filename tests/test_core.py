@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 from math import comb
 
 import pytest
@@ -14,6 +15,7 @@ from sparsepaving import (
     EmptyBases,
     ExchangeViolation,
     ExplicitMatroid,
+    MatroidError,
     NoBasis,
     NotACircuitHyperplane,
     NotBases,
@@ -42,7 +44,8 @@ from sparsepaving import (
     uniform,
     validate,
 )
-from sparsepaving.core import MAX_GROUND, _comb_exceeds
+from sparsepaving.bitset import format_set, lowest_element
+from sparsepaving.core import MAX_GROUND, _comb_exceeds, check_ground
 from sparsepaving.errors import TooLarge
 
 
@@ -59,6 +62,18 @@ def test_subset_masks_match_combinations():
         for r in range(-1, n + 2):
             want = [as_mask(c) for c in itertools.combinations(range(n), r)] if r >= 0 else []
             assert list(subset_masks(n, r)) == want, (n, r)
+
+
+def test_bitset_input_checks():
+    with pytest.raises(ValueError, match="^element-set masks are non-negative$"):
+        as_mask(-1)
+    with pytest.raises(ValueError, match="^elements are non-negative integers$"):
+        as_mask([0, "1"])
+    with pytest.raises(ValueError, match="^elements are non-negative integers$"):
+        as_mask([2, -1])
+    with pytest.raises(ValueError, match="^the empty set has no lowest element$"):
+        lowest_element(0)
+    assert lowest_element(mask(3, 5)) == 3
 
 
 # -- validation ----------------------------------------------------------------
@@ -170,6 +185,88 @@ def test_validate_error_precedence_and_messages(case):
         validate(SparsePavingMatroid(n, r, chset))
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+def validate_by_setdefault(m):
+    """validate's separation pass as it first stood, kept as the reference.
+
+    One setdefault per (r-1)-subset: the first set in chset order with a
+    subset already seen is named together with the first set that had it.
+    """
+    check_ground(m.n)
+    if not 0 <= m.r <= m.n:
+        raise RankOutOfRange(f"rank {m.r} not in 0..{m.n}")
+    for h in m.chset:
+        if h < 0 or h >> m.n:
+            raise ElementOutOfRange(
+                f"designated set {format_set(h)} is not inside 0..{m.n - 1}"
+            )
+        if h.bit_count() != m.r:
+            raise SizeMismatch(
+                f"designated set {format_set(h)} has size {h.bit_count()}, expected {m.r}"
+            )
+    seen = {}
+    for h in m.chset:
+        for e in elements(h):
+            other = seen.setdefault(h ^ (1 << e), h)
+            if other != h:
+                raise DistanceViolation(
+                    f"designated sets {format_set(other)} and {format_set(h)} "
+                    "are at symmetric difference 2"
+                )
+    if comb(m.n, m.r) <= len(m.chset):
+        raise NoBasis(f"all {len(m.chset)} r-subsets are designated dependent")
+
+
+def outcome(check, m):
+    try:
+        check(m)
+    except MatroidError as err:
+        return type(err), str(err)
+    return None
+
+
+def test_validate_names_the_first_close_pair_not_a_neighbour():
+    # {0,1,6} is the first set with a shadow already seen, {0,1} of {0,1,2},
+    # two places back; {2,3,6} and {2,3,5} collide after it
+    m = SparsePavingMatroid(8, 3, [{0, 1, 2}, {0, 3, 4}, {2, 3, 5}, {0, 1, 6}, {2, 3, 6}])
+    assert [format_set(h) for h in m.chset] == ["0,1,2", "0,3,4", "2,3,5", "0,1,6", "2,3,6"]
+    want = (
+        DistanceViolation,
+        "designated sets 0,1,2 and 0,1,6 are at symmetric difference 2",
+    )
+    assert outcome(validate, m) == outcome(validate_by_setdefault, m) == want
+
+
+def test_validate_matches_the_setdefault_pass_on_random_families():
+    """Same exception and message, or none, as the reference pass.
+
+    Over a hundred families have two or more close pairs, the named pair
+    not neighbours in chset; some members are out of range or of the wrong
+    size, which must still win over a close pair.
+    """
+    rng = random.Random(20261018)
+    kinds = Counter()
+    for _ in range(6000):
+        n = rng.randint(1, 12)
+        r = rng.randint(0, n)
+        pool = list(subset_masks(n, r))
+        chset = rng.sample(pool, rng.randint(0, min(len(pool), 16)))
+        if rng.random() < 0.15:
+            chset.append(rng.randrange(1, 1 << (n + 2)))
+        m = SparsePavingMatroid(n, r, chset)
+        got = outcome(validate, m)
+        assert got == outcome(validate_by_setdefault, m), m
+        kinds[got[0] if got else None] += 1
+        if got and got[0] is DistanceViolation:
+            labels = [format_set(h) for h in m.chset]
+            words = got[1].split()
+            gap = labels.index(words[4]) - labels.index(words[2])
+            pairs = itertools.combinations(m.chset, 2)
+            close = sum((a ^ b).bit_count() == 2 for a, b in pairs)
+            kinds["several close pairs, the named two apart"] += close >= 2 and gap > 1
+    assert set(kinds) >= {None, DistanceViolation, ElementOutOfRange, SizeMismatch, NoBasis}
+    assert kinds["several close pairs, the named two apart"] > 100, kinds
 
 
 def test_comb_exceeds_matches_comb():
@@ -319,6 +416,18 @@ def test_minor_errors():
         minor(P44, "delete", 4)
     with pytest.raises(PreconditionViolated):
         minor(P44, "truncate", 0)
+
+
+def test_explicit_minor_errors():
+    em = to_explicit(P44)
+    with pytest.raises(
+        PreconditionViolated, match="^kind must be 'delete' or 'contract', got 'truncate'$"
+    ):
+        explicit_minor(em, "truncate", 0)
+    with pytest.raises(ElementOutOfRange, match=r"^element 4 not in 0\.\.3$"):
+        explicit_minor(em, "delete", 4)
+    with pytest.raises(ElementOutOfRange, match=r"^element -1 not in 0\.\.3$"):
+        explicit_minor(em, "contract", -1)
 
 
 def test_minor_degenerate_fallbacks():

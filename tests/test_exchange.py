@@ -79,6 +79,15 @@ def test_multiset_canonicalization():
     assert Multiset([(2, 0), (1, 2)]) == Multiset.from_elements([1, 1])
 
 
+def test_multiset_input_checks():
+    with pytest.raises(ElementOutOfRange, match="^bad multiset element -1$"):
+        Multiset([(-1, 1)])
+    with pytest.raises(ElementOutOfRange, match="^bad multiset element '2'$"):
+        Multiset.from_elements([0, "2"])
+    with pytest.raises(PreconditionViolated, match="^negative multiplicity$"):
+        Multiset([(0, 1), (1, -1)])
+
+
 def test_apply_white_move_validates():
     state = (mask(0, 1), mask(2, 3))
     out = apply_white_move(P44, state, Move(0, 1, 1, 2))
@@ -151,8 +160,13 @@ def test_bpg_vertex_validation():
         bpg_vertex(P44, {0, 1}, {1, 2}, {3})
     with pytest.raises(UnionMismatch):
         bpg_vertex(uniform(5, 2), {0, 1}, {2, 3}, set())
-    with pytest.raises(NotAVertex):
+    with pytest.raises(NotAVertex, match="^first block 0,3 is not a basis$"):
         bpg_vertex(P44, {0, 3}, {1, 2}, set())
+    with pytest.raises(NotAVertex, match="^second block 2,3 is not a basis$"):
+        bpg_vertex(SparsePavingMatroid(5, 2, [{2, 3}]), {0, 1}, {2, 3}, {4})
+    # every block is range-checked before disjointness and cover
+    with pytest.raises(ElementOutOfRange, match="^block 1,5 leaves the ground set$"):
+        bpg_vertex(P44, {0, 1}, {2, 3}, {1, 5})
 
 
 def test_bpg_adjacency_frozen():
@@ -446,6 +460,19 @@ def test_graph_connected_collections_frozen():
         graph_connected(P44, "white_multiset")
     with pytest.raises(PreconditionViolated):
         graph_connected(P44, "white_multiset", s=Multiset.from_elements([0]))
+
+
+def test_graph_connected_collection_input_checks():
+    outside = "^multiset element {} outside the ground set$"
+    with pytest.raises(ElementOutOfRange, match=outside.format(4)):
+        graph_connected(P44, "white_multiset", s=Multiset.from_elements([0, 4]))
+    # the element check comes before the rank-zero check
+    with pytest.raises(ElementOutOfRange, match=outside.format(3)):
+        graph_connected(uniform(3, 0), "white_tuple", s=Multiset.from_elements([3]))
+    with pytest.raises(PreconditionViolated, match="^rank zero admits only the empty union$"):
+        graph_connected(uniform(3, 0), "white_tuple", s=Multiset.from_elements([1]))
+    empty = Multiset.from_elements([])
+    assert graph_connected(uniform(3, 0), "white_multiset", s=empty) == (True, 1)
 
 
 def test_graph_connected_matches_walks():

@@ -36,7 +36,12 @@ from sparsepaving import (
 )
 from sparsepaving.core import MAX_GROUND, _rank_levels
 from sparsepaving.errors import ValidationError
-from sparsepaving.flats import _definition_scan, check_bounds, check_cyclic_flats
+from sparsepaving.flats import (
+    _cyclic_flat_test,
+    _definition_scan,
+    check_bounds,
+    check_cyclic_flats,
+)
 
 
 def mask(*elts: int) -> int:
@@ -124,6 +129,24 @@ def test_fast_path_matches_explicit_enumeration(name, m):
     assert sorted(cyclic_flats_of(m)) == want
     assert sorted(cyclic_flats_of(em)) == want
     assert_check_judges(em, want, want)
+
+
+def cyclic_flat_by_definition(em, f):
+    """Closed, and no element of f drops its rank: one rank per element."""
+    if explicit_closure(em, f) != f:
+        return False
+    rf = explicit_rank(em, f)
+    return all(explicit_rank(em, f & ~(1 << e)) == rf for e in range(em.n) if (f >> e) & 1)
+
+
+@pytest.mark.parametrize("name,m", with_max_n(8), ids=[n for n, _ in with_max_n(8)])
+def test_cyclic_flat_test_matches_the_definition_on_every_subset(name, m):
+    """The two-pass basis test judges every subset as the per-element definition."""
+    em = to_explicit(m)
+    test, spm_test = _cyclic_flat_test(em), _cyclic_flat_test(m)
+    for f in range(1 << m.n):
+        want = cyclic_flat_by_definition(em, f)
+        assert test(f) == spm_test(f) == want, (name, f)
 
 
 def _scan_cases(n):
