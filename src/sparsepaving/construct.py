@@ -183,9 +183,11 @@ def random_sparse_paving(
 
 
 # Python hashes an int by its value mod 2^61 - 1 (on 64-bit builds), so
-# distinct subsets of a ground set this small never share a hash value;
-# the r-subsets of a 200-set share about 38,000 values among 1.3 million
-# 3-sets, and every set operation on them walks long collision chains.
+# distinct r-subsets of a ground set this small never share a hash value
+# (the one collision at n = 61, the empty set and the full set, is
+# between sets of different sizes); the r-subsets of a 200-set share
+# about 38,000 values among 1.3 million 3-sets, and every set operation
+# on them walks long collision chains.
 _HASHED_EXACTLY = sys.hash_info.modulus.bit_length()
 
 

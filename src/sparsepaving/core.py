@@ -387,12 +387,24 @@ def explicit_rank(em: ExplicitMatroid, s: ElementSet) -> int:
 def explicit_closure(em: ExplicitMatroid, s: ElementSet) -> int:
     """s plus each element that no basis B with |B & s| = rank(s) contains."""
     s = as_mask(s)
-    rk = explicit_rank(em, s)
-    reach = 0
-    for b in em.bases:
+    _check_subset(em.n, s)
+    _, reach, _ = _rank_attaining(em, s)
+    return em.ground & ~(reach & ~s)
+
+
+def _rank_attaining(em: ExplicitMatroid, s: int) -> tuple[int, int, int]:
+    """rank(s), and the OR and the AND of the bases B with |B & s| = rank(s).
+
+    Two passes over the bases.
+    """
+    bases = em.bases
+    rk = max((s & b).bit_count() for b in bases)
+    reach, common = 0, em.ground
+    for b in bases:
         if (s & b).bit_count() == rk:
             reach |= b
-    return em.ground & ~(reach & ~s)
+            common &= b
+    return rk, reach, common
 
 
 # -- whole-family tables ---------------------------------------------------------

@@ -31,6 +31,7 @@ from .bitset import ElementSet, format_set, iter_elements, positions
 from .core import (
     ExplicitMatroid,
     SparsePavingMatroid,
+    _rank_attaining,
     _rank_levels,
     check_ground,
     closure_of,
@@ -80,8 +81,9 @@ def _definition_scan(m) -> list[ElementSet]:
 def _cyclic_flat_test(m) -> Callable[[int], bool]:
     """The definition: f is closed and dropping any element keeps its rank.
 
-    For an ExplicitMatroid that is two passes over the bases per flat:
-    one for rank(f), and one over the bases B with |f & B| = rank(f).
+    For an ExplicitMatroid that is two passes over the bases per flat
+    (core._rank_attaining): one for rank(f), and one over the bases B
+    with |f & B| = rank(f).
     f is closed exactly when those B together hold every element outside
     f (their OR), and e in f is a coloop of f exactly when every such B
     holds e (their AND): r(f - e) = r(f) needs one of them without e.
@@ -97,15 +99,10 @@ def _cyclic_flat_test(m) -> Callable[[int], bool]:
         return is_cyclic_flat
     if not isinstance(m, ExplicitMatroid):
         raise TypeError(f"expected a matroid, got {type(m).__name__}")
-    bases, ground = m.bases, m.ground
+    ground = m.ground
 
     def is_explicit_cyclic_flat(f: int) -> bool:
-        rf = max((f & b).bit_count() for b in bases)
-        reach, common = 0, ground
-        for b in bases:
-            if (f & b).bit_count() == rf:
-                reach |= b
-                common &= b
+        _, reach, common = _rank_attaining(m, f)
         return not ground & ~f & ~reach and not f & common
 
     return is_explicit_cyclic_flat

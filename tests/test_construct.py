@@ -325,6 +325,18 @@ def test_random_generator_on_both_sides_of_the_hash_width():
     )
 
 
+def test_random_generator_stays_fast_on_wide_masks():
+    """Above n = 61 the greedy pass must not key a set by whole r-sets.
+
+    Int hashes fold bit e onto bit e - 61, so the 499,500 pairs of a
+    1000-set share about 1,900 hash values.  A blocked set of them walks
+    long collision chains: 16 s and 154 MiB peak RSS for this call, against
+    2.4 s and 80 MiB with the (r-1)-subset lookups (2-vCPU x86-64 host).
+    The bound leaves 3x headroom over the latter.
+    """
+    assert _timed(random_sparse_paving, 1000, 2, 1) < 7.5
+
+
 def test_random_generator_respects_target_and_validates():
     for seed in range(8):
         m = random_sparse_paving(9, 4, seed=seed, max_sets=7)
