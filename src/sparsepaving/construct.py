@@ -162,11 +162,15 @@ def random_sparse_paving(
     share hash values, so there each candidate looks its (r-1)-subsets
     up instead (_greedy_by_shadows).
 
-    Memory: the shuffled pool holds C(n, r) masks, the count that cap
-    (MAX_EXPLICIT_WORK by default) bounds, and the blocked set at most
-    as many.
+    Memory: the shuffled pool holds C(n, r) masks of ceil(n / 64)
+    machine words each, and the blocked set at most as many.  cap
+    (MAX_EXPLICIT_WORK by default) bounds C(n, r) * ceil(n / 64), checked
+    before the pool is listed.
     """
-    _check_nr(n, r, cap)
+    _check_nr(n, r)
+    words = -(-n // 64)
+    if _comb_exceeds(n, r, cap // words):
+        raise TooLarge(f"C({n}, {r}) {words}-word r-subsets exceed the cap {cap}")
     rng = random.Random(seed)
     pool = list(subset_masks(n, r))
     rng.shuffle(pool)

@@ -19,6 +19,7 @@ because it would contradict those guarantees.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import Counter
@@ -563,9 +564,17 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     side: smallest symmetric difference, then smallest src member, then
     smallest dst member.  Equal members are matched and leave the
     search; otherwise one of the two is advanced toward the other.
-    Every src member keeps its nearest dst member, recomputed only when
-    that member leaves and compared only against members that appear,
-    so a round costs O(k) for k members instead of a scan of all pairs.
+    The pairs wait in a lazy heap of (distance, src, dst) tuples, whose
+    order is that tie-break.  best[a] is a lower bound on the nearest
+    pair of the src value a: a dst value that appears lowers it where it
+    is nearer, and one that leaves changes nothing, so the bound is
+    exact while its dst member is still unmatched.  An entry at the top
+    that is no longer some best[a] is dropped; one whose dst member has
+    left is rescanned against the unmatched dst values and pushed back.
+    So an entry that survives the top is exact and at most every other
+    bound, hence at most every other pair: the global minimum.  The heap
+    is rebuilt from best once it holds more than twice the live entries,
+    which keeps memory O(k) for k members.
     """
     s_members = tuple(sorted(_as_members(m, src, "src")))
     d_members = tuple(sorted(_as_members(m, dst, "dst")))
@@ -580,12 +589,22 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     side_d = _Side(d_members)
     targets = side_d.act
 
-    def nearest(a: int) -> tuple[int, int]:
-        return min(((a ^ b).bit_count(), b) for b in targets)
+    def nearest(a: int) -> tuple[int, int, int]:
+        return min(((a ^ b).bit_count(), a, b) for b in targets)
 
-    near = {a: nearest(a) for a in side_s.act}
-    while near:
-        dist, a_val, b_val = min((d, a, b) for a, (d, b) in near.items())
+    best = {a: nearest(a) for a in side_s.act}
+    heap = list(best.values())
+    heapq.heapify(heap)
+    while best:
+        top = heap[0]
+        dist, a_val, b_val = top
+        if best.get(a_val) != top:
+            heapq.heappop(heap)  # superseded, or a_val is matched
+            continue
+        if b_val not in targets:  # stale: its dst member has left
+            best[a_val] = exact = nearest(a_val)
+            heapq.heapreplace(heap, exact)
+            continue
         if dist == 0:
             side_s.match(a_val)
             side_d.match(a_val)
@@ -600,24 +619,24 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
                 _advance(m, a_val, b_val, side_d)
             else:
                 _advance(m, b_val, a_val, side_s)
-        # src members first: once every member is matched, near empties
-        # before a search over the empty dst side could start
         for a in side_s.touched:
             if a not in side_s.act:
-                near.pop(a, None)
-            elif a not in near:
-                near[a] = nearest(a)
+                best.pop(a, None)
+            elif a not in best:
+                best[a] = bound = nearest(a)
+                heapq.heappush(heap, bound)
         side_s.touched.clear()
         for b in side_d.touched:
-            present = b in targets
-            for a, best in near.items():
-                if present:
-                    cand = ((a ^ b).bit_count(), b)
-                    if cand < best:
-                        near[a] = cand
-                elif best[1] == b:
-                    near[a] = nearest(a)
+            if b in targets:
+                for a, bound in best.items():
+                    cand = ((a ^ b).bit_count(), a, b)
+                    if cand < bound:
+                        best[a] = cand
+                        heapq.heappush(heap, cand)
         side_d.touched.clear()
+        if len(heap) > 2 * len(best):
+            heap = list(best.values())
+            heapq.heapify(heap)
 
     result = side_s.moves + side_d.undo[::-1]
     check_moves(m, s_members, d_members, result, ordered=False)

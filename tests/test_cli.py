@@ -513,6 +513,16 @@ def test_cli_gen_gs_refuses_before_picking_the_class():
     assert time.perf_counter() - start < 1.0
 
 
+def test_cli_gen_random_refuses_a_wide_pool_fast(capsys):
+    # C(4096, 2) r-sets of 64 words each: listing them took 70 s and 3.3 GB
+    start = time.perf_counter()
+    argv = ["gen", "random", "--n", "4096", "--r", "2", "--target", "9", "--seed", "1"]
+    assert run_cli(*argv) == (2, "")
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == "error: C(4096, 2) 64-word r-subsets exceed the cap 10000000\n"
+
+
 def test_cli_flats_caps_the_explicit_definition_scan(tmp_path, p44_file):
     # 2^20 subsets, each checked against 190 bases, twice
     f = tmp_path / "u2_20.txt"

@@ -354,3 +354,22 @@ def test_random_generator_unbounded_still_leaves_a_basis():
 def test_random_generator_cap():
     with pytest.raises(TooLarge):
         random_sparse_paving(30, 15, seed=0, cap=1000)
+    # the pool holds C(n, r) masks of ceil(n / 64) words; cap bounds the product
+    for n, words in ((64, 1), (70, 2), (130, 3)):
+        work = comb(n, 2) * words
+        random_sparse_paving(n, 2, seed=0, max_sets=3, cap=work)
+        with pytest.raises(TooLarge, match=f"C\\({n}, 2\\) {words}-word r-subsets"):
+            random_sparse_paving(n, 2, seed=0, max_sets=3, cap=work - 1)
+
+
+def test_random_generator_refuses_wide_pools_before_listing_them():
+    """C(4096, 2) = 8,386,560 sets is under the default cap, 64 words each is not.
+
+    Listing that pool took 70 s and 3.3 GB peak RSS when only the count
+    was charged.
+    """
+    t = time.perf_counter()
+    with pytest.raises(TooLarge) as err:
+        random_sparse_paving(4096, 2, seed=1)
+    assert time.perf_counter() - t < 1.0
+    assert str(err.value) == "C(4096, 2) 64-word r-subsets exceed the cap 10000000"

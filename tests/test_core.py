@@ -5,6 +5,7 @@ import random
 import time
 from collections import Counter
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +26,8 @@ from sparsepaving import (
     SizeMismatch,
     SparsePavingMatroid,
     as_mask,
+    basis_predicate,
+    check_density,
     closure_of,
     dual,
     elements,
@@ -38,6 +41,7 @@ from sparsepaving import (
     random_sparse_paving,
     rank_of,
     relax,
+    serialize_matroid,
     subset_masks,
     swap_witnesses,
     to_explicit,
@@ -84,6 +88,18 @@ def test_named_fixtures_validate():
     validate(P44)
     assert U24.basis_count == 6
     assert P44.basis_count == 4
+
+
+@pytest.mark.parametrize("fn", [basis_predicate, check_density, serialize_matroid])
+def test_non_matroids_are_refused_by_type(fn):
+    with pytest.raises(TypeError, match="^expected a matroid, got SimpleNamespace$"):
+        fn(SimpleNamespace(n=4, r=2))
+
+
+def test_matroid_reprs():
+    assert repr(P44) == "SparsePavingMatroid(n=4, r=2, chset=[1,2; 0,3])"
+    assert repr(U24) == "SparsePavingMatroid(n=4, r=2, chset=[])"
+    assert repr(to_explicit(P44)) == "ExplicitMatroid(n=4, r=2, 4 bases)"
 
 
 def test_chset_is_canonicalized():

@@ -174,6 +174,9 @@ def test_brute_force_order_frozen():
     assert brute_force_order(P44) == (0, 1, 3, 2)
     assert brute_force_order(SparsePavingMatroid(3, 2, [{0, 1}])) is None
     assert brute_force_order(uniform(5, 2)) == (0, 1, 2, 3, 4)
+    # the empty ground set has one cyclic order, the empty one
+    empty = SparsePavingMatroid(0, 0, [])
+    assert brute_force_order(empty) == brute_force_order(to_explicit(empty)) == ()
     with pytest.raises(TooLarge):
         brute_force_order(uniform(10, 4))
 
