@@ -24,23 +24,19 @@ from __future__ import annotations
 import random
 import sys
 from itertools import combinations, filterfalse
-from math import comb
-from operator import add
+from math import comb, gcd
 
 from .bitset import bits, iter_elements, subset_masks
 from .core import MAX_EXPLICIT_WORK, SparsePavingMatroid, _comb_exceeds
-from .core import check_ground, validate
-from .errors import InternalCheckError, RangeError, RankOutOfRange
-from .errors import ResidueOutOfRange, TooLarge
+from .core import check_rank, validate
+from .errors import InternalCheckError, RangeError, ResidueOutOfRange, TooLarge
 
 
 def _check_nr(n: int, r: int, cap: int | None = None) -> None:
     """Range checks, and the cap on enumerating all C(n, r) subsets."""
     if n < 1:
         raise RangeError(f"ground size {n} must be at least 1")
-    check_ground(n)
-    if not 0 <= r <= n:
-        raise RankOutOfRange(f"rank {r} not in 0..{n}")
+    check_rank(n, r)
     if cap is not None and _comb_exceeds(n, r, cap):
         raise TooLarge(f"C({n}, {r}) r-subsets exceed the cap {cap}")
 
@@ -53,8 +49,9 @@ def graham_sloane(
     c defaults to a largest class (gs_best_class), picked only after the
     cap check.  Only class c is enumerated, by splitting the ground set
     in half (see _class_masks), so memory stays O(class size) and the
-    work stays within the C(n, r) that the cap bounds.  The result is
-    validated before returning; the only way a class can fail is by
+    work stays within the C(n, r) that the cap bounds.  The class must
+    have the size gs_class_sizes gives it, and the result is validated
+    before returning; the only way a class can fail validation is by
     designating every r-set, which needs binomial(n, r) = 1.
     """
     _check_nr(n, r, cap)
@@ -62,7 +59,11 @@ def graham_sloane(
         c = gs_best_class(n, r)[0]
     if not 0 <= c < n:
         raise ResidueOutOfRange(f"residue {c} not in 0..{n - 1}")
-    m = SparsePavingMatroid(n, r, _class_masks(0, n, r, c, n))
+    masks = _class_masks(0, n, r, c, n)
+    size = gs_class_sizes(n, r)[c]
+    if len(masks) != size:
+        raise InternalCheckError(f"class {c} has {len(masks)} r-sets, not {size}")
+    m = SparsePavingMatroid(n, r, masks)
     validate(m)
     return m
 
@@ -116,36 +117,30 @@ def _sum_buckets(lo: int, hi: int, k: int, n: int) -> dict[int, list[int]]:
 
 
 def gs_class_sizes(n: int, r: int) -> list[int]:
-    """Size of every residue class, by counting instead of enumerating."""
-    _check_nr(n, r)
-    return _class_table(n, r)[r]
+    """Size of every residue class, from Graham and Sloane's divisor sum.
 
-
-def _class_table(n: int, rmax: int) -> list[list[int]]:
-    """table[k][s] counts the k-subsets of 0..n-1 with sum s mod n, k <= rmax.
-
-    Adding element e adds row k - 1, rotated by e, to row k: n * rmax
-    rotations of length n, so O(n^2 * rmax) additions for all rows.
+    Class s has (1/n) * sum of t_d * c_d(s) over d | g = gcd(n, r), with
+    t_d = (-1)^(r + r/d) * C(n/d, r/d) and c_d Ramanujan's sum.  Expanding
+    c_d by Moebius, that is (1/n) * sum of d * u_d over the d | g that
+    divide s, where u_d is t_d less the u_e of the proper multiples e of
+    d that divide g; u is found from the largest divisor down, in integers.
     """
-    table = [[0] * n for _ in range(rmax + 1)]
-    table[0][0] = 1
-    for e in range(n):
-        cut = -e % n
-        for k in range(min(e + 1, rmax), 0, -1):
-            prev = table[k - 1]
-            table[k] = list(map(add, table[k], prev[cut:] + prev[:cut]))
-    if any(sum(row) != comb(n, k) for k, row in enumerate(table)):
-        raise InternalCheckError(f"class sizes for n={n} do not sum to C(n, k)")
-    return table
+    _check_nr(n, r)
+    g = gcd(n, r)
+    u: dict[int, int] = {}
+    for d in range(g, 0, -1):
+        if g % d == 0:
+            t = (-1) ** (r + r // d) * comb(n // d, r // d)
+            u[d] = t - sum(v for e, v in u.items() if e % d == 0)
+    out = [0] * n
+    for d, v in u.items():
+        out[::d] = [x + d * v for x in out[::d]]
+    return [x // n for x in out]
 
 
 def gs_best_class(n: int, r: int) -> tuple[int, int]:
     """Residue of a largest class and its size; ties go to the smallest residue."""
-    return _largest_class(gs_class_sizes(n, r))
-
-
-def _largest_class(sizes: list[int]) -> tuple[int, int]:
-    """The largest entry and its residue; ties go to the smallest residue."""
+    sizes = gs_class_sizes(n, r)
     size = max(sizes)
     return sizes.index(size), size
 

@@ -96,6 +96,13 @@ def check_ground(n: int) -> None:
         raise RangeError(f"ground size {n} exceeds the cap {MAX_GROUND}")
 
 
+def check_rank(n: int, r: int) -> None:
+    """check_ground(n), then RankOutOfRange unless 0 <= r <= n."""
+    check_ground(n)
+    if not 0 <= r <= n:
+        raise RankOutOfRange(f"rank {r} not in 0..{n}")
+
+
 def _comb_exceeds(n: int, r: int, limit: int) -> bool:
     """C(n, r) > limit, stopping as soon as a partial binomial passes limit."""
     c = 1
@@ -123,9 +130,7 @@ def validate(m: SparsePavingMatroid) -> None:
     by a second pass that names the first set in chset order with an
     (r-1)-subset already seen and the first set that had it.
     """
-    check_ground(m.n)
-    if not 0 <= m.r <= m.n:
-        raise RankOutOfRange(f"rank {m.r} not in 0..{m.n}")
+    check_rank(m.n, m.r)
     for h in m.chset:
         _check_subset(m.n, h, "designated set")
         if h.bit_count() != m.r:
@@ -228,9 +233,7 @@ def dual(m: SparsePavingMatroid) -> SparsePavingMatroid:
 
 
 def uniform(n: int, r: int) -> SparsePavingMatroid:
-    check_ground(n)
-    if not 0 <= r <= n:
-        raise RankOutOfRange(f"rank {r} not in 0..{n}")
+    check_rank(n, r)
     return SparsePavingMatroid(n, r, ())
 
 
@@ -340,9 +343,7 @@ def to_explicit(m: SparsePavingMatroid) -> ExplicitMatroid:
 
 def explicit_validate(em: ExplicitMatroid) -> None:
     """Check the basis family directly, including the exchange axiom."""
-    check_ground(em.n)
-    if not 0 <= em.r <= em.n:
-        raise RankOutOfRange(f"rank {em.r} not in 0..{em.n}")
+    check_rank(em.n, em.r)
     if not em.bases:
         raise EmptyBases("a matroid needs at least one basis")
     for b in em.bases:

@@ -58,8 +58,6 @@ from .errors import (
     guaranteed,
 )
 
-CyclicOrder = tuple
-
 # Rearrangements of four consecutive positions, tried in order when a
 # single dependent window sits at positions 3 .. r+2.  Entry k of a
 # pattern names which old position supplies the new entry at offset k.

@@ -38,7 +38,7 @@ from .core import (
     rank_of,
 )
 from .errors import InternalCheckError, PreconditionViolated, RangeError
-from .construct import _class_table, _largest_class
+from .construct import gs_best_class
 
 
 def cyclic_flats_of(m) -> list[ElementSet]:
@@ -219,10 +219,9 @@ def zn_census(n: int) -> CensusReport:
     """
     if not 4 <= n <= 24:
         raise RangeError(f"census supported for 4 <= n <= 24, got {n}")
-    table = _class_table(n, n - 2)
     rows = []
     for r in range(2, n - 1):
-        c, size = _largest_class(table[r])
+        c, size = gs_best_class(n, r)
         rows.append((r, c, size + 2))  # plus the empty and full flats
     best = max(rows, key=lambda row: row[2])  # ties keep the smallest rank
     limits = bounds(n)

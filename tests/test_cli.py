@@ -394,6 +394,7 @@ def test_cli_exit_codes(tmp_path):
             "vertex spec '0,1' needs 'A1;A2'",
         ),
         (["validate", "{f}"], "spm 1\nn 4\n", "line 2: missing 'n' and 'r' lines"),
+        (["validate", "{f}"], "bases 1\nn 3\nr 5\n", "rank 5 not in 0..3"),
     ],
     ids=[
         "empty-set-dash",
@@ -401,6 +402,7 @@ def test_cli_exit_codes(tmp_path):
         "repeated-element",
         "vertex-without-semicolon",
         "missing-n-r",
+        "explicit-rank-range",
     ],
 )
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, text, err):
@@ -700,9 +702,21 @@ def test_cli_failed_certificate_exits_3(monkeypatch, tmp_path, name, fn, argv, t
     "argv", [["census", "--n", "8"], ["gen", "gs", "--n", "9", "--r", "4"]]
 )
 def test_cli_class_table_self_check_exits_3(monkeypatch, argv):
-    # the class sizes are checked against C(n, k), so a wrong binomial fails it
+    # with a zero binomial every class size is 0: gen gs builds a class
+    # larger than its size and census rows fall below the lower bound
     monkeypatch.setattr(construct, "comb", lambda n, k: 0)
     assert run_cli(*argv) == (3, "")
+
+
+def test_cli_gen_gs_class_one_short_exits_3(monkeypatch):
+    class_masks = construct._class_masks
+
+    def one_short(lo, hi, r, c, n):
+        out = class_masks(lo, hi, r, c, n)
+        return out[1:] if (lo, hi) == (0, n) else out
+
+    monkeypatch.setattr(construct, "_class_masks", one_short)
+    assert run_cli("gen", "gs", "--n", "9", "--r", "4") == (3, "")
 
 
 def test_cli_farber_non_adjacent_step_exits_3(monkeypatch, tmp_path):

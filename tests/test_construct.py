@@ -7,11 +7,14 @@ import time
 import tracemalloc
 from itertools import combinations
 from math import comb
+from operator import add
 
 import pytest
 
+import sparsepaving.construct as construct
 from corpusdef import P44
 from sparsepaving import (
+    InternalCheckError,
     NoBasis,
     RangeError,
     RankOutOfRange,
@@ -26,6 +29,7 @@ from sparsepaving import (
     validate,
 )
 from sparsepaving.bitset import iter_elements
+from sparsepaving.flats import zn_census
 
 
 def test_p44_is_the_residue_3_class():
@@ -41,6 +45,70 @@ def test_class_sizes_oracle():
                 total = sum(e for e in range(n) if (s >> e) & 1)
                 direct[total % n] += 1
             assert gs_class_sizes(n, r) == direct
+
+
+def _class_table(n: int, rmax: int) -> list[list[int]]:
+    """table[k][s] counts the k-subsets of 0..n-1 with sum s mod n, k <= rmax.
+
+    Adding element e adds row k - 1, rotated by e, to row k: n * rmax
+    rotations of length n, so O(n^2 * rmax) additions for all rows.
+    """
+    table = [[0] * n for _ in range(rmax + 1)]
+    table[0][0] = 1
+    for e in range(n):
+        cut = -e % n
+        for k in range(min(e + 1, rmax), 0, -1):
+            prev = table[k - 1]
+            table[k] = list(map(add, table[k], prev[cut:] + prev[:cut]))
+    if any(sum(row) != comb(n, k) for k, row in enumerate(table)):
+        raise InternalCheckError(f"class sizes for n={n} do not sum to C(n, k)")
+    return table
+
+
+def test_class_sizes_match_the_rotation_table():
+    """Differential: the divisor sum against the O(n^2 r) rotation table."""
+    ties = 0
+    for n in range(1, 61):
+        table = _class_table(n, n)
+        for r in range(n + 1):
+            row = table[r]
+            assert gs_class_sizes(n, r) == row, (n, r)
+            size = max(row)
+            assert gs_best_class(n, r) == (row.index(size), size), (n, r)
+            ties += row.count(size) > 1
+    assert ties > 100  # the smallest-residue rule is exercised, not just unique maxima
+
+
+def test_census_rows_match_the_rotation_table():
+    for n in range(4, 25):
+        table = _class_table(n, n - 2)
+        rows = []
+        for r in range(2, n - 1):
+            size = max(table[r])
+            rows.append((r, table[r].index(size), size + 2))
+        assert zn_census(n).entries == tuple(rows), n
+
+
+def test_best_class_is_fast_at_the_ground_cap():
+    # the rotation table took about 1.8 s here; the divisor sum takes about 1 ms
+    start = time.perf_counter()
+    c, size = gs_best_class(4096, 2)
+    assert time.perf_counter() - start < 0.5
+    assert (c, size) == (1, 2048)
+    assert graham_sloane(4096, 2) == graham_sloane(4096, 2, c)
+
+
+def test_graham_sloane_checks_the_class_size(monkeypatch):
+    """A class enumerated one set short still validates, so only the size check sees it."""
+    class_masks = construct._class_masks
+
+    def one_short(lo, hi, r, c, n):
+        out = class_masks(lo, hi, r, c, n)
+        return out[1:] if (lo, hi) == (0, n) else out
+
+    monkeypatch.setattr(construct, "_class_masks", one_short)
+    with pytest.raises(InternalCheckError, match="^class 0 has 13 r-sets, not 14$"):
+        graham_sloane(9, 4, 0)
 
 
 def test_classes_partition_all_subsets():

@@ -552,6 +552,9 @@ def test_explicit_validate_frozen():
         explicit_validate(ExplicitMatroid(3, 2, []))
     with pytest.raises(SizeMismatch):
         explicit_validate(ExplicitMatroid(3, 2, [{0, 1}, {2}]))
+    # the rank range comes before the empty family
+    with pytest.raises(RankOutOfRange, match=r"^rank 5 not in 0\.\.3$"):
+        explicit_validate(ExplicitMatroid(3, 5, []))
 
 
 def test_explicit_validate_matches_the_exchange_axiom_on_every_family():
