@@ -41,6 +41,7 @@ from .errors import (
     DistanceViolation,
     ElementOutOfRange,
     EmptyBases,
+    ExchangeAxiomViolation,
     ExchangeViolation,
     GroundSetMismatch,
     InternalCheckError,

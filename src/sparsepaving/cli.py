@@ -91,7 +91,7 @@ def _parse_set(spec: str) -> int:
 
 
 def _non_negative(text: str) -> int:
-    """argparse type for the caps; argparse reports a ValueError as usage."""
+    """argparse type for the caps and --target; a ValueError is a usage error."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(
@@ -235,15 +235,13 @@ def _run_collection_walk(args) -> int:
 
 def _cmd_order_cyclic(args) -> int:
     m = _load_spm(args)
-    order = find_cyclic_order(m)
-    if order is None:
-        ok, wit = check_density(m)
-        if ok:
-            raise InternalCheckError("density holds but no order was produced")
+    ok, wit = check_density(m)
+    if not ok:
         check_density_witness(m, wit)
         print("not orderable")
         print("WITNESS", *elements(wit))
         return EXIT_FAILS
+    order = find_cyclic_order(m)
     check_cyclic_order(m, order)
     print(*order)
     return EXIT_OK
@@ -338,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = leaf(gen, "random", _cmd_gen_random, made, help="seeded greedy construction")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--r", type=int, required=True)
-    g.add_argument("--target", type=int, required=True)
+    g.add_argument("--target", type=_non_negative, required=True)
     g.add_argument("--seed", type=int, required=True)
 
     leaf(sub, "validate", _cmd_validate, (explicit, infile))

@@ -27,8 +27,7 @@ from itertools import combinations, filterfalse
 from math import comb, gcd
 
 from .bitset import bits, iter_elements, subset_masks
-from .core import MAX_EXPLICIT_WORK, SparsePavingMatroid, _comb_exceeds
-from .core import check_rank, validate
+from .core import MAX_EXPLICIT_WORK, SparsePavingMatroid, check_rank, validate
 from .errors import InternalCheckError, RangeError, ResidueOutOfRange, TooLarge
 
 
@@ -37,7 +36,7 @@ def _check_nr(n: int, r: int, cap: int | None = None) -> None:
     if n < 1:
         raise RangeError(f"ground size {n} must be at least 1")
     check_rank(n, r)
-    if cap is not None and _comb_exceeds(n, r, cap):
+    if cap is not None and comb(n, r) > cap:
         raise TooLarge(f"C({n}, {r}) r-subsets exceed the cap {cap}")
 
 
@@ -164,7 +163,7 @@ def random_sparse_paving(
     """
     _check_nr(n, r)
     words = -(-n // 64)
-    if _comb_exceeds(n, r, cap // words):
+    if comb(n, r) > cap // words:
         raise TooLarge(f"C({n}, {r}) {words}-word r-subsets exceed the cap {cap}")
     rng = random.Random(seed)
     pool = list(subset_masks(n, r))
@@ -191,21 +190,18 @@ _HASHED_EXACTLY = sys.hash_info.modulus.bit_length()
 
 
 def _greedy_blocked(pool: list[int], n: int, limit: int) -> list[int]:
-    """The greedy pass, one set lookup per candidate; consumes pool.
+    """The greedy pass, one set lookup per candidate.
 
     Two distinct r-sets are at symmetric difference 2 exactly when one
     is s - x + y for the other, s, with x in s and y outside it.  So
     keeping s puts every such r-set into a blocked set, and a later
     candidate is skipped exactly when it is blocked.  The blocked set
-    holds at most C(n, r) masks.  The pool is consumed from its end, so
-    a candidate already read is freed unless it is blocked.
+    holds at most C(n, r) masks.
     """
-    pool.append(-1)  # no mask is negative: the end marker, read last
-    pool.reverse()
     singles = [1 << e for e in range(n)]
     taken: list[int] = []
     blocked: set[int] = set()
-    for s in filterfalse(blocked.__contains__, iter(pool.pop, -1)):
+    for s in filterfalse(blocked.__contains__, pool):
         if len(taken) >= limit:
             break
         taken.append(s)

@@ -21,7 +21,7 @@ from .errors import (
     DistanceViolation,
     ElementOutOfRange,
     EmptyBases,
-    ExchangeViolation,
+    ExchangeAxiomViolation,
     NoBasis,
     NotACircuitHyperplane,
     NotBases,
@@ -103,16 +103,6 @@ def check_rank(n: int, r: int) -> None:
         raise RankOutOfRange(f"rank {r} not in 0..{n}")
 
 
-def _comb_exceeds(n: int, r: int, limit: int) -> bool:
-    """C(n, r) > limit, stopping as soon as a partial binomial passes limit."""
-    c = 1
-    for i in range(min(r, n - r)):
-        c = c * (n - i) // (i + 1)  # C(n, i + 1), rising up to C(n, n // 2)
-        if c > limit:
-            return True
-    return c > limit
-
-
 def _check_subset(m_n: int, s: int, what: str = "set") -> None:
     if s < 0 or s >> m_n:
         raise ElementOutOfRange(f"{what} {format_set(s)} is not inside 0..{m_n - 1}")
@@ -147,9 +137,8 @@ def validate(m: SparsePavingMatroid) -> None:
             rest ^= low
     if len(shadows) != m.r * len(m.chset):
         _raise_close_pair(m.chset)
-    # chset holds distinct r-sets, so no basis is left exactly when it has
-    # C(n, r) of them
-    if not _comb_exceeds(m.n, m.r, len(m.chset)):
+    # chset holds distinct r-sets, so no basis is left iff it has all C(n, r)
+    if len(m.chset) >= comb(m.n, m.r):
         raise NoBasis(f"all {len(m.chset)} r-subsets are designated dependent")
 
 
@@ -373,7 +362,7 @@ def explicit_validate(em: ExplicitMatroid) -> None:
                     reach |= 1 << y
             for b in avoid:
                 if not b & reach:
-                    raise ExchangeViolation(
+                    raise ExchangeAxiomViolation(
                         f"no exchange for {x} out of {format_set(a)} "
                         f"toward {format_set(b)}"
                     )

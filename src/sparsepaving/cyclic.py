@@ -258,17 +258,12 @@ def check_cyclic_order(m, order) -> None:
 # -- two contiguous blocks from a disjoint basis pair -------------------------
 
 
-def _starts_properly(m, b: list, c: list) -> bool:
-    # windows beginning inside the first block
+def _problem_positions(m, b: list, c: list) -> list[int] | None:
+    # None if a window starting in the first block fails, else the failing
+    # windows starting in the second block (the block itself, at 0, cannot)
     pred, _, r = basis_predicate(m)
-    return all(p >= r for p in _dependent_windows(pred, 2 * r, r, b + c))
-
-
-def _problem_positions(m, b: list, c: list) -> list[int]:
-    # windows beginning inside the second block; position 0 is the
-    # block itself and cannot fail
-    pred, _, r = basis_predicate(m)
-    return [p - r for p in _dependent_windows(pred, 2 * r, r, b + c) if p > r]
+    bad = _dependent_windows(pred, 2 * r, r, b + c)
+    return None if bad and bad[0] < r else [p - r for p in bad if p > r]
 
 
 def _swapped(seq: list, i: int, j: int) -> list:
@@ -344,11 +339,7 @@ def _block_cycle(m, b1m: int, b2m: int) -> tuple[int, ...]:
         suffix |= 1 << pick
 
     probs = _problem_positions(m, b, c)
-    rounds = 0
     while probs:
-        rounds += 1
-        if rounds > max(r - 1, 1):
-            raise InternalCheckError("window repairs exceeded the r - 1 bound")
         i = probs[0]
         if i <= r - 2:
             third = list(c)
@@ -363,8 +354,7 @@ def _block_cycle(m, b1m: int, b2m: int) -> tuple[int, ...]:
         fewer = (
             (nb, nc, np_)
             for nb, nc in trials
-            if len(np_ := _problem_positions(m, nb, nc)) < len(probs)
-            and _starts_properly(m, nb, nc)
+            if (np_ := _problem_positions(m, nb, nc)) is not None and len(np_) < len(probs)
         )
         b, c, probs = guaranteed(next(fewer, None), "no repair reduced the bad window count")
 

@@ -94,6 +94,10 @@ class ExchangeViolation(MatroidError):
     """A proposed exchange move does not map a basis to a basis."""
 
 
+class ExchangeAxiomViolation(ExchangeViolation, ValidationError):
+    """A basis family breaks the exchange axiom, so it is not a matroid."""
+
+
 class InternalCheckError(MatroidError):
     """An invariant the algorithms guarantee was observed to fail.
 

@@ -506,8 +506,6 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
         others[b1] -= 1
         others[b2] -= 1
         others = +others
-        if not others:
-            raise InternalCheckError("two-member collections always finish direct")
         ordered = sorted(others)
         # a member missing b1c and part of x_mask lets a pre-swap pull
         # the helper off the dependent completion for good

@@ -286,7 +286,7 @@ def test_criterion_08_disjoint_pair_cycles():
 
     def spy(m, b, c):
         out = original(m, b, c)
-        recorded.append(len(out))
+        recorded.append(len(out or ()))
         return out
 
     cyclic_mod._problem_positions = spy

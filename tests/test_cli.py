@@ -261,6 +261,26 @@ def test_cli_explicit_minor_element_outside_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: element 4 not in 0..3\n"
 
 
+NON_MATROID_TEXT = "bases 1\nn 5\nr 2\nb 0 1\nb 1 2\nb 0 3\nb 1 3\nb 0 4\nb 2 4\nb 3 4\n"
+
+
+@pytest.mark.parametrize(
+    "cmd", [["validate"], ["flats"], ["minor", "--delete", "0"]], ids=lambda c: c[0]
+)
+def test_cli_exchange_axiom_violation_exits_2(tmp_path, capsys, cmd):
+    # {1, 2} drops 1 toward {0, 3}, and neither {0, 2} nor {2, 3} is listed
+    f = tmp_path / "nonmatroid.txt"
+    f.write_text(NON_MATROID_TEXT)
+    assert run_cli(cmd[0], str(f), *cmd[1:]) == (2, "")
+    assert capsys.readouterr().err == "error: no exchange for 1 out of 1,2 toward 0,3\n"
+
+
+def test_cli_gen_random_refuses_a_negative_target(capsys):
+    argv = ["gen", "random", "--n", "5", "--r", "2", "--target", "-5", "--seed", "0"]
+    assert run_cli(*argv) == (2, "")
+    assert "--target: expected a non-negative integer" in capsys.readouterr().err
+
+
 def test_cli_order_cyclic(p44_file, tmp_path):
     code, out = run_cli("order", "cyclic", p44_file)
     assert (code, out) == (0, "0 1 3 2\n")
@@ -509,7 +529,7 @@ def test_cli_spm_only_command_keeps_empty_bases_refusal(tmp_path, capsys):
 
 
 def test_cli_gen_gs_refuses_before_picking_the_class():
-    # the class-size table alone is O(n^2 r), about 3.4e10 steps at this size
+    # the cap refuses the C(4096, 2048) r-subsets before a class is picked or listed
     start = time.perf_counter()
     assert run_cli("gen", "gs", "--n", "4096", "--r", "2048") == (2, "")
     assert time.perf_counter() - start < 1.0
@@ -602,6 +622,8 @@ PAIRS_12 = [b for b in subset_masks(6, 2) if b not in (0b0011, 0b0101, 0b1100)]
     [
         # swapping the last two entries of 0 1 3 2 makes windows {1,2} and {3,0}
         ("find_cyclic_order", lambda o: o[:2] + o[:1:-1], ["order", "cyclic"], P44_TEXT),
+        # density holds on P44, so a missing order fails the order certificate
+        ("find_cyclic_order", lambda o: None, ["order", "cyclic"], P44_TEXT),
         (
             "gabow_cycle_any",
             lambda c: c[:2] + c[:1:-1],
@@ -673,6 +695,7 @@ PAIRS_12 = [b for b in subset_masks(6, 2) if b not in (0b0011, 0b0101, 0b1100)]
     ],
     ids=[
         "order-cyclic",
+        "order-cyclic-none",
         "order-pair-window",
         "order-pair-blocks",
         "farber-non-vertex",
@@ -772,6 +795,29 @@ def test_sources_hold_no_assert_statement():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_sources_import_nothing_unused():
+    # a name bound by an import must be read somewhere in its module;
+    # __init__.py only re-exports, so it is skipped
+    sources = sorted(Path(sparsepaving.__file__).parent.glob("*.py"))
+    assert sources
+    found = []
+    for path in sources:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
 
 

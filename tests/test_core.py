@@ -49,7 +49,7 @@ from sparsepaving import (
     validate,
 )
 from sparsepaving.bitset import format_set, lowest_element
-from sparsepaving.core import MAX_GROUND, _comb_exceeds, check_ground
+from sparsepaving.core import MAX_GROUND, check_ground
 from sparsepaving.errors import TooLarge
 
 
@@ -285,14 +285,6 @@ def test_validate_matches_the_setdefault_pass_on_random_families():
     assert kinds["several close pairs, the named two apart"] > 100, kinds
 
 
-def test_comb_exceeds_matches_comb():
-    for n in range(13):
-        for r in range(n + 1):
-            c = comb(n, r)
-            for limit in (0, c - 1, c, c + 1, 2 * c):
-                assert _comb_exceeds(n, r, limit) == (c > limit), (n, r, limit)
-
-
 def test_ground_size_cap():
     start = time.perf_counter()
     with pytest.raises(RangeError):
@@ -305,7 +297,7 @@ def test_ground_size_cap():
         graham_sloane(MAX_GROUND + 1, 2, 0)
     with pytest.raises(RangeError):
         random_sparse_paving(MAX_GROUND + 1, 2, seed=0)
-    # at the cap, NoBasis is still decided without computing C(n, r) in full
+    # at the cap, C(n, r) is computed in full and NoBasis is still decided fast
     validate(uniform(MAX_GROUND, MAX_GROUND // 2))
     with pytest.raises(NoBasis):
         validate(SparsePavingMatroid(MAX_GROUND, MAX_GROUND, [(1 << MAX_GROUND) - 1]))

@@ -765,6 +765,19 @@ def test_advance_branches(label, m, members, target, expect):
     assert any((b & tgt).bit_count() == before + 1 for b in gained)
 
 
+def test_advance_two_member_side_exhausts_the_chain():
+    """A two-member side has nothing to repair the single-swap chain with.
+
+    {0, 1} must trade 1 for 2 to reach {0, 2}, and the helper {2, 3}
+    would then hold {1, 3}, which is no basis of this family (it is not
+    a matroid).
+    """
+    m = ExplicitMatroid(4, 2, [0b0011, 0b1100, 0b0101])
+    side = exchange._Side((0b0011, 0b1100))
+    with pytest.raises(InternalCheckError, match="^single-swap chain exhausted every repair$"):
+        exchange._advance(m, 0b0101, 0b0011, side)
+
+
 def test_white_moves_stress_far_partitions():
     """Collections whose members share nothing force the deep branches."""
     rng = random.Random(31337)
