@@ -14,6 +14,15 @@ lines and '#' comments are skipped on input.  Serialization is
 canonical (sets ordered as masks, single spaces, LF, trailing
 newline), so parse(serialize(m)) == m and serialize(parse(t)) is a
 normal form for t.  Parsed content is validated before it is returned.
+
+Body lines are read through a table from each label str(e) to its
+bit 1 << e, built for the call.  A line whose labels are all in the
+table, with ascending bits and a mask of popcount r, is accepted in
+one step.  Any other line runs the per-token checks, which word every
+error and accept non-canonical spellings such as '07'.  The table is
+built only when the body reads more labels than twice the ground
+size: on a short file, and on a wide one whose bits are big ints,
+building it costs more than it saves.
 """
 
 from __future__ import annotations
@@ -54,11 +63,9 @@ def parse_matroid(text: str, explicit_work_cap: float = MAX_EXPLICIT_WORK):
     'bases 1' files (measured as basis count squared).
     """
     rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.strip()
-        if not body or body.startswith("#"):
-            continue
-        rows.append((lineno, body.split()))
+    for lineno, toks in enumerate(map(str.split, text.splitlines()), start=1):
+        if toks and toks[0][0] != "#":
+            rows.append((lineno, toks))
     if not rows:
         raise ParseError("line 1: empty input")
     head_line, head = rows[0]
@@ -77,12 +84,33 @@ def parse_matroid(text: str, explicit_work_cap: float = MAX_EXPLICIT_WORK):
             f"line {rows[1][0]}: ground size {n} exceeds the cap {MAX_GROUND}"
         )
     r = _named_int(rows[2], "r")
+    width = r + 1
+    # an entry costs about one token read to build and saves about one per
+    # use, so the table pays only when each label is read twice on average
+    tabled = (len(rows) - 3) * r > 2 * n
+    if tabled:
+        bit_of = {str(e): 1 << e for e in range(n)}
+        bit_of[tag] = 0  # sorts first and adds nothing to the mask
+        bit = bit_of.__getitem__
     masks = []
     for lineno, toks in rows[3:]:
         if toks[0] != tag:
             raise ParseError(f"line {lineno}: expected a {tag!r} line, got {toks[0]!r}")
-        if len(toks) != r + 1:
+        if len(toks) != width:
             raise ParseError(f"line {lineno}: expected {r} elements, got {len(toks) - 1}")
+        # the last label first: a line spelled otherwise (say zero-padded)
+        # usually misses there, and a KeyError costs more than a lookup
+        if tabled and toks[-1] in bit_of:
+            try:
+                bits = list(map(bit, toks))
+            except KeyError:  # out of range, or not spelled as str(e)
+                pass
+            else:
+                mask = sum(bits)
+                # popcount r: the r bits are distinct, so the sum is their union
+                if mask.bit_count() == r and bits == sorted(bits):
+                    masks.append(mask)
+                    continue
         prev = -1
         mask = 0
         for t in toks[1:]:

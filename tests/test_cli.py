@@ -11,6 +11,7 @@ import ast
 import hashlib
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -39,6 +40,13 @@ from sparsepaving import (
 )
 from sparsepaving.bitset import elements, subset_masks
 from sparsepaving.cli import main
+from sparsepaving.core import (
+    MAX_EXPLICIT_WORK,
+    MAX_GROUND,
+    explicit_validate,
+    validate,
+)
+from sparsepaving.fileio import _int_token, _named_int
 
 P44_TEXT = "spm 1\nn 4\nr 2\nch 1 2\nch 0 3\n"
 P44_BASES_TEXT = "bases 1\nn 4\nr 2\nb 0 1\nb 0 2\nb 1 3\nb 2 3\n"
@@ -108,25 +116,41 @@ def test_parse_skips_blanks_and_comments():
     assert parse_matroid(text) == SparsePavingMatroid(4, 2, [{0, 3}])
 
 
+# five well-formed lines first: with the bad line the body reads 12 labels
+# for a ground of 4, more than twice as many, so the parser builds its label
+# table and the bad line falls through it to the per-token checks
+TABLE_BODY = "ch 0 3\n" * 5
+
+
 @pytest.mark.parametrize(
-    "bad",
+    "bad,message",
     [
-        "spm 2\nn 4\nr 2\n",
-        "matroid 1\nn 4\nr 2\n",
-        "spm 1\nr 2\nn 4\n",
-        "spm 1\nn 4\nr 2\nch 0\n",
-        "spm 1\nn 4\nr 2\nch 3 0\n",
-        "spm 1\nn 4\nr 2\nch 0 0\n",
-        "spm 1\nn 4\nr 2\nch 0 4\n",
-        "spm 1\nn 4\nr 2\nb 0 3\n",
-        "spm 1\nn x\nr 2\n",
-        "",
-        "spm 1\nn +4\nr 2\n",
-        "spm 1\nn 4\nr -0\n",
-        "spm 1\nn 1_0\nr 2\n",
-        "spm 1\nn 4\nr 2\nch 0 \u0663\n",
-        "spm 1\nn 10000000\nr 2\n",
-        "spm 1\nn 4\nr 2\nch 0 1" + "0" * 5000 + "\n",
+        ("spm 2\nn 4\nr 2\n", "line 1: unknown format 'spm 2'"),
+        ("matroid 1\nn 4\nr 2\n", "line 1: unknown format 'matroid 1'"),
+        ("spm 1\nr 2\nn 4\n", "line 2: expected 'n <integer>'"),
+        ("spm 1\nn 4\nr 2\nch 0\n", "line 4: expected 2 elements, got 1"),
+        ("spm 1\nn 4\nr 2\nch 3 0\n", "line 4: elements must be strictly increasing"),
+        ("spm 1\nn 4\nr 2\nch 0 0\n", "line 4: elements must be strictly increasing"),
+        ("spm 1\nn 4\nr 2\nch 0 4\n", "line 4: element 4 is outside 0..3"),
+        ("spm 1\nn 4\nr 2\nb 0 3\n", "line 4: expected a 'ch' line, got 'b'"),
+        ("spm 1\nn x\nr 2\n", "line 2: expected an integer, got 'x'"),
+        ("", "line 1: empty input"),
+        ("spm 1\nn +4\nr 2\n", "line 2: expected an integer, got '+4'"),
+        ("spm 1\nn 4\nr -0\n", "line 3: expected an integer, got '-0'"),
+        ("spm 1\nn 1_0\nr 2\n", "line 2: expected an integer, got '1_0'"),
+        ("spm 1\nn 4\nr 2\nch 0 \u0663\n", "line 4: expected an integer, got '\u0663'"),
+        ("spm 1\nn 10000000\nr 2\n", "line 2: ground size 10000000 exceeds the cap 4096"),
+        ("spm 1\nn 4\nr 2\nch 0 1" + "0" * 5000 + "\n", "line 4: integer of 5001 digits"),
+        (
+            "spm 1\nn 4\nr 2\n" + TABLE_BODY + "ch 1 1\n",
+            "line 9: elements must be strictly increasing",
+        ),
+        (
+            "spm 1\nn 6\nr 3\n" + "ch 0 1 5\n" * 5 + "ch 0 9 5\n",
+            "line 9: element 9 is outside 0..5",
+        ),
+        ("spm 1\nn 4\nr 2\n" + TABLE_BODY + "b 0 3\n", "line 9: expected a 'ch' line, got 'b'"),
+        ("spm 1\nn 4\nr 2\n" + TABLE_BODY + "ch 0 1 2\n", "line 9: expected 2 elements, got 3"),
     ],
     ids=[
         "version",
@@ -145,11 +169,164 @@ def test_parse_skips_blanks_and_comments():
         "non-ascii-digit",
         "huge-ground",
         "digit-limit",
+        "table-repeat",
+        "table-range-mid-line",
+        "table-wrong-tag",
+        "table-one-too-many",
     ],
 )
-def test_parse_rejects_malformed(bad):
-    with pytest.raises(ParseError):
+def test_parse_rejects_malformed(bad, message):
+    with pytest.raises(ParseError) as info:
         parse_matroid(bad)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,canonical",
+    [
+        ("spm 1\nn 8\nr 2\nch 00 07\n", "spm 1\nn 8\nr 2\nch 0 7\n"),
+        ("spm 1\nn 8\nr 2\nch\t0  \t7\n", "spm 1\nn 8\nr 2\nch 0 7\n"),
+        ("spm 1 \nn 8\t\nr 2  \nch 0 7 \t\n", "spm 1\nn 8\nr 2\nch 0 7\n"),
+        ("spm 1\nn 3\nr 0\n", "spm 1\nn 3\nr 0\n"),
+        ("bases 1\nn 3\nr 0\n b\t\n", "bases 1\nn 3\nr 0\nb\n"),
+        # the empty set is then the only r-subset, and designating it
+        # leaves no basis: both spellings fail the same way
+        ("spm 1\nn 3\nr 0\n ch \n", "spm 1\nn 3\nr 0\nch\n"),
+    ],
+    ids=["zero-padded", "tabs", "trailing-space", "rank-0", "rank-0-bases", "rank-0-bare-ch"],
+)
+def test_parse_accepts_non_canonical_spellings(text, canonical):
+    assert _outcome(parse_matroid, text) == _outcome(parse_matroid, canonical)
+
+
+# corpus members whose body reads each label more than twice, so that
+# parse_matroid builds its label table for them
+TABLED = [(name, m) for name, m in CORPUS if len(m.chset) * m.r > 2 * m.n]
+
+
+@pytest.mark.parametrize("name,m", TABLED, ids=[name for name, _ in TABLED])
+def test_parse_accepts_non_canonical_spellings_past_the_table(name, m):
+    lines = serialize_matroid(m).splitlines()
+    head, body = lines[:3], lines[3:]
+    padded = [" ".join(["ch", *(f"0{t}" for t in line.split()[1:])]) for line in body]
+    spaced = ["\t".join(line.split()) + "  " for line in body]
+    mixed = [p if i % 2 else b for i, (p, b) in enumerate(zip(padded, body))]
+    # only the first label padded: the line gets past the last-label check
+    first = [line.replace(" ", " 0", 1) for line in body]
+    for spelled in (padded, spaced, mixed, first):
+        assert parse_matroid("\n".join([*head, *spelled]) + "\n") == m
+
+
+def parse_per_token(text, explicit_work_cap=MAX_EXPLICIT_WORK):
+    """parse_matroid as it stood before its label table, kept as the reference."""
+    rows: list[tuple[int, list[str]]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.strip()
+        if not body or body.startswith("#"):
+            continue
+        rows.append((lineno, body.split()))
+    if not rows:
+        raise ParseError("line 1: empty input")
+    head_line, head = rows[0]
+    if head == ["spm", "1"]:
+        tag = "ch"
+    elif head == ["bases", "1"]:
+        tag = "b"
+    else:
+        raise ParseError(f"line {head_line}: unknown format {' '.join(head)!r}")
+    if len(rows) < 3:
+        raise ParseError(f"line {rows[-1][0]}: missing 'n' and 'r' lines")
+    n = _named_int(rows[1], "n")
+    if n > MAX_GROUND:
+        # before any n-bit mask is built
+        raise ParseError(
+            f"line {rows[1][0]}: ground size {n} exceeds the cap {MAX_GROUND}"
+        )
+    r = _named_int(rows[2], "r")
+    masks = []
+    for lineno, toks in rows[3:]:
+        if toks[0] != tag:
+            raise ParseError(f"line {lineno}: expected a {tag!r} line, got {toks[0]!r}")
+        if len(toks) != r + 1:
+            raise ParseError(f"line {lineno}: expected {r} elements, got {len(toks) - 1}")
+        prev = -1
+        mask = 0
+        for t in toks[1:]:
+            e = _int_token(lineno, t)
+            if e <= prev:
+                raise ParseError(f"line {lineno}: elements must be strictly increasing")
+            if not 0 <= e < n:
+                raise ParseError(f"line {lineno}: element {e} is outside 0..{n - 1}")
+            prev = e
+            mask |= 1 << e
+        masks.append(mask)
+    if tag == "ch":
+        spm = SparsePavingMatroid(n, r, masks)
+        validate(spm)
+        return spm
+    if len(masks) * len(masks) > explicit_work_cap:
+        raise TooLarge(f"validating {len(masks)} explicit bases exceeds the work cap")
+    em = ExplicitMatroid(n, r, masks)
+    explicit_validate(em)
+    return em
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as e:  # the class and the exact wording are the behaviour
+        return type(e), str(e)
+
+
+MUTANT_TOKENS = ("0", "07", "00", "-1", "+2", "x", "1_0", "\u0663", "ch", "b", "9" * 30)
+
+
+def _mutate(rng, text):
+    """One seeded edit of a matroid file: a token or a line, or a byte."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    toks = lines[i].split()
+    kind = rng.randrange(6)
+    if kind == 0 and toks:  # replace a token
+        j = rng.randrange(len(toks))
+        toks[j] = rng.choice([*MUTANT_TOKENS, str(rng.randrange(40)), rng.choice(toks)])
+    elif kind == 1 and toks:  # duplicate a token
+        j = rng.randrange(len(toks))
+        toks.insert(j, toks[j])
+    elif kind == 2 and len(toks) > 1:  # swap two tokens
+        j, k = rng.sample(range(len(toks)), 2)
+        toks[j], toks[k] = toks[k], toks[j]
+    elif kind == 3:
+        del lines[i]
+        return "\n".join(lines) + "\n"
+    elif kind == 4:
+        lines.insert(i, lines[i])
+        return "\n".join(lines) + "\n"
+    else:  # flip one byte
+        k = rng.randrange(len(text))
+        return text[:k] + rng.choice("0123456789 \t\n#-xbch") + text[k + 1 :]
+    lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_matches_the_per_token_reader():
+    texts = [serialize_matroid(m) for _, m in CORPUS]
+    texts += [serialize_matroid(to_explicit(m)) for _, m in CORPUS if m.n <= 9]
+    for text in texts:
+        assert _outcome(parse_matroid, text) == _outcome(parse_per_token, text)
+    # the mutants come from files small enough to keep the test fast, with
+    # and without a label table; one or two seeded edits each
+    rng = random.Random(0)
+    small = [t for t in texts if len(t) < 2000]
+    accepted = 0
+    for _ in range(250):
+        text = rng.choice(small)
+        for _ in range(rng.randint(1, 2)):
+            text = _mutate(rng, text)
+        want = _outcome(parse_per_token, text)
+        assert _outcome(parse_matroid, text) == want, text
+        accepted += not isinstance(want, tuple)
+    assert len(small) > 20 and 20 < accepted < 230
 
 
 def test_parse_validates_semantics():
@@ -617,73 +794,130 @@ TIGHT_TEXT = "spm 1\nn 3\nr 2\nch 0 1\n"
 PAIRS_12 = [b for b in subset_masks(6, 2) if b not in (0b0011, 0b0101, 0b1100)]
 
 
+def _drop_last_line(text):
+    return text[: text.rindex("\n", 0, -1) + 1]
+
+
+def _last_element_out_of_range(text):
+    head, _, last = text[:-1].rpartition(" ")
+    n = int(text.split("\n")[1].split()[1])
+    assert int(last) < n
+    return f"{head} {n}\n"
+
+
 @pytest.mark.parametrize(
-    "name,fn,argv,text",
+    "name,fn,argv,text,err",
     [
         # swapping the last two entries of 0 1 3 2 makes windows {1,2} and {3,0}
-        ("find_cyclic_order", lambda o: o[:2] + o[:1:-1], ["order", "cyclic"], P44_TEXT),
+        (
+            "find_cyclic_order",
+            lambda o: o[:2] + o[:1:-1],
+            ["order", "cyclic"],
+            P44_TEXT,
+            "order (0, 1, 2, 3) has a dependent window",
+        ),
         # density holds on P44, so a missing order fails the order certificate
-        ("find_cyclic_order", lambda o: None, ["order", "cyclic"], P44_TEXT),
+        (
+            "find_cyclic_order",
+            lambda o: None,
+            ["order", "cyclic"],
+            P44_TEXT,
+            "None is not an order of the ground set",
+        ),
         (
             "gabow_cycle_any",
             lambda c: c[:2] + c[:1:-1],
             ["order", "pair", "--b1", "0,1", "--b2", "2,3"],
             P44_TEXT,
+            "cycle (0, 1, 2, 3) has a dependent window",
         ),
         (
             "gabow_cycle_any",
             lambda c: c[2:] + c[:2],  # blocks in the wrong order
             ["order", "pair", "--b1", "0,1", "--b2", "2,3"],
             P44_TEXT,
+            "cycle (3, 2, 0, 1) does not list the blocks in order",
         ),
         (
             "bpg_path",
             lambda p: p[:1] + [BasisPairVertex(0b1001, 0b0110, 0)] + p[1:],
             ["conj", "farber", "--from", "0,1;2,3", "--to", "0,2;1,3"],
             P44_TEXT,
+            "walk leaves the pair graph: first block 0,3 is not a basis",
         ),
         (
             "white_moves",
             lambda mv: mv[:-1],
             ["conj", "white", "--k", "2", "--from", "0,1|2,3", "--to", "0,2|1,3"],
             P44_TEXT,
+            "replayed moves do not reach the target",
         ),
         (
             "white_moves",
             lambda mv: [Move(0, 1, 0, 2)],  # lands member 0 on {1, 2}
             ["conj", "white", "--k", "2", "--from", "0,1|2,3", "--to", "0,2|1,3"],
             P44_TEXT,
+            "move 0:1:0:2 does not map bases to bases",
         ),
         (
             "white2_path",
             lambda mv: mv[:-1],
             ["conj", "white2", "--k", "2", "--from", "0,1|2,3", "--to", "2,3|0,1"],
             P44_TEXT,
+            "replayed moves do not reach the target",
         ),
-        ("cyclic_flats_of", lambda fl: fl + [0b0011], ["flats"], P44_TEXT),
-        ("cyclic_flats_of", lambda fl: fl[:-1], ["flats"], P44_TEXT),
+        (
+            "cyclic_flats_of",
+            lambda fl: fl + [0b0011],
+            ["flats"],
+            P44_TEXT,
+            "0,1 is not a cyclic flat",
+        ),
+        (
+            "cyclic_flats_of",
+            lambda fl: fl[:-1],
+            ["flats"],
+            P44_TEXT,
+            "the list is not every cyclic flat once, ascending",
+        ),
         # {0} meets the density bound: 2 * 1 <= rank 1 * 3
-        ("check_density", lambda res: (False, 0b001), ["order", "cyclic"], TIGHT_TEXT),
+        (
+            "check_density",
+            lambda res: (False, 0b001),
+            ["order", "cyclic"],
+            TIGHT_TEXT,
+            "0 is not a density witness",
+        ),
         # bounds reads no file
         (
             "bounds",
             lambda b: replace(b, zn_lower_int=b.zn_lower_int + 1),
             ["bounds", "--n", "8"],
             None,
+            "zn_lower_int 9 is not the ceiling plus 2",
         ),
         (
             "bounds",
             lambda b: replace(b, ch_upper=b.ch_upper + 1),
             ["bounds", "--n", "8", "--r", "4"],
             None,
+            "ch_upper 15 should be 14",
         ),
         # {0, 1} and {0, 2} differ in two elements: not a sparse paving family
-        ("dual", lambda m: SparsePavingMatroid(m.n, m.r, [0b011, 0b101]), ["dual"], P44_TEXT),
+        (
+            "dual",
+            lambda m: SparsePavingMatroid(m.n, m.r, [0b011, 0b101]),
+            ["dual"],
+            P44_TEXT,
+            "output does not re-read: designated sets 0,1 and 0,2 are at symmetric "
+            "difference 2",
+        ),
         (
             "explicit_minor",
             lambda res: (ExplicitMatroid(res[0].n, res[0].r, [0b1]), res[1]),  # |{0}| < r
             ["minor", "--delete=3"],
             P44_BASES_TEXT,
+            "output does not re-read: line 4: expected 2 elements, got 1",
         ),
         # 12^2 > 100: more bases than the cap the 10-basis input was loaded under
         (
@@ -691,6 +925,23 @@ PAIRS_12 = [b for b in subset_masks(6, 2) if b not in (0b0011, 0b0101, 0b1100)]
             lambda res: (ExplicitMatroid(6, 2, PAIRS_12), res[1]),
             ["minor", "--delete=3", "--cap-explicit", "100"],
             serialize_matroid(to_explicit(uniform(5, 2))),
+            "output does not re-read: no exchange for 1 out of 1,2 toward 0,3",
+        ),
+        # _emit re-reads what it is about to print, so a serializer that
+        # loses a set or writes a bad label is caught before any output
+        (
+            "serialize_matroid",
+            _drop_last_line,
+            ["gen", "gs", "--n", "9", "--r", "4"],
+            None,
+            "serialization did not round-trip",
+        ),
+        (
+            "serialize_matroid",
+            _last_element_out_of_range,
+            ["gen", "gs", "--n", "9", "--r", "4"],
+            None,
+            "output does not re-read: line 17: element 9 is outside 0..8",
         ),
     ],
     ids=[
@@ -710,15 +961,20 @@ PAIRS_12 = [b for b in subset_masks(6, 2) if b not in (0b0011, 0b0101, 0b1100)]
         "dual-close-pair",
         "minor-explicit-non-matroid",
         "minor-explicit-oversize",
+        "emit-dropped-line",
+        "emit-out-of-range",
     ],
 )
-def test_cli_failed_certificate_exits_3(monkeypatch, tmp_path, name, fn, argv, text):
+def test_cli_failed_certificate_exits_3(
+    monkeypatch, tmp_path, capsys, name, fn, argv, text, err
+):
     if text is not None:
         f = tmp_path / "m.txt"
         f.write_text(text)
         argv = [*argv[:2], str(f), *argv[2:]]
     _corrupt(monkeypatch, name, fn)
     assert run_cli(*argv) == (3, "")
+    assert capsys.readouterr().err == f"internal error: {err}\n"
 
 
 @pytest.mark.parametrize(
