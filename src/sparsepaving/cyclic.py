@@ -31,12 +31,11 @@ exactly when it is one of M: windows are tested in m's own labels.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction
 
-from .bitset import ElementSet, as_mask, elements, format_set
+from .bitset import ElementSet, as_mask, bits, elements, format_set
 from .core import (
     ExplicitMatroid,
     SparsePavingMatroid,
@@ -364,18 +363,64 @@ def _block_cycle(m, b1m: int, b2m: int) -> tuple[int, ...]:
 
 
 def brute_force_order(m):
-    """Exhaustive witness search over all rooted cycles; oracle use only.
+    """The lexicographically first witness starting at 0, or None; oracle use only.
 
     Fixing element 0 in front enumerates each cyclic order exactly once.
-    Returns the lexicographically first witness, or None; refuses n > 9.
+    The search is depth first over these rooted cycles: 0, then the
+    unplaced elements in ascending order, so prefixes come in the
+    lexicographic order of itertools.permutations(range(1, n)).  A
+    window is tested as soon as its last element is placed (the w - 1
+    windows that wrap round once the cycle closes), and a prefix is
+    abandoned at its first dependent window.  Only subtrees holding no
+    witness are skipped, so the first full order reached is the one a
+    scan of all (n-1)! cycles would return.
+
+    Windows have length w = min(r, n - r).  When 2r > n, the r-window
+    starting at position p is the complement of the (n-r)-window
+    starting at p + r, and p -> p + r permutes the start positions, so
+    pred(ground ^ C) over the (n-r)-windows C tests every r-window
+    itself: no duality theorem is assumed, and high ranks prune as
+    early as low ones.
+
+    Every window inside a prefix has passed.  Each untested window
+    meets the unplaced elements, and its placed part lies among the
+    first w - 1 or the last w - 1 entries of the prefix.  So whether a
+    prefix extends to a witness depends only on (unplaced set, first
+    w - 1 entries, last w - 1 entries), and a prefix that fails stores
+    that key for later prefixes to skip.  Each abandoned prefix adds at
+    most one key, so the set never outgrows the search, which visits
+    fewer than e * (n-1)! < 110,000 prefixes at n = 9.  Refuses n > 9.
     """
     pred, n, r = basis_predicate(m)
     if n > 9:
         raise TooLarge(f"{math.factorial(max(n - 1, 0))} cycles is past the oracle guard")
-    if n == 0:
-        return ()
-    for tail in itertools.permutations(range(1, n)):
-        cand = (0, *tail)
-        if not _dependent_windows(pred, n, r, cand):
-            return cand
-    return None
+    w = min(r, n - r)
+    if w == 0:
+        # every window is the one r-subset, a basis of any valid matroid
+        return tuple(range(n))
+    ground = (1 << n) - 1
+    test = pred if w == r else lambda c: pred(ground ^ c)
+    k = w - 1
+    placed: list[int] = []  # the prefix, as one-element masks
+    failed = set()
+
+    def extend(left: int) -> bool:
+        d = len(placed)
+        if not left:
+            return all(test(sum(placed[n - j :]) | sum(placed[: w - j])) for j in range(1, w))
+        tail = tuple(placed[max(d - k, 0) :])
+        key = (left, tuple(placed[:k]), tail)
+        if key in failed:
+            return False
+        last = sum(tail)
+        for b in bits(left) if placed else (1,):  # 0 goes first
+            if d >= k and not test(last | b):
+                continue
+            placed.append(b)
+            if extend(left ^ b):
+                return True
+            placed.pop()
+        failed.add(key)
+        return False
+
+    return tuple(b.bit_length() - 1 for b in placed) if extend(ground) else None

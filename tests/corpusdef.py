@@ -12,6 +12,7 @@ from sparsepaving import (
     graham_sloane,
     gs_best_class,
     random_sparse_paving,
+    subset_masks,
     uniform,
 )
 
@@ -72,3 +73,28 @@ def with_max_n(limit: int, min_rank: int = 0):
         for name, m in CORPUS
         if m.n <= limit and m.r >= min_rank and m.n - m.r >= min_rank
     ]
+
+
+def sparse_paving_families(n: int, r: int) -> list[tuple[int, ...]]:
+    """Every labeled sparse paving family on n elements at rank r.
+
+    A family is a set of r-subsets, pairwise at symmetric difference at
+    least 4, that leaves at least one basis.  Backtracking over a far
+    table: far[i] holds the later r-sets meeting set i in at most r - 2
+    elements.  Each family lists its sets in subset_masks order, and the
+    families come in the lexicographic order of their index lists.
+    """
+    sets = list(subset_masks(n, r))
+    far = [
+        {j for j in range(i + 1, len(sets)) if (sets[i] & sets[j]).bit_count() <= r - 2}
+        for i in range(len(sets))
+    ]
+    out = []
+
+    def grow(family, cands):
+        out.append(family)
+        for pos, i in enumerate(cands):
+            grow((*family, sets[i]), [j for j in cands[pos + 1 :] if j in far[i]])
+
+    grow((), range(len(sets)))
+    return [f for f in out if len(f) < len(sets)]

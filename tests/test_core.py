@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from corpusdef import CORPUS, P44, U24, with_max_n
+from corpusdef import CORPUS, P44, U24, sparse_paving_families, with_max_n
 from sparsepaving import (
     DistanceViolation,
     ElementOutOfRange,
@@ -308,6 +308,42 @@ def test_ground_size_cap():
 def test_corpus_validates(name, m):
     validate(m)
     assert m.basis_count >= 1
+
+
+# labeled sparse paving families per (n, r), 1 <= n <= 7, ranks 0..n
+FAMILY_COUNTS = {
+    1: (1, 1),
+    2: (1, 3, 1),
+    3: (1, 4, 4, 1),
+    4: (1, 5, 10, 5, 1),
+    5: (1, 6, 26, 26, 6, 1),
+    6: (1, 7, 76, 271, 76, 7, 1),
+    7: (1, 8, 232, 5596, 5596, 232, 8, 1),
+}
+
+
+def test_sparse_paving_families_frozen():
+    counts = {
+        n: tuple(len(sparse_paving_families(n, r)) for r in range(n + 1)) for n in FAMILY_COUNTS
+    }
+    assert counts == FAMILY_COUNTS
+    assert sum(map(sum, counts.values())) == 12218
+    for n in range(1, 7):
+        for r in range(n + 1):
+            fams = sparse_paving_families(n, r)
+            assert len(set(fams)) == len(fams)
+            for f in fams:
+                validate(SparsePavingMatroid(n, r, f))
+            if n <= 5:
+                # the definition, over every subfamily of the r-sets
+                sets = list(subset_masks(n, r))
+                want = [
+                    sub
+                    for k in range(len(sets))
+                    for sub in itertools.combinations(sets, k)
+                    if all((a ^ b).bit_count() >= 4 for a, b in itertools.combinations(sub, 2))
+                ]
+                assert sorted(fams) == sorted(want), (n, r)
 
 
 # -- basis test, rank, closure ---------------------------------------------------

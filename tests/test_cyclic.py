@@ -2,15 +2,18 @@
 
 import hashlib
 import itertools
+import math
 import random
+import time
 import zlib
 from fractions import Fraction
 
 import pytest
 
-from corpusdef import CORPUS, P44, U24, gs_best, with_max_n
+from corpusdef import CORPUS, P44, U24, gs_best, sparse_paving_families, with_max_n
 from sparsepaving import (
     ElementOutOfRange,
+    ExplicitMatroid,
     GroundSetMismatch,
     InternalCheckError,
     NotBases,
@@ -27,6 +30,7 @@ from sparsepaving import (
     find_cyclic_order,
     gabow_cycle,
     gabow_cycle_any,
+    graham_sloane,
     is_basis,
     minor,
     rank_of,
@@ -179,6 +183,65 @@ def test_brute_force_order_frozen():
     assert brute_force_order(empty) == brute_force_order(to_explicit(empty)) == ()
     with pytest.raises(TooLarge):
         brute_force_order(uniform(10, 4))
+    assert brute_force_order(graham_sloane(8, 6, 3)) == (0, 2, 1, 3, 4, 6, 5, 7)
+    assert brute_force_order(graham_sloane(9, 6, 0)) == (0, 1, 2, 3, 5, 4, 7, 8, 6)
+    start = time.perf_counter()
+    assert brute_force_order(tight(9, 1)) is None
+    assert brute_force_order(tight(9, 8)) is None
+    assert time.perf_counter() - start < 0.1
+
+
+def tight(n: int, r: int) -> SparsePavingMatroid:
+    """One dependent r-set; no cyclic order is a witness when r is 1 or n - 1."""
+    return SparsePavingMatroid(n, r, [range(r)])
+
+
+def brute_force_scan(m):
+    """brute_force_order as it stood before its pruned search, kept as the reference."""
+    pred, n, r = basis_predicate(m)
+    if n > 9:
+        raise TooLarge(f"{math.factorial(max(n - 1, 0))} cycles is past the oracle guard")
+    if n == 0:
+        return ()
+    for tail in itertools.permutations(range(1, n)):
+        cand = (0, *tail)
+        if not cyclic._dependent_windows(pred, n, r, cand):
+            return cand
+    return None
+
+
+def cycle_matroid(v: int, edges) -> ExplicitMatroid:
+    """The graphic matroid of a connected graph: its bases are the spanning trees."""
+
+    def spans(tree) -> bool:
+        seen = {0}
+        for _ in range(v):
+            seen |= {x for a, b in tree if a in seen or b in seen for x in (a, b)}
+        return len(seen) == v
+
+    trees = itertools.combinations(range(len(edges)), v - 1)
+    return ExplicitMatroid(len(edges), v - 1, [t for t in trees if spans([edges[i] for i in t])])
+
+
+def test_brute_force_order_matches_the_permutation_scan():
+    small = [
+        SparsePavingMatroid(n, r, f)
+        for n in range(1, 7)
+        for r in range(n + 1)
+        for f in sparse_paving_families(n, r)
+    ]
+    assert len(small) == 544
+    cases = small + [to_explicit(m) for m in small]
+    # every ceil(len / 24)-th family of each rank: r > n/2 and w = 1 included
+    for r in range(8):
+        fams = sparse_paving_families(7, r)
+        cases += [SparsePavingMatroid(7, r, f) for f in fams[:: -(-len(fams) // 24)]]
+    cases += [tight(n, r) for n in (7, 8, 9) for r in (1, n - 1)]
+    # K4 with one edge doubled: a search that forgets the prefix's first
+    # w - 1 entries answers differently here, and on no instance above
+    cases.append(cycle_matroid(4, [(0, 3), (2, 3), (1, 2), (1, 3), (1, 0), (2, 0), (2, 0)]))
+    for m in cases:
+        assert brute_force_order(m) == brute_force_scan(m), m
 
 
 @pytest.mark.parametrize("name,m", with_max_n(9), ids=[n for n, _ in with_max_n(9)])
