@@ -39,6 +39,7 @@ from .cyclic import (
 from .errors import (
     InternalCheckError,
     MatroidError,
+    ParseError,
     PreconditionViolated,
     TooLarge,
     ValidationError,
@@ -105,8 +106,13 @@ def _parse_members(spec: str) -> list[int]:
 
 
 def _load(args, explicit_work_cap: float):
-    with open(args.file, encoding="utf-8") as fh:
-        return parse_matroid(fh.read(), explicit_work_cap=explicit_work_cap)
+    with open(args.file, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"byte {e.start}: not UTF-8 text") from None
+    return parse_matroid(text, explicit_work_cap=explicit_work_cap)
 
 
 def _load_spm(args) -> SparsePavingMatroid:

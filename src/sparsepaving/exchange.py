@@ -401,12 +401,12 @@ class _Side:
 
 
 def _pick_helper(act: Counter, amb: int, bma: int) -> int:
-    # some member must be richer in amb than in bma, because the side was
-    # chosen with the larger multiplicity mass on amb; the member being
-    # advanced holds none of amb, so it is never picked
-    richer = (v for v in act if (v & amb).bit_count() > (v & bma).bit_count())
-    hit = min(richer, default=None)
-    return guaranteed(hit, "no member is richer in the target difference")
+    # white_moves advances a side whose unmatched members hold at least as
+    # much of amb as of bma, counted with multiplicity, and symmetric
+    # exchanges keep those totals.  The member being advanced holds none
+    # of amb and all of bma, so the others hold strictly more of amb than
+    # of bma, and one of them is richer: min never sees an empty search.
+    return min(v for v in act if (v & amb).bit_count() > (v & bma).bit_count())
 
 
 def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
@@ -489,14 +489,11 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
         side.push(m, nb1, nb2, b2c, a2c)
         return
 
-    # half == 1
+    # half == 1.  The loop ends: every pass that does not return is the
+    # interferer fix below, and each one leaves one interferer fewer.
     a1c = lowest_element(amb)
     b1c = lowest_element(bma)
-    guard = 0
     while True:
-        guard += 1
-        if guard > len(side.state) + 4:
-            raise InternalCheckError("single-swap chain failed to settle")
         b2 = _pick_helper(side.act, amb, bma)
         x_mask = b2 & ~(1 << a1c)
         if pred(x_mask | (1 << b1c)):
@@ -519,7 +516,9 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
             side.push(m, b1, nb2, b1c, a1c)
             return
         # interferers hold b1c without a1c; hand the first one an a1c
-        # from the helper, shrinking their number by one per pass
+        # from the helper for some z.  z is not b1c, as b2 - a1c + b1c
+        # failed above, so bh stops interfering and b2 does not start;
+        # b1 never moves, so the others drop by exactly one per pass
         bh = next((v for v in ordered if (v >> b1c) & 1 and not (v >> a1c) & 1), None)
         if bh is not None:
             hit = _exchange(pred, b2, bh, ((a1c, z) for z in iter_elements(bh & ~b2)))
@@ -529,7 +528,7 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
             if (bh >> b1c) & 1 and (bh >> a1c) & 1 and (b2 ^ bh).bit_count() >= 4:
                 x = lowest_element(bh & ~(1 << b1c) & ~b2)
                 hit = _exchange(pred, bh, b2, ((x, y) for y in iter_elements(b2 & ~bh)))
-                _, y = guaranteed(hit, "symmetric exchange witness missing")
+                _, y = guaranteed(hit, "no exchange with a member far from the helper")
                 nb2, _ = side.push(m, b2, bh, y, x)
                 side.push(m, b1, nb2, b1c, a1c)
                 return
@@ -578,10 +577,9 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     d_members = tuple(sorted(_as_members(m, dst, "dst")))
     if len(s_members) != len(d_members):
         raise UnionMismatch("collections have different member counts")
-    s_union = Multiset.from_elements(e for b in s_members for e in iter_elements(b))
-    if s_union != Multiset.from_elements(e for b in d_members for e in iter_elements(b)):
+    union = Counter(e for b in s_members for e in iter_elements(b))
+    if union != Counter(e for b in d_members for e in iter_elements(b)):
         raise UnionMismatch("collections have different multiset unions")
-    union = s_union.counter()
 
     side_s = _Side(s_members)
     side_d = _Side(d_members)
@@ -680,14 +678,14 @@ def white2_path(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
         def view(dmask: int, _shared=shared) -> bool:
             return pred(dmask | _shared)
 
+        # the walk returns only once its first block is d2, so cur[p]
+        # ends as aj = dst_t[p]; the replay below certifies every step
         prev1 = d1
         for n1, _ in _disjoint_pair_path(view, d1, d2, d2, d1):
             x = lowest_element(prev1 & ~n1)
             y = lowest_element(n1 & ~prev1)
             emit(p, q, x, y)
             prev1 = n1
-        if cur[p] != dst_t[p]:
-            raise InternalCheckError("transposition walk missed its target")
     check_moves(m, src_t, dst_t, out, ordered=True)
     return out
 
@@ -796,22 +794,22 @@ def graph_connected(
     support = as_mask(counts)
     bases = sorted(b for b in subset_masks(n, r) if not b & ~support and pred(b))
     cols: set[tuple[int, ...]] = set()
-
-    def rec(lo: int, levels: tuple[int, ...], chosen: list[int]) -> None:
+    top = max(counts.values(), default=0)
+    # depth first with an explicit stack, so any k fits: (first index,
+    # what is left of the union, members so far)
+    levels = tuple(as_mask(e for e, c in counts.items() if c > i) for i in range(top))
+    stack = [(0, levels, ())]
+    while stack:
+        lo, levels, chosen = stack.pop()
         if len(chosen) == k:
-            cols.add(tuple(chosen))
+            cols.add(chosen)
             if len(cols) > cap:
                 raise TooLarge(f"collection graph exceeds {cap} vertices")
-            return
+            continue
         for idx in range(lo, len(bases)):
             b = bases[idx]
             if not b & ~levels[0]:
-                chosen.append(b)
-                rec(idx if multiset else 0, _take(levels, b), chosen)
-                chosen.pop()
-
-    top = max(counts.values(), default=0)
-    rec(0, tuple(as_mask(e for e, c in counts.items() if c > i) for i in range(top)), [])
+                stack.append((idx if multiset else 0, _take(levels, b), (*chosen, b)))
 
     def col_neighbours(col: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
         for i in range(k):

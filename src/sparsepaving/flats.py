@@ -191,12 +191,6 @@ def check_bounds(report: BoundsReport) -> None:
     ch_upper = Fraction(comb(n, r), n - r + 1) if r is not None else None
     if report.ch_upper != ch_upper:
         raise InternalCheckError(f"ch_upper {report.ch_upper} should be {ch_upper}")
-    if 4 <= n <= 24:
-        # sanity: the real lower bound sits below the upper bound here;
-        # compare squares to keep the radical out of it
-        d = zn_upper - 2
-        if d <= 0 or Fraction(t, n3) > d * d:
-            raise InternalCheckError(f"bound formulas crossed at n={n}")
 
 
 @dataclass(frozen=True)

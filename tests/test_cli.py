@@ -508,6 +508,17 @@ def test_cli_conj_commands(p44_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("which", ["white", "white2"])
+def test_cli_collection_oracle_takes_any_k(tmp_path, which):
+    # the collection enumeration goes one member deeper per level, so it
+    # must not lean on the interpreter's recursion limit (about 1,000)
+    f = tmp_path / "u24.txt"
+    f.write_text(serialize_matroid(U24))
+    col = "|".join(["0,1"] * 1200)
+    argv = ["conj", which, str(f), "--k", "1200", "--from", col, "--to", col, "--oracle"]
+    assert run_cli(*argv) == (0, "moves 0\noracle connected 1 vertices\n")
+
+
 def test_cli_disconnected_oracle_exits_1(monkeypatch, p44_file):
     monkeypatch.setattr(cli, "graph_connected", lambda *args, **kw: (False, 7))
     assert run_cli("conj", "farber", p44_file) == (1, "WITNESS disconnected 7\n")
@@ -592,6 +603,9 @@ def test_cli_exit_codes(tmp_path):
         ),
         (["validate", "{f}"], "spm 1\nn 4\n", "line 2: missing 'n' and 'r' lines"),
         (["validate", "{f}"], "bases 1\nn 3\nr 5\n", "rank 5 not in 0..3"),
+        # bytes that are not UTF-8, in a body line and as a whole file
+        (["validate", "{f}"], b"spm 1\nn 4\nr 2\nch 0 \xff3\n", "byte 19: not UTF-8 text"),
+        (["order", "cyclic", "{f}"], b"\xff\xfe", "byte 0: not UTF-8 text"),
     ],
     ids=[
         "empty-set-dash",
@@ -600,11 +614,13 @@ def test_cli_exit_codes(tmp_path):
         "vertex-without-semicolon",
         "missing-n-r",
         "explicit-rank-range",
+        "non-utf8-line",
+        "non-utf8-file",
     ],
 )
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, text, err):
     f = tmp_path / "in.txt"
-    f.write_text(text)
+    f.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert run_cli(*(a.format(f=f) for a in argv)) == (2, "")
     assert capsys.readouterr().err == f"error: {err}\n"
 
@@ -985,6 +1001,18 @@ def test_cli_class_table_self_check_exits_3(monkeypatch, argv):
     # larger than its size and census rows fall below the lower bound
     monkeypatch.setattr(construct, "comb", lambda n, k: 0)
     assert run_cli(*argv) == (3, "")
+
+
+def test_cli_order_cyclic_without_repair_patterns_exits_3(monkeypatch, tmp_path, capsys):
+    # gs9_4's seed-0 near-witness cycle has one dependent window, so the
+    # repair runs, and with no pattern to try it must fail loudly
+    f = str(tmp_path / "gs9_4.txt")
+    assert run_cli("gen", "gs", "--n", "9", "--r", "4", "-o", f)[0] == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sparsepaving.cyclic, "_REPAIR_PATTERNS", ())
+    assert run_cli("order", "cyclic", f) == (3, "")
+    err = capsys.readouterr().err
+    assert err == "internal error: all repair patterns left a dependent window\n"
 
 
 def test_cli_gen_gs_class_one_short_exits_3(monkeypatch):

@@ -314,7 +314,9 @@ def test_sampler_exhaustion_raises(monkeypatch):
     pred, n, r = basis_predicate(m)
     assert len(cyclic._dependent_windows(pred, n, r, range(n))) >= 2
     monkeypatch.setattr(random.Random, "shuffle", lambda self, seq: None)
-    with pytest.raises(InternalCheckError, match="sampling cap"):
+    with pytest.raises(
+        InternalCheckError, match="^sampling cap hit while looking for a near-witness cycle$"
+    ):
         cyclic._near_witness_cycle(m, 0)
 
 

@@ -225,6 +225,9 @@ def test_check_bpg_walk_rejects_a_dependent_block():
     u = bpg_vertex(P44, {0, 1}, {2, 3}, set())
     v = bpg_vertex(P44, {0, 2}, {1, 3}, set())
     exchange.check_bpg_walk(P44, [u, v], u, v)
+    for ends in ([], [v, u], [u]):
+        with pytest.raises(InternalCheckError, match="^walk endpoints are off$"):
+            exchange.check_bpg_walk(P44, ends, u, v)
     # {0, 3} and {1, 2} are the dependent pairs; each step is one swap
     with pytest.raises(InternalCheckError):
         exchange.check_bpg_walk(P44, [u, BasisPairVertex(0b1001, 0b0110, 0), v], u, v)

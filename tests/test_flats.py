@@ -288,6 +288,11 @@ def test_bounds_order_for_supported_range():
     for n in range(4, 25):
         b = bounds(n)
         assert b.zn_lower_int <= b.zn_upper
+        # the real lower bound 2^(n-1)/n^(3/2) + 2 sits below zn_upper too;
+        # squares keep the radical out of it
+        d = b.zn_upper - 2
+        assert d > 0
+        assert Fraction(1 << (2 * (n - 1)), n**3) <= d * d
 
 
 def test_bounds_errors():
