@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .bitset import elements, format_set
 from .construct import graham_sloane, random_sparse_paving
@@ -197,8 +198,7 @@ def _check_pair_graph_vertex(m, spec: str):
 def _cmd_conj_farber(args) -> int:
     m = _load_spm(args)
     if (args.src is None) != (args.dst is None):
-        print("error: --from and --to go together", file=sys.stderr)
-        return EXIT_USAGE
+        raise PreconditionViolated("--from and --to go together")
     if args.src is not None:
         u = _check_pair_graph_vertex(m, args.src)
         v = _check_pair_graph_vertex(m, args.dst)
@@ -221,8 +221,7 @@ def _run_collection_walk(args) -> int:
     src = _parse_members(args.src)
     dst = _parse_members(args.dst)
     if len(src) != args.k or len(dst) != args.k:
-        print(f"error: --k {args.k} does not match the member lists", file=sys.stderr)
-        return EXIT_USAGE
+        raise PreconditionViolated(f"--k {args.k} does not match the member lists")
     moves = (white2_path if args.ordered else white_moves)(m, src, dst)
     check_moves(m, src, dst, moves, args.ordered)
     print(f"moves {len(moves)}")
@@ -310,6 +309,7 @@ def _cmd_census(args) -> int:
 # -- wiring -------------------------------------------------------------------
 
 
+@cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     def parent(*names: str, **kw) -> argparse.ArgumentParser:
         p = argparse.ArgumentParser(add_help=False)

@@ -259,24 +259,15 @@ def minor(
     having = [h for h in m.chset if h & bit]
     avoiding = [h for h in m.chset if not h & bit]
     label_map = tuple(x for x in range(m.n) if x != e)
-    if kind == "delete":
-        if len(avoiding) == comb(m.n - 1, m.r):
-            # e sits in every basis: the deletion is uniform of rank r-1
-            out = SparsePavingMatroid(m.n - 1, m.r - 1, ())
-        else:
-            out = SparsePavingMatroid(
-                m.n - 1, m.r, tuple(_drop_element(h, e) for h in avoiding)
-            )
+    if kind == "delete" and len(avoiding) == comb(m.n - 1, m.r):
+        # e sits in every basis: the deletion is uniform of rank r-1
+        return SparsePavingMatroid(m.n - 1, m.r - 1, ()), label_map
+    # contracting an e that sits in no basis is deleting it
+    if kind == "delete" or m.r == 0 or len(having) == comb(m.n - 1, m.r - 1):
+        rank, sets = m.r, avoiding
     else:
-        if m.r == 0 or len(having) == comb(m.n - 1, m.r - 1):
-            # e sits in no basis: contraction and deletion agree
-            out = SparsePavingMatroid(
-                m.n - 1, m.r, tuple(_drop_element(h, e) for h in avoiding)
-            )
-        else:
-            out = SparsePavingMatroid(
-                m.n - 1, m.r - 1, tuple(_drop_element(h, e) for h in having)
-            )
+        rank, sets = m.r - 1, having
+    out = SparsePavingMatroid(m.n - 1, rank, (_drop_element(h, e) for h in sets))
     return out, label_map
 
 
@@ -473,20 +464,13 @@ def explicit_minor(
         raise ElementOutOfRange(f"element {e} not in 0..{em.n - 1}")
     bit = 1 << e
     label_map = tuple(x for x in range(em.n) if x != e)
-    if kind == "delete":
-        keep = [b for b in em.bases if not b & bit]
-        if keep:
-            out = ExplicitMatroid(em.n - 1, em.r, (_drop_element(b, e) for b in keep))
-        else:
-            out = ExplicitMatroid(
-                em.n - 1, em.r - 1, (_drop_element(b ^ bit, e) for b in em.bases)
-            )
+    avoiding = [b for b in em.bases if not b & bit]
+    having = [b for b in em.bases if b & bit]
+    # deleting an e in every basis is contracting it, and contracting an
+    # e in no basis is deleting it
+    if avoiding if kind == "delete" else not having:
+        rank, sets = em.r, avoiding
     else:
-        cont = [b ^ bit for b in em.bases if b & bit]
-        if cont:
-            out = ExplicitMatroid(em.n - 1, em.r - 1, (_drop_element(b, e) for b in cont))
-        else:
-            out = ExplicitMatroid(
-                em.n - 1, em.r, (_drop_element(b, e) for b in em.bases)
-            )
+        rank, sets = em.r - 1, having
+    out = ExplicitMatroid(em.n - 1, rank, (_drop_element(b, e) for b in sets))
     return out, label_map

@@ -165,18 +165,15 @@ def check_density_witness(m, w: ElementSet) -> None:
 
 def _rank_two_order(m: SparsePavingMatroid) -> tuple[int, ...]:
     # r = 2 and at least one dependent pair; density gave n >= 4.
+    # Dependent pairs are disjoint (two sharing an element would be at
+    # symmetric difference 2), so sorting them orders their first members.
     # Separate each dependent pair cyclically: first members, then the
     # untouched elements, then second members.  A window is bad only if
     # it equals some dependent pair, and no two such pair members end
     # up adjacent (with one pair, interleave a free element instead).
-    pairs = sorted(m.chset, key=lambda h: elements(h)[0])
-    firsts = [elements(h)[0] for h in pairs]
-    seconds = [elements(h)[1] for h in pairs]
-    used = 0
-    for h in pairs:
-        used |= h
-    free = [e for e in range(m.n) if not (used >> e) & 1]
-    if len(pairs) == 1:
+    firsts, seconds = zip(*sorted(map(elements, m.chset)))
+    free = elements(m.ground & ~as_mask(firsts + seconds))
+    if len(firsts) == 1:
         return (firsts[0], free[0], seconds[0], *free[1:])
     return (*firsts, *free, *seconds)
 
@@ -339,17 +336,12 @@ def _block_cycle(m, b1m: int, b2m: int) -> tuple[int, ...]:
 
     probs = _problem_positions(m, b, c)
     while probs:
-        i = probs[0]
+        i = probs[0]  # 1 <= i <= r - 1
+        trials = [(b, _swapped(c, i - 1, i)), (_swapped(b, i - 1, i), c)]
         if i <= r - 2:
-            third = list(c)
-            third[i - 1 : i + 2] = [c[i + 1], c[i - 1], c[i]]
-            trials = [(b, _swapped(c, i - 1, i)), (_swapped(b, i - 1, i), c), (b, third)]
-        else:
-            trials = [(b, _swapped(c, r - 2, r - 1)), (_swapped(b, r - 2, r - 1), c)]
-            if r >= 3:
-                third = list(c)
-                third[r - 3 :] = [c[r - 2], c[r - 1], c[r - 3]]
-                trials.append((b, third))
+            trials.append((b, c[: i - 1] + [c[i + 1], c[i - 1], c[i]] + c[i + 2 :]))
+        elif i >= 2:
+            trials.append((b, c[: i - 2] + [c[i - 1], c[i], c[i - 2]]))
         fewer = (
             (nb, nc, np_)
             for nb, nc in trials

@@ -204,9 +204,8 @@ def _disjoint_pair_path(
         gap = cur1 & ~tgt1
         need = tgt1 & ~cur1  # sits inside cur2
         if gap.bit_count() == 1:
-            # adjacent: the target itself is the final step
-            cur1, cur2 = tgt1, tgt2
-            out.append((cur1, cur2))
+            # adjacent: both blocks keep the target's union, so this swap lands on it
+            step(lowest_element(gap), lowest_element(need))
             continue
         if gap.bit_count() >= 3:
             x = lowest_element(gap)
@@ -245,51 +244,36 @@ def bpg_path(m, u: BasisPairVertex, v: BasisPairVertex) -> list[BasisPairVertex]
     u = bpg_vertex(m, u.a1, u.a2, u.a3)
     v = bpg_vertex(m, v.a1, v.a2, v.a3)
     path = [u]
-    cur1, cur2, cur3 = u.a1, u.a2, u.a3
-
-    def emit(n1: int, n2: int, n3: int) -> None:
-        nonlocal cur1, cur2, cur3
-        cur1, cur2, cur3 = n1, n2, n3
-        path.append(BasisPairVertex(n1, n2, n3))
+    pair, cur3 = [u.a1, u.a2], u.a3
 
     while cur3 != v.a3:
         leave = cur3 & ~v.a3
         enter = v.a3 & ~cur3
-        t1 = bool(enter & cur1)
-        block = cur1 if t1 else cur2
-        b = lowest_element(enter & block)
+        t = 0 if enter & pair[0] else 1  # the block that gives up b
+        b = lowest_element(enter & pair[t])
         if leave.bit_count() >= 2:
             # at most one landing spot is a dependent completion
-            land = (e for e in iter_elements(leave) if pred(swap(block, b, e)))
+            land = (e for e in iter_elements(leave) if pred(swap(pair[t], b, e)))
             a3c = guaranteed(next(land, None), "third-block alignment found no landing")
-            nb = swap(block, b, a3c)
         else:
             a3c = lowest_element(leave)
-            nb = swap(block, b, a3c)
-            if not pred(nb):
+            if not pred(swap(pair[t], b, a3c)):
                 # dodge: trade an element with the other basis block
                 # first, stepping clear of the dependent completion
-                other = cur2 if t1 else cur1
+                block, other = pair[t], pair[1 - t]
                 pairs = itertools.product(elements(block & ~(1 << b)), elements(other))
                 hit = _exchange(pred, block, other, pairs)
                 a1c, a2c = guaranteed(hit, "third-block dodge found no swap")
-                m1, m2 = swap(block, a1c, a2c), swap(other, a2c, a1c)
-                if t1:
-                    emit(m1, m2, cur3)
-                else:
-                    emit(m2, m1, cur3)
-                block = m1
-                nb = swap(block, b, a3c)
-                if not pred(nb):
+                pair[t], pair[1 - t] = swap(block, a1c, a2c), swap(other, a2c, a1c)
+                path.append(BasisPairVertex(*pair, cur3))
+                if not pred(swap(pair[t], b, a3c)):
                     raise InternalCheckError("third-block dodge did not unblock")
-        n3 = swap(cur3, a3c, b)
-        if t1:
-            emit(nb, cur2, n3)
-        else:
-            emit(cur1, nb, n3)
+        pair[t] = swap(pair[t], b, a3c)
+        cur3 = swap(cur3, a3c, b)
+        path.append(BasisPairVertex(*pair, cur3))
 
-    for n1, n2 in _disjoint_pair_path(pred, cur1, cur2, v.a1, v.a2):
-        emit(n1, n2, cur3)
+    for n1, n2 in _disjoint_pair_path(pred, *pair, v.a1, v.a2):
+        path.append(BasisPairVertex(n1, n2, cur3))
     check_bpg_walk(m, path, u, v)
     return path
 

@@ -7,6 +7,8 @@ and show up in parametrized test ids.
 
 from __future__ import annotations
 
+from functools import cache
+
 from sparsepaving import (
     SparsePavingMatroid,
     graham_sloane,
@@ -98,3 +100,25 @@ def sparse_paving_families(n: int, r: int) -> list[tuple[int, ...]]:
 
     grow((), range(len(sets)))
     return [f for f in out if len(f) < len(sets)]
+
+
+@cache
+def small_sparse_paving(max_n: int) -> tuple[SparsePavingMatroid, ...]:
+    """One matroid per labeled sparse paving family with 1 <= n <= max_n.
+
+    544 of them for max_n = 6, by n, then r, then family order.
+    """
+    return tuple(
+        SparsePavingMatroid(n, r, f)
+        for n in range(1, max_n + 1)
+        for r in range(n + 1)
+        for f in sparse_paving_families(n, r)
+    )
+
+
+def call_outcome(call, *args):
+    """call(*args), or the class and message of what it raised: both are behaviour."""
+    try:
+        return call(*args)
+    except Exception as e:
+        return type(e), str(e)

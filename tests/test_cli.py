@@ -24,7 +24,7 @@ import pytest
 import sparsepaving
 import sparsepaving.cli as cli
 import sparsepaving.construct as construct
-from corpusdef import CORPUS, P44, U24
+from corpusdef import CORPUS, P44, U24, call_outcome
 from sparsepaving import (
     BasisPairVertex,
     ExplicitMatroid,
@@ -196,7 +196,7 @@ def test_parse_rejects_malformed(bad, message):
     ids=["zero-padded", "tabs", "trailing-space", "rank-0", "rank-0-bases", "rank-0-bare-ch"],
 )
 def test_parse_accepts_non_canonical_spellings(text, canonical):
-    assert _outcome(parse_matroid, text) == _outcome(parse_matroid, canonical)
+    assert call_outcome(parse_matroid, text) == call_outcome(parse_matroid, canonical)
 
 
 # corpus members whose body reads each label more than twice, so that
@@ -271,13 +271,6 @@ def parse_per_token(text, explicit_work_cap=MAX_EXPLICIT_WORK):
     return em
 
 
-def _outcome(parse, text):
-    try:
-        return parse(text)
-    except Exception as e:  # the class and the exact wording are the behaviour
-        return type(e), str(e)
-
-
 MUTANT_TOKENS = ("0", "07", "00", "-1", "+2", "x", "1_0", "\u0663", "ch", "b", "9" * 30)
 
 
@@ -313,7 +306,7 @@ def test_parse_matches_the_per_token_reader():
     texts = [serialize_matroid(m) for _, m in CORPUS]
     texts += [serialize_matroid(to_explicit(m)) for _, m in CORPUS if m.n <= 9]
     for text in texts:
-        assert _outcome(parse_matroid, text) == _outcome(parse_per_token, text)
+        assert call_outcome(parse_matroid, text) == call_outcome(parse_per_token, text)
     # the mutants come from files small enough to keep the test fast, with
     # and without a label table; one or two seeded edits each
     rng = random.Random(0)
@@ -323,8 +316,8 @@ def test_parse_matches_the_per_token_reader():
         text = rng.choice(small)
         for _ in range(rng.randint(1, 2)):
             text = _mutate(rng, text)
-        want = _outcome(parse_per_token, text)
-        assert _outcome(parse_matroid, text) == want, text
+        want = call_outcome(parse_per_token, text)
+        assert call_outcome(parse_matroid, text) == want, text
         accepted += not isinstance(want, tuple)
     assert len(small) > 20 and 20 < accepted < 230
 
@@ -606,6 +599,17 @@ def test_cli_exit_codes(tmp_path):
         # bytes that are not UTF-8, in a body line and as a whole file
         (["validate", "{f}"], b"spm 1\nn 4\nr 2\nch 0 \xff3\n", "byte 19: not UTF-8 text"),
         (["order", "cyclic", "{f}"], b"\xff\xfe", "byte 0: not UTF-8 text"),
+        (["conj", "farber", "{f}", "--to", "0,1;2,3"], P44_TEXT, "--from and --to go together"),
+        (
+            ["conj", "white", "{f}", "--k", "2", "--from", "0,1", "--to", "0,1"],
+            P44_TEXT,
+            "--k 2 does not match the member lists",
+        ),
+        (
+            ["conj", "white2", "{f}", "--k", "1", "--from", "0,2", "--to", "0,2|1,3"],
+            P44_TEXT,
+            "--k 1 does not match the member lists",
+        ),
     ],
     ids=[
         "empty-set-dash",
@@ -616,6 +620,9 @@ def test_cli_exit_codes(tmp_path):
         "explicit-rank-range",
         "non-utf8-line",
         "non-utf8-file",
+        "from-without-to",
+        "white-k-mismatch",
+        "white2-k-mismatch",
     ],
 )
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, text, err):
@@ -645,6 +652,29 @@ def _leaf_parsers(parser, path=()):
     for action in subs:
         for name, child in action.choices.items():
             yield from _leaf_parsers(child, (*path, name))
+
+
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    """A later main call in the same process reuses the parser, usage errors included."""
+    assert main(["bounds", "--n", "4"]) == 0
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kw):
+        built.append(kw.get("prog"))
+        real(self, *args, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    capsys.readouterr()
+    assert main(["bounds", "--n", "4"]) == 0
+    assert capsys.readouterr().out.startswith("zn_upper 16/3\n")
+    errs = []
+    for _ in range(2):
+        assert main(["bounds", "--n"]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and errs[0].startswith("usage: spm bounds")
+    assert built == []
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_cli_each_subcommand_takes_only_the_caps_it_reads(p44_file):

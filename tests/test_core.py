@@ -9,7 +9,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from corpusdef import CORPUS, P44, U24, sparse_paving_families, with_max_n
+from corpusdef import (
+    CORPUS,
+    P44,
+    U24,
+    call_outcome,
+    small_sparse_paving,
+    sparse_paving_families,
+    with_max_n,
+)
 from sparsepaving import (
     DistanceViolation,
     ElementOutOfRange,
@@ -49,8 +57,9 @@ from sparsepaving import (
     validate,
 )
 from sparsepaving.bitset import format_set, lowest_element
-from sparsepaving.core import MAX_GROUND, check_ground
+from sparsepaving.core import MAX_GROUND, _drop_element, check_ground
 from sparsepaving.errors import TooLarge
+from test_guards import _family
 
 
 def mask(*elts: int) -> int:
@@ -484,6 +493,89 @@ def test_minor_degenerate_fallbacks():
     loopy = SparsePavingMatroid(2, 1, [{0}])
     got, _ = minor(loopy, "contract", 0)
     assert got == uniform(1, 1)
+
+
+def minor_four_way(m, kind, e):
+    """minor before it picked (rank, sets) once, kept as the reference."""
+    if kind not in ("delete", "contract"):
+        raise PreconditionViolated(f"kind must be 'delete' or 'contract', got {kind!r}")
+    if not 0 <= e < m.n:
+        raise ElementOutOfRange(f"element {e} not in 0..{m.n - 1}")
+    bit = 1 << e
+    having = [h for h in m.chset if h & bit]
+    avoiding = [h for h in m.chset if not h & bit]
+    label_map = tuple(x for x in range(m.n) if x != e)
+    if kind == "delete":
+        if len(avoiding) == comb(m.n - 1, m.r):
+            out = SparsePavingMatroid(m.n - 1, m.r - 1, ())
+        else:
+            out = SparsePavingMatroid(
+                m.n - 1, m.r, tuple(_drop_element(h, e) for h in avoiding)
+            )
+    else:
+        if m.r == 0 or len(having) == comb(m.n - 1, m.r - 1):
+            out = SparsePavingMatroid(
+                m.n - 1, m.r, tuple(_drop_element(h, e) for h in avoiding)
+            )
+        else:
+            out = SparsePavingMatroid(
+                m.n - 1, m.r - 1, tuple(_drop_element(h, e) for h in having)
+            )
+    return out, label_map
+
+
+def explicit_minor_four_way(em, kind, e):
+    """explicit_minor before it picked (rank, sets) once, kept as the reference."""
+    if kind not in ("delete", "contract"):
+        raise PreconditionViolated(f"kind must be 'delete' or 'contract', got {kind!r}")
+    if not 0 <= e < em.n:
+        raise ElementOutOfRange(f"element {e} not in 0..{em.n - 1}")
+    bit = 1 << e
+    label_map = tuple(x for x in range(em.n) if x != e)
+    if kind == "delete":
+        keep = [b for b in em.bases if not b & bit]
+        if keep:
+            out = ExplicitMatroid(em.n - 1, em.r, (_drop_element(b, e) for b in keep))
+        else:
+            out = ExplicitMatroid(
+                em.n - 1, em.r - 1, (_drop_element(b ^ bit, e) for b in em.bases)
+            )
+    else:
+        cont = [b ^ bit for b in em.bases if b & bit]
+        if cont:
+            out = ExplicitMatroid(em.n - 1, em.r - 1, (_drop_element(b, e) for b in cont))
+        else:
+            out = ExplicitMatroid(
+                em.n - 1, em.r, (_drop_element(b, e) for b in em.bases)
+            )
+    return out, label_map
+
+
+def test_minors_match_the_four_way_reference():
+    """Both kinds at every element, and one element off each end, of every
+    sparse paving family with n <= 6, its explicit form, and the
+    non-matroid families of the guard fuzz and empty families
+    (explicit_minor only).  Matroid equality includes the rank.
+    """
+    rng = random.Random(0)
+    small = small_sparse_paving(6)
+    cases = [(minor, minor_four_way, m) for m in small]
+    cases += [(explicit_minor, explicit_minor_four_way, to_explicit(m)) for m in small]
+    for n in (1, 2, 3, 4, 5, 6) * 20:
+        fam = _family(rng, n, rng.randint(0, n), 0.0)[0]
+        cases.append((explicit_minor, explicit_minor_four_way, fam))
+        cases.append((explicit_minor, explicit_minor_four_way, ExplicitMatroid(n, fam.r, ())))
+    moved = set()
+    for new, old, m in cases:
+        for kind in ("delete", "contract", "truncate"):
+            for e in range(-1, m.n + 1):
+                want = call_outcome(old, m, kind, e)
+                got = call_outcome(new, m, kind, e)
+                assert got == want, (m, kind, e)
+                if isinstance(want[0], (SparsePavingMatroid, ExplicitMatroid)):
+                    moved.add((type(m), kind, m.r - want[0].r))
+    # each function keeps and drops the rank under each kind
+    assert len(moved) == 8, moved
 
 
 @pytest.mark.parametrize("name,m", with_max_n(9), ids=[n for n, _ in with_max_n(9)])

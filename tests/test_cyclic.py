@@ -10,7 +10,16 @@ from fractions import Fraction
 
 import pytest
 
-from corpusdef import CORPUS, P44, U24, gs_best, sparse_paving_families, with_max_n
+from corpusdef import (
+    CORPUS,
+    P44,
+    U24,
+    call_outcome,
+    gs_best,
+    small_sparse_paving,
+    sparse_paving_families,
+    with_max_n,
+)
 from sparsepaving import (
     ElementOutOfRange,
     ExplicitMatroid,
@@ -39,7 +48,11 @@ from sparsepaving import (
     uniform,
 )
 from sparsepaving import cyclic
+from sparsepaving.bitset import elements
 from sparsepaving.core import basis_predicate
+from sparsepaving.cyclic import _problem_positions, _swapped, check_block_cycle
+from sparsepaving.errors import guaranteed
+from test_guards import _family
 
 
 def mask(*elts: int) -> int:
@@ -224,12 +237,7 @@ def cycle_matroid(v: int, edges) -> ExplicitMatroid:
 
 
 def test_brute_force_order_matches_the_permutation_scan():
-    small = [
-        SparsePavingMatroid(n, r, f)
-        for n in range(1, 7)
-        for r in range(n + 1)
-        for f in sparse_paving_families(n, r)
-    ]
+    small = list(small_sparse_paving(6))
     assert len(small) == 544
     cases = small + [to_explicit(m) for m in small]
     # every ceil(len / 24)-th family of each rank: r > n/2 and w = 1 included
@@ -496,3 +504,98 @@ def test_gabow_cycle_any_validation():
         gabow_cycle_any(uniform(6, 2), {0, 1, 2}, {3, 4})
     with pytest.raises(NotDisjoint):
         gabow_cycle_any(uniform(6, 2), {0, 1}, {1, 2})
+
+
+def rank_two_order_by_scan(m):
+    """_rank_two_order before its one sorted pass, kept as the reference."""
+    pairs = sorted(m.chset, key=lambda h: elements(h)[0])
+    firsts = [elements(h)[0] for h in pairs]
+    seconds = [elements(h)[1] for h in pairs]
+    used = 0
+    for h in pairs:
+        used |= h
+    free = [e for e in range(m.n) if not (used >> e) & 1]
+    if len(pairs) == 1:
+        return (firsts[0], free[0], seconds[0], *free[1:])
+    return (*firsts, *free, *seconds)
+
+
+def block_cycle_by_end(m, b1m, b2m):
+    """_block_cycle before its shared swap trials, kept as the reference."""
+    pred, _, r = basis_predicate(m)
+    b = list(elements(b1m))
+    c: list[int] = []
+    unused = list(elements(b2m))
+    suffix = b1m
+    for i in range(r):
+        suffix ^= 1 << b[i]
+        pick = next((y for y in unused if pred(suffix | (1 << y))), None)
+        c.append(guaranteed(pick, "greedy block ordering stalled"))
+        unused.remove(pick)
+        suffix |= 1 << pick
+
+    probs = _problem_positions(m, b, c)
+    while probs:
+        i = probs[0]
+        if i <= r - 2:
+            third = list(c)
+            third[i - 1 : i + 2] = [c[i + 1], c[i - 1], c[i]]
+            trials = [(b, _swapped(c, i - 1, i)), (_swapped(b, i - 1, i), c), (b, third)]
+        else:
+            trials = [(b, _swapped(c, r - 2, r - 1)), (_swapped(b, r - 2, r - 1), c)]
+            if r >= 3:
+                third = list(c)
+                third[r - 3 :] = [c[r - 2], c[r - 1], c[r - 3]]
+                trials.append((b, third))
+        fewer = (
+            (nb, nc, np_)
+            for nb, nc in trials
+            if (np_ := _problem_positions(m, nb, nc)) is not None and len(np_) < len(probs)
+        )
+        b, c, probs = guaranteed(next(fewer, None), "no repair reduced the bad window count")
+
+    out = tuple(b) + tuple(c)
+    check_block_cycle(m, out, b1m, b2m)
+    return out
+
+
+def test_block_cycle_matches_the_reference():
+    """Four seeded disjoint basis pairs per sparse paving family with n <= 6,
+    then two per non-matroid family of the guard fuzz, where guards fire."""
+    rng = random.Random(0)
+    cases = [(m, 4) for m in small_sparse_paving(6)]
+    cases += [(_family(rng, n, rng.randint(2, n // 2), 0.5)[0], 2) for n in (4, 5, 6, 7) * 40]
+    raised = 0
+    for m, draws in cases:
+        pred, n, r = basis_predicate(m)
+        bases = [b for b in subset_masks(n, r) if pred(b)]
+        pairs = [(a, b) for a in bases for b in bases if not a & b]
+        for _ in range(draws if pairs and r else 0):
+            a, b = rng.choice(pairs)
+            want = call_outcome(block_cycle_by_end, m, a, b)
+            assert call_outcome(cyclic._block_cycle, m, a, b) == want, (m, a, b)
+            raised += isinstance(want[0], type)
+    assert raised > 10
+
+
+def test_rank_two_order_matches_the_reference(monkeypatch):
+    """Every family of rank 2 or corank 2 with n <= 7, through find_cyclic_order.
+
+    Corank 2 reaches the rank-2 order through the dual.  The reference
+    answers are taken with _rank_two_order swapped for the old scan.
+    """
+    ms = [
+        SparsePavingMatroid(n, r, f)
+        for n in range(2, 8)
+        for r in {2, n - 2}
+        for f in sparse_paving_families(n, r)
+    ]
+    for m in ms:
+        if m.r == 2 and m.chset:
+            want = call_outcome(rank_two_order_by_scan, m)
+            assert call_outcome(cyclic._rank_two_order, m) == want, m
+    got = [call_outcome(find_cyclic_order, m) for m in ms]
+    monkeypatch.setattr(cyclic, "_rank_two_order", rank_two_order_by_scan)
+    assert got == [call_outcome(find_cyclic_order, m) for m in ms]
+    # 671 of the 688 have a dependent pair and an order
+    assert sum(m.chset != () and g is not None for g, m in zip(got, ms)) == 671

@@ -11,7 +11,15 @@ from collections import Counter
 
 import pytest
 
-from corpusdef import CORPUS, P44, U24, gs_best, with_max_n
+from corpusdef import (
+    CORPUS,
+    P44,
+    U24,
+    call_outcome,
+    gs_best,
+    small_sparse_paving,
+    with_max_n,
+)
 from sparsepaving import (
     BasisPairVertex,
     ElementOutOfRange,
@@ -42,8 +50,12 @@ from sparsepaving import (
     white2_path,
     white_moves,
 )
-from sparsepaving.bitset import elements
+from sparsepaving.bitset import elements, iter_elements, lowest_element, swap
+from sparsepaving.core import basis_predicate
+from sparsepaving.errors import guaranteed
+from sparsepaving.exchange import _anchor, _exchange, check_bpg_walk
 import sparsepaving.exchange as exchange
+from test_guards import _family
 
 
 def mask(*elts: int) -> int:
@@ -954,3 +966,122 @@ def test_white_moves_memory_stays_linear_in_k():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def disjoint_pair_path_assigning(pred, cur1, cur2, tgt1, tgt2):
+    """_disjoint_pair_path before its last swap went through step, kept as the reference."""
+    out: list[tuple[int, int]] = []
+
+    def step(x: int, y: int) -> None:
+        nonlocal cur1, cur2
+        cur1, cur2 = swap(cur1, x, y), swap(cur2, y, x)
+        out.append((cur1, cur2))
+
+    while cur1 != tgt1:
+        gap = cur1 & ~tgt1
+        need = tgt1 & ~cur1  # sits inside cur2
+        if gap.bit_count() == 1:
+            # adjacent: the target itself is the final step
+            cur1, cur2 = tgt1, tgt2
+            out.append((cur1, cur2))
+            continue
+        if gap.bit_count() >= 3:
+            x = lowest_element(gap)
+            hit = _exchange(pred, cur1, cur2, ((x, y) for y in iter_elements(need)))
+            step(*guaranteed(hit, "no pruned-exchange witness in pair walk"))
+            continue
+        b1, b2 = elements(gap)
+        a1, a2 = elements(need)
+        hit = _exchange(pred, cur1, cur2, itertools.product((b1, b2), (a1, a2)))
+        if hit is not None:
+            step(*hit)
+            continue
+        a1, a2 = _anchor(pred, cur1, b1, a1, a2)
+        common = cur1 & tgt1
+        if not common:
+            raise InternalCheckError("blocked exchange square in rank two")
+        x = lowest_element(common)
+        for b, a in ((x, a1), (b2, a2)):
+            hit = _exchange(pred, cur1, cur2, [(b, a)])
+            step(*guaranteed(hit, "detour step left the basis family"))
+    return out
+
+
+def bpg_path_by_side(m, u, v):
+    """bpg_path before its two basis blocks became one list, kept as the reference."""
+    pred, n, _ = basis_predicate(m)
+    u = bpg_vertex(m, u.a1, u.a2, u.a3)
+    v = bpg_vertex(m, v.a1, v.a2, v.a3)
+    path = [u]
+    cur1, cur2, cur3 = u.a1, u.a2, u.a3
+
+    def emit(n1: int, n2: int, n3: int) -> None:
+        nonlocal cur1, cur2, cur3
+        cur1, cur2, cur3 = n1, n2, n3
+        path.append(BasisPairVertex(n1, n2, n3))
+
+    while cur3 != v.a3:
+        leave = cur3 & ~v.a3
+        enter = v.a3 & ~cur3
+        t1 = bool(enter & cur1)
+        block = cur1 if t1 else cur2
+        b = lowest_element(enter & block)
+        if leave.bit_count() >= 2:
+            land = (e for e in iter_elements(leave) if pred(swap(block, b, e)))
+            a3c = guaranteed(next(land, None), "third-block alignment found no landing")
+            nb = swap(block, b, a3c)
+        else:
+            a3c = lowest_element(leave)
+            nb = swap(block, b, a3c)
+            if not pred(nb):
+                other = cur2 if t1 else cur1
+                pairs = itertools.product(elements(block & ~(1 << b)), elements(other))
+                hit = _exchange(pred, block, other, pairs)
+                a1c, a2c = guaranteed(hit, "third-block dodge found no swap")
+                m1, m2 = swap(block, a1c, a2c), swap(other, a2c, a1c)
+                if t1:
+                    emit(m1, m2, cur3)
+                else:
+                    emit(m2, m1, cur3)
+                block = m1
+                nb = swap(block, b, a3c)
+                if not pred(nb):
+                    raise InternalCheckError("third-block dodge did not unblock")
+        n3 = swap(cur3, a3c, b)
+        if t1:
+            emit(nb, cur2, n3)
+        else:
+            emit(cur1, nb, n3)
+
+    for n1, n2 in disjoint_pair_path_assigning(pred, cur1, cur2, v.a1, v.a2):
+        emit(n1, n2, cur3)
+    check_bpg_walk(m, path, u, v)
+    return path
+
+
+def test_pair_walks_match_the_two_sided_reference():
+    """bpg_path and _disjoint_pair_path against their two-sided forms.
+
+    Four seeded (u, v) per sparse paving family with n <= 6, and for
+    each u a seeded target pair on the same union of its first two
+    blocks, then the same on the non-matroid families of the guard fuzz,
+    where the walks raise their guards.
+    """
+    rng = random.Random(0)
+    cases = [(m, 4) for m in small_sparse_paving(6)]
+    cases += [(_family(rng, n, rng.randint(2, n // 2), 0.5)[0], 2) for n in (4, 5, 6, 7) * 40]
+    raised = 0
+    for m, draws in cases:
+        pred, n, r = basis_predicate(m)
+        bases = [b for b in subset_masks(n, r) if pred(b)]
+        verts = [BasisPairVertex(a, b, m.ground ^ a ^ b) for a in bases for b in bases if not a & b]
+        for _ in range(draws if verts else 0):
+            u, v = rng.choice(verts), rng.choice(verts)
+            want = call_outcome(bpg_path_by_side, m, u, v)
+            assert call_outcome(bpg_path, m, u, v) == want, (m, u, v)
+            raised += isinstance(want, tuple)
+            w = rng.choice([w for w in verts if w.a3 == u.a3])
+            args = (pred, u.a1, u.a2, w.a1, w.a2)
+            want = call_outcome(disjoint_pair_path_assigning, *args)
+            assert call_outcome(exchange._disjoint_pair_path, *args) == want, (m, u, w)
+    assert raised > 10

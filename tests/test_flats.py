@@ -97,6 +97,9 @@ def test_cyclic_flats_explicit_guard():
     # a non-matroid is refused by type before its size is looked at
     with pytest.raises(TypeError, match="^expected a matroid, got SimpleNamespace$"):
         cyclic_flats_of(SimpleNamespace(n=21, r=1))
+    # the certificate refuses one too, before it reads the list
+    with pytest.raises(TypeError, match="^expected a matroid, got object$"):
+        check_cyclic_flats(object(), [])
     # an unvalidated basis list is range-checked before it becomes a family
     with pytest.raises(ElementOutOfRange, match="^basis 5 is not inside 0..2$"):
         cyclic_flats_of(ExplicitMatroid(3, 1, [1 << 5]))

@@ -1,0 +1,70 @@
+"""Count raw and code lines per module of src/sparsepaving.
+
+A code line holds at least one token other than a comment, NL,
+NEWLINE, INDENT or DEDENT, and lies outside every module, class and
+function docstring.  A string token that spans lines makes each of its
+lines a code line.  Standard library only.
+
+Usage: python tools/sloc.py [package_dir]
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+import tokenize
+from pathlib import Path
+
+SKIP = {
+    tokenize.ENCODING,
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
+DEFAULT = Path(__file__).resolve().parent.parent / "src" / "sparsepaving"
+
+
+def _docstring_lines(tree: ast.Module) -> set[int]:
+    out: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                out.update(range(first.lineno, first.end_lineno + 1))
+    return out
+
+
+def count(path: Path) -> tuple[int, int]:
+    """(raw lines, code lines) of one source file."""
+    text = path.read_text(encoding="utf-8")
+    docs = _docstring_lines(ast.parse(text))
+    code: set[int] = set()
+    with path.open("rb") as fh:
+        for tok in tokenize.tokenize(fh.readline):
+            if tok.type not in SKIP:
+                code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(text.splitlines()), len(code - docs)
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[0]) if argv else DEFAULT
+    raw_total = code_total = 0
+    print(f"{'module':<16}{'raw':>7}{'code':>7}")
+    for path in sorted(root.glob("*.py")):
+        raw, code = count(path)
+        raw_total += raw
+        code_total += code
+        print(f"{path.name:<16}{raw:>7}{code:>7}")
+    print(f"{'total':<16}{raw_total:>7}{code_total:>7}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
