@@ -687,21 +687,46 @@ def _take(levels: tuple[int, ...], b: int) -> tuple[int, ...]:
 
 
 def _connected(
-    unseen: set, neighbours: Callable[[object], Iterable]
+    unseen: set,
+    neighbours: Callable[[object], Iterable],
+    candidates: Callable[[object], Iterable],
 ) -> tuple[bool, int]:
     """Search the graph on the vertex set unseen, emptying it as it goes;
     returns (connected, vertex count).
 
-    neighbours(v) may yield candidates that are not vertices: an edge is
-    a candidate that lies in the vertex set.  The search stops once no
+    neighbours(v) and candidates(v) may yield candidates that are not
+    vertices: an edge is a candidate that lies in the vertex set.
+
+    While the stack of reached vertices is shorter than the unseen set,
+    the search pops a vertex and takes its unseen neighbours.  Once it
+    is not, it sweeps the unseen set instead: each unseen vertex with a
+    candidate among the reached vertices (those the sweep has reached
+    included) is reached, and the stack restarts from the vertices the
+    sweep reached.  Near the end of a search most neighbours of a popped
+    vertex are reached already, while the sweep stops at the first
+    reached candidate of each unseen vertex: the direction switch of
+    Beamer, Asanovic & Patterson, "Direction-optimizing breadth-first
+    search" (SC 2012).  Every vertex reached before a sweep has no
+    unseen neighbour after it, so the old stack is dropped, and a sweep
+    that reaches nothing ends the search.  The search also stops once no
     vertex is left unseen, since no further edge can change the answer.
     """
     count = len(unseen)
     stack = [unseen.pop()] if unseen else []
+    reached = set(stack)
     while stack and unseen:
-        hit = unseen.intersection(neighbours(stack.pop()))
-        unseen -= hit
-        stack.extend(hit)
+        if len(stack) < len(unseen):
+            hit = unseen.intersection(neighbours(stack.pop()))
+            unseen -= hit
+            reached |= hit
+            stack.extend(hit)
+        else:
+            stack = []
+            for u in unseen:
+                if not reached.isdisjoint(candidates(u)):
+                    reached.add(u)
+                    stack.append(u)
+            unseen.difference_update(stack)
     return not unseen, count
 
 
@@ -724,8 +749,21 @@ def graph_connected(
     disjoint and a collection's union fixed, so the swapped pair or
     collection is a neighbour exactly when it is a vertex, that is, when
     both changed blocks or members are bases.  No theorem is assumed:
-    the search tries every swap out of each vertex it takes, and stops
-    when every vertex has been reached or none is left to take.
+    the search (see _connected) tries every swap out of each vertex it
+    pops or sweeps, and stops when every vertex has been reached or
+    none is left to reach.
+
+    A pair-graph pop lists the exact swaps of the vertex
+    v = (a1 << n) | a2.  A sweep tries v ^ d for each two-element delta
+    d instead: (p << n) | p, p << n and p for every pair p = {x, y}.
+    A candidate that lands in the vertex set is an edge.  Its blocks
+    a1 ^ (d >> n) and a2 ^ (d & ground) keep popcount r, so each
+    nonempty half of d has one element inside its block and one
+    outside.  (p << n) | p therefore trades x and y between a1 and a2;
+    p << n trades an element of a1 for one outside it, which is not in
+    a2 because the blocks stay disjoint, so it comes from the leftover
+    block; p does the same for a2.  Every swap is one of these, so a
+    sweep tries every swap too.
     """
     pred, n, r = basis_predicate(m)
     ground = (1 << n) - 1
@@ -754,7 +792,15 @@ def graph_connected(
             out += [v ^ x ^ y for x in bits2 for y in bits3]
             return out
 
-        return _connected(verts, pair_neighbours)
+        # two-element deltas for the first and second, first and
+        # leftover, second and leftover blocks (see the docstring)
+        pairs = [x | y for x, y in itertools.combinations(bits(ground), 2)]
+        deltas = [(p << n) | p for p in pairs] + [p << n for p in pairs] + pairs
+
+        def pair_candidates(v: int) -> Iterable[int]:
+            return map(v.__xor__, deltas)
+
+        return _connected(verts, pair_neighbours, pair_candidates)
 
     if kind not in ("white_multiset", "white_tuple"):
         raise PreconditionViolated(f"unknown graph kind {kind!r}")
@@ -805,4 +851,4 @@ def graph_connected(
                         nxt[i], nxt[j] = bi ^ x ^ y, bj ^ x ^ y
                         yield tuple(sorted(nxt)) if multiset else tuple(nxt)
 
-    return _connected(cols, col_neighbours)
+    return _connected(cols, col_neighbours, col_neighbours)

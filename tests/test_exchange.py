@@ -347,7 +347,9 @@ def test_graph_connected_bpg_counts_no_vertex_past_half_rank():
 
 
 def test_graph_connected_bpg_memory():
-    """The search holds one set of its 13,964 vertices: about 1.5 MiB."""
+    """The search holds the unseen and the reached set, which between
+    them hold each of the 13,964 vertices once: about 1.75 MiB at peak
+    (1.5 MiB before the search kept a reached set)."""
     m = graham_sloane(12, 5, 3)
     graph_connected(m, "bpg")  # warm caches, so only the search is traced
     tracemalloc.start()
@@ -657,6 +659,143 @@ def test_sparse_set_families_have_both_outcomes():
         assert count and n > 2 * r
         outcomes.add(ok)
     assert outcomes == {True, False}
+
+
+def connected_by_stack(unseen, neighbours, candidates=None):
+    """_connected before it swept the unseen set, kept as the reference."""
+    count = len(unseen)
+    stack = [unseen.pop()] if unseen else []
+    while stack and unseen:
+        hit = unseen.intersection(neighbours(stack.pop()))
+        unseen -= hit
+        stack.extend(hit)
+    return not unseen, count
+
+
+def _oracle_outcomes(monkeypatch, mm, unions):
+    """graph_connected on the pair graph and both collection graphs per
+    union, under the stack-only reference and then under _connected."""
+    calls = [(mm, "bpg", None)]
+    calls += [(mm, kind, s) for s in unions for kind in ("white_multiset", "white_tuple")]
+    with monkeypatch.context() as mp:
+        mp.setattr(exchange, "_connected", connected_by_stack)
+        want = [graph_connected(*call) for call in calls]
+    return want, [graph_connected(*call) for call in calls]
+
+
+def test_connected_matches_the_stack_reference(monkeypatch):
+    """Every sparse paving family with n <= 6 in both representations,
+    with one seeded two-member union for the collection graphs, then the
+    random set families, whose graphs can split."""
+    rng = random.Random(0)
+    outcomes = Counter()
+    for m in small_sparse_paving(6):
+        bl = bases_of(m)
+        unions = []
+        if m.r:
+            unions.append(Multiset.from_elements(e for _ in range(2) for e in elements(rng.choice(bl))))
+        for mm in (m, to_explicit(m)):
+            want, got = _oracle_outcomes(monkeypatch, mm, unions)
+            assert got == want, mm
+    for name, n, r, density in FAMILIES + SPARSE_FAMILIES:
+        family = _set_family(name, n, r, density)
+        frng = random.Random(zlib.crc32(name.encode()))
+        unions = [
+            Multiset.from_elements(e for _ in range(k) for e in elements(frng.choice(family)))
+            for k in (2, 2, 3)
+        ]
+        want, got = _oracle_outcomes(monkeypatch, ExplicitMatroid(n, r, family), unions)
+        assert got == want, name
+        outcomes.update(ok for ok, _ in got)
+    assert outcomes[False] and outcomes[True], outcomes
+
+
+class _Ordered(set):
+    """A vertex set that pops a chosen start and iterates in ascending
+    order, so a search over it does not depend on the hash layout."""
+
+    def __init__(self, start, vertices):
+        super().__init__(vertices)
+        self.start = start
+
+    def pop(self):
+        self.remove(self.start)
+        return self.start
+
+    def __iter__(self):
+        return iter(sorted(set.__iter__(self)))
+
+
+def _modes(adjacency, start):
+    """_connected over an adjacency dict from start, checked against the
+    reference: its result and the runs of its pops and sweep calls."""
+    log = []
+
+    def neighbours(v):
+        log.append("pop")
+        return adjacency[v]
+
+    def candidates(u):
+        log.append("sweep")
+        return iter(adjacency[u])
+
+    got = exchange._connected(_Ordered(start, adjacency), neighbours, candidates)
+    assert got == connected_by_stack(set(adjacency), adjacency.__getitem__)
+    return got, [mode for mode, _ in itertools.groupby(log)]
+
+
+def test_connected_switches_between_pops_and_sweeps():
+    """Each outcome of a sweep on a graph small enough to follow by hand.
+
+    A path's stack never holds more than two vertices, so it sweeps only
+    for its last vertex, which the sweep reaches: -1 and 200 are
+    candidates that are not vertices.  A broom (a hub with 100 leaves
+    and a 99-vertex tail 199, 198, .., 101) outgrows the unseen tail
+    with its first pop; the sweep meets the tail from its far end, so
+    it reaches only 198 and the pops resume.  Two cliques of 20 and 10
+    sweep once after the first pop, reach nothing and stop.
+    """
+    path = {v: [v - 1, v + 1] for v in range(200)}
+    assert _modes(path, 100) == ((True, 200), ["pop", "sweep"])
+    broom = {0: [*range(1, 101), 199]} | {v: [0] for v in range(1, 101)}
+    broom.update({v: [v + 1, v - 1] for v in range(102, 199)})
+    broom.update({101: [102], 199: [0, 198]})
+    assert _modes(broom, 0) == ((True, 200), ["pop", "sweep", "pop", "sweep"])
+    cliques = {v: [w for w in range(20) if w != v] for v in range(20)}
+    cliques.update({v: [w for w in range(20, 30) if w != v] for v in range(20, 30)})
+    assert _modes(cliques, 0) == ((False, 30), ["pop", "sweep"])
+    assert _modes({7: []}, 7) == ((True, 1), [])
+    assert exchange._connected(set(), None, None) == connected_by_stack(set(), None) == (True, 0)
+
+
+def test_connected_builds_a_quarter_of_the_reference_neighbour_lists(monkeypatch):
+    """A pin on work that does not depend on the host: the pair graph of
+    gs12_5c10 (13,964 vertices) builds 343 full neighbour lists and
+    sweeps 6,802 vertices, where the stack-only search builds 3,475."""
+    captured = []
+    real = exchange._connected
+
+    def capture(unseen, *callables):
+        captured.append((set(unseen), *callables))
+        return real(unseen, *callables)
+
+    monkeypatch.setattr(exchange, "_connected", capture)
+    assert graph_connected(graham_sloane(12, 5, 10), "bpg") == (True, 13964)
+    (verts, neighbours, candidates), = captured
+    calls = Counter()
+
+    def counting(kind, f):
+        def counted(v):
+            calls[kind] += 1
+            return f(v)
+
+        return counted
+
+    got = real(set(verts), counting("pops", neighbours), counting("sweeps", candidates))
+    assert got == (True, 13964)
+    assert connected_by_stack(set(verts), counting("reference", neighbours)) == got
+    assert 4 * calls["pops"] <= calls["reference"], calls
+    assert calls["sweeps"] < len(verts), calls
 
 
 # -- the one-round improvement engine, branch by branch ----------------------------
