@@ -19,7 +19,6 @@ because it would contradict those guarantees.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from collections import Counter
@@ -545,17 +544,16 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     side: smallest symmetric difference, then smallest src member, then
     smallest dst member.  Equal members are matched and leave the
     search; otherwise one of the two is advanced toward the other.
-    The pairs wait in a lazy heap of (distance, src, dst) tuples, whose
-    order is that tie-break.  best[a] is a lower bound on the nearest
-    pair of the src value a: a dst value that appears lowers it where it
-    is nearer, and one that leaves changes nothing, so the bound is
-    exact while its dst member is still unmatched.  An entry at the top
-    that is no longer some best[a] is dropped; one whose dst member has
-    left is rescanned against the unmatched dst values and pushed back.
-    So an entry that survives the top is exact and at most every other
-    bound, hence at most every other pair: the global minimum.  The heap
-    is rebuilt from best once it holds more than twice the live entries,
-    which keeps memory O(k) for k members.
+    The bound table best holds one (distance, src, dst) tuple per
+    unmatched src value, whose order is that tie-break, so memory is
+    O(k) for k members.  best[a] is a lower bound on the nearest pair
+    of the src value a: a dst value that appears lowers it where it is
+    nearer, and one that leaves changes nothing, so the bound is exact
+    while its dst member is still unmatched.  Each round takes the least
+    bound; one whose dst member has left is rescanned against the
+    unmatched dst values and the round retries.  So the bound taken is
+    exact and at most every other bound, hence at most every other
+    pair: the global minimum.
     """
     s_members = tuple(sorted(_as_members(m, src, "src")))
     d_members = tuple(sorted(_as_members(m, dst, "dst")))
@@ -573,17 +571,10 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
         return min(((a ^ b).bit_count(), a, b) for b in targets)
 
     best = {a: nearest(a) for a in side_s.act}
-    heap = list(best.values())
-    heapq.heapify(heap)
     while best:
-        top = heap[0]
-        dist, a_val, b_val = top
-        if best.get(a_val) != top:
-            heapq.heappop(heap)  # superseded, or a_val is matched
-            continue
+        dist, a_val, b_val = min(best.values())
         if b_val not in targets:  # stale: its dst member has left
-            best[a_val] = exact = nearest(a_val)
-            heapq.heapreplace(heap, exact)
+            best[a_val] = nearest(a_val)
             continue
         if dist == 0:
             side_s.match(a_val)
@@ -603,8 +594,7 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
             if a not in side_s.act:
                 best.pop(a, None)
             elif a not in best:
-                best[a] = bound = nearest(a)
-                heapq.heappush(heap, bound)
+                best[a] = nearest(a)
         side_s.touched.clear()
         for b in side_d.touched:
             if b in targets:
@@ -612,11 +602,7 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
                     cand = ((a ^ b).bit_count(), a, b)
                     if cand < bound:
                         best[a] = cand
-                        heapq.heappush(heap, cand)
         side_d.touched.clear()
-        if len(heap) > 2 * len(best):
-            heap = list(best.values())
-            heapq.heapify(heap)
 
     result = side_s.moves + side_d.undo[::-1]
     check_moves(m, s_members, d_members, result, ordered=False)

@@ -1052,8 +1052,8 @@ def white_moves_all_pairs(m, src, dst):
 
     Same tie-break as white_moves (distance, then src member, then dst
     member) and the same exchanges (_advance on a _Side), without the
-    heap.  Returns the move list and the number of moves made on the src
-    side.
+    bound table.  Returns the move list and the number of moves made on
+    the src side.
     """
     side_s = exchange._Side(tuple(sorted(as_mask(b) for b in src)))
     side_d = exchange._Side(tuple(sorted(as_mask(b) for b in dst)))
@@ -1089,12 +1089,12 @@ def test_white_moves_matches_the_all_pairs_rule():
 
 
 def test_white_moves_memory_stays_linear_in_k():
-    """The lazy heap is rebuilt from the live bounds, so memory is O(k).
+    """The bound table holds one entry per unmatched src value, so memory is O(k).
 
     A k = 256 walk on gs22_8 peaks at about 0.21 MiB under tracemalloc
     (0.30 MiB at k = 512, which takes 2 s traced on a 2-vCPU x86-64
-    host).  A heap that gains a new entry per live src value every round
-    peaks at about 3.6 MiB.
+    host).  A never-pruned queue that gains a new entry per live src
+    value every round peaks at about 3.6 MiB.
     """
     m = gs_best(22, 8)
     src, dst = _frozen_instance(m, 256, "memory k=256")
