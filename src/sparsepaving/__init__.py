@@ -15,7 +15,6 @@ from .core import (
     basis_predicate,
     closure_of,
     dual,
-    explicit_closure,
     explicit_minor,
     explicit_rank,
     explicit_validate,
@@ -67,7 +66,6 @@ from .exchange import (
     Multiset,
     apply_tuple_move,
     apply_white_move,
-    bpg_adjacent,
     bpg_path,
     bpg_vertex,
     graph_connected,

@@ -364,14 +364,6 @@ def explicit_rank(em: ExplicitMatroid, s: ElementSet) -> int:
     return max((s & b).bit_count() for b in em.bases)
 
 
-def explicit_closure(em: ExplicitMatroid, s: ElementSet) -> int:
-    """s plus each element that no basis B with |B & s| = rank(s) contains."""
-    s = as_mask(s)
-    _check_subset(em.n, s)
-    _, reach, _ = _rank_attaining(em, s)
-    return em.ground & ~(reach & ~s)
-
-
 def _rank_attaining(em: ExplicitMatroid, s: int) -> tuple[int, int, int]:
     """rank(s), and the OR and the AND of the bases B with |B & s| = rank(s).
 

@@ -137,13 +137,6 @@ def _one_swap_apart(u: BasisPairVertex, v: BasisPairVertex) -> bool:
     return moved == 2
 
 
-def bpg_adjacent(m, u: BasisPairVertex, v: BasisPairVertex) -> bool:
-    """True when exactly one element pair is swapped between two blocks."""
-    bpg_vertex(m, u.a1, u.a2, u.a3)
-    bpg_vertex(m, v.a1, v.a2, v.a3)
-    return _one_swap_apart(u, v)
-
-
 def check_bpg_walk(m, path: Sequence[BasisPairVertex], u, v) -> None:
     """Raise InternalCheckError unless path walks from u to v in the pair graph."""
     if not path or path[0] != u or path[-1] != v:
@@ -571,7 +564,15 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
         return min(((a ^ b).bit_count(), a, b) for b in targets)
 
     best = {a: nearest(a) for a in side_s.act}
+    # a round matches (k times), advances (each makes some of the at most
+    # 4kr moves) or rescans a stale bound: at most k in a row, since only
+    # the other two make a bound stale
+    k = len(s_members)
+    rounds = (k + 4 * k * m.r) * (k + 1)
     while best:
+        rounds -= 1
+        if rounds < 0:
+            raise InternalCheckError("collection walk overran its round bound")
         dist, a_val, b_val = min(best.values())
         if b_val not in targets:  # stale: its dst member has left
             best[a_val] = nearest(a_val)
@@ -683,34 +684,37 @@ def _connected(
     neighbours(v) and candidates(v) may yield candidates that are not
     vertices: an edge is a candidate that lies in the vertex set.
 
-    While the stack of reached vertices is shorter than the unseen set,
-    the search pops a vertex and takes its unseen neighbours.  Once it
-    is not, it sweeps the unseen set instead: each unseen vertex with a
-    candidate among the reached vertices (those the sweep has reached
-    included) is reached, and the stack restarts from the vertices the
-    sweep reached.  Near the end of a search most neighbours of a popped
-    vertex are reached already, while the sweep stops at the first
-    reached candidate of each unseen vertex: the direction switch of
-    Beamer, Asanovic & Patterson, "Direction-optimizing breadth-first
-    search" (SC 2012).  Every vertex reached before a sweep has no
-    unseen neighbour after it, so the old stack is dropped, and a sweep
-    that reaches nothing ends the search.  The search also stops once no
-    vertex is left unseen, since no further edge can change the answer.
+    While the stack is shorter than the unseen set, the search pops a
+    vertex and takes its unseen neighbours.  Once it is not, it sweeps
+    the unseen set instead: the frontier live starts as the stack, each
+    unseen vertex with a candidate in live is reached and joins live at
+    once, and the stack restarts from the vertices the sweep reached.
+    Near the end of a search most neighbours of a popped vertex are
+    reached already, while the sweep stops at the first live candidate
+    of each unseen vertex: the direction switch of Beamer, Asanovic &
+    Patterson, "Direction-optimizing breadth-first search" (SC 2012).
+    Testing against the frontier only is enough: a reached vertex off
+    the stack was either popped, taking every unseen neighbour it had,
+    or dropped with the stack of an earlier sweep, which left it none.
+    So no reached vertex outside live is adjacent to an unseen one, the
+    stack a sweep starts from has no unseen neighbour after it and is
+    dropped, and a sweep that reaches nothing ends the search.  The
+    search also stops once no vertex is left unseen, since no further
+    edge can change the answer.
     """
     count = len(unseen)
     stack = [unseen.pop()] if unseen else []
-    reached = set(stack)
     while stack and unseen:
         if len(stack) < len(unseen):
             hit = unseen.intersection(neighbours(stack.pop()))
             unseen -= hit
-            reached |= hit
             stack.extend(hit)
         else:
+            live = set(stack)
             stack = []
             for u in unseen:
-                if not reached.isdisjoint(candidates(u)):
-                    reached.add(u)
+                if not live.isdisjoint(candidates(u)):
+                    live.add(u)
                     stack.append(u)
             unseen.difference_update(stack)
     return not unseen, count

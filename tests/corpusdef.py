@@ -11,6 +11,7 @@ from functools import cache
 
 from sparsepaving import (
     SparsePavingMatroid,
+    explicit_rank,
     graham_sloane,
     gs_best_class,
     random_sparse_paving,
@@ -114,6 +115,12 @@ def small_sparse_paving(max_n: int) -> tuple[SparsePavingMatroid, ...]:
         for r in range(n + 1)
         for f in sparse_paving_families(n, r)
     )
+
+
+def closure_by_rank(em, s: int) -> int:
+    """The closure by its definition: s plus each e whose addition keeps the rank."""
+    rk = explicit_rank(em, s)
+    return s | sum(1 << e for e in range(em.n) if explicit_rank(em, s | (1 << e)) == rk)
 
 
 def call_outcome(call, *args):

@@ -14,6 +14,7 @@ from corpusdef import (
     P44,
     U24,
     call_outcome,
+    closure_by_rank,
     small_sparse_paving,
     sparse_paving_families,
     with_max_n,
@@ -39,7 +40,6 @@ from sparsepaving import (
     closure_of,
     dual,
     elements,
-    explicit_closure,
     explicit_minor,
     explicit_rank,
     explicit_validate,
@@ -57,7 +57,7 @@ from sparsepaving import (
     validate,
 )
 from sparsepaving.bitset import format_set, lowest_element
-from sparsepaving.core import MAX_GROUND, _drop_element, check_ground
+from sparsepaving.core import MAX_GROUND, _drop_element, _rank_attaining, check_ground
 from sparsepaving.errors import TooLarge
 from test_guards import _family
 
@@ -400,7 +400,7 @@ def test_rank_and_closure_match_explicit_oracle(name, m):
     ]
     for s in subsets:
         assert rank_of(m, s) == explicit_rank(em, s)
-        assert closure_of(m, s) == explicit_closure(em, s)
+        assert closure_of(m, s) == closure_by_rank(em, s)
 
 
 # -- distance-2 neighbors of designated sets ------------------------------------
@@ -706,15 +706,18 @@ def test_explicit_rank_frozen():
 
 @pytest.mark.parametrize("name,m", with_max_n(8), ids=[n for n, _ in with_max_n(8)])
 def test_explicit_closure_matches_rank_definition(name, m):
-    """e joins the closure of s exactly when adding it keeps the rank."""
+    """The bases attaining rank(s) give s's closure and coloops by definition.
+
+    Outside s, e joins the closure exactly when no such basis holds it;
+    inside s, e drops the rank exactly when every such basis holds it.
+    """
     em = to_explicit(m)
     for s in range(1 << m.n):
-        rk = explicit_rank(em, s)
-        want = s
-        for e in range(m.n):
-            if explicit_rank(em, s | (1 << e)) == rk:
-                want |= 1 << e
-        assert explicit_closure(em, s) == want, (name, s)
+        rk, reach, common = _rank_attaining(em, s)
+        assert rk == explicit_rank(em, s), (name, s)
+        assert em.ground & ~(reach & ~s) == closure_by_rank(em, s), (name, s)
+        drops = sum(1 << e for e in range(m.n) if explicit_rank(em, s & ~(1 << e)) < rk)
+        assert s & common == drops, (name, s)
 
 
 @pytest.mark.parametrize("name,m", with_max_n(9), ids=[n for n, _ in with_max_n(9)])

@@ -38,7 +38,6 @@ from sparsepaving import (
     apply_tuple_move,
     apply_white_move,
     as_mask,
-    bpg_adjacent,
     bpg_path,
     bpg_vertex,
     graham_sloane,
@@ -189,11 +188,11 @@ def test_bpg_vertex_repr():
 def test_bpg_adjacency_frozen():
     u = bpg_vertex(P44, {0, 1}, {2, 3}, set())
     v = bpg_vertex(P44, {0, 2}, {1, 3}, set())
-    assert bpg_adjacent(P44, u, v)
-    assert not bpg_adjacent(P44, u, u)
+    assert exchange._one_swap_apart(u, v)
+    assert not exchange._one_swap_apart(u, u)
     w = bpg_vertex(P44, {1, 3}, {0, 2}, set())
-    assert bpg_adjacent(P44, u, w)  # the single transposition 0 <-> 3
-    assert not bpg_adjacent(P44, u, bpg_vertex(P44, {2, 3}, {0, 1}, set()))
+    assert exchange._one_swap_apart(u, w)  # the single transposition 0 <-> 3
+    assert not exchange._one_swap_apart(u, bpg_vertex(P44, {2, 3}, {0, 1}, set()))
 
 
 def _random_vertex(m, rng):
@@ -219,14 +218,12 @@ def test_bpg_path_is_a_verified_walk(name, m):
         path = bpg_path(m, u, v)
         assert path[0] == u and path[-1] == v
         assert len(path) - 1 <= 4 * m.n
-        for a, b in zip(path, path[1:]):
-            assert bpg_adjacent(m, a, b)
         exchange.check_bpg_walk(m, path, u, v)
         w = path[len(path) // 2]
         corrupt = [[u, BasisPairVertex(w.a1, w.a1, w.a3), *path[1:]]]  # non-vertex
         if u != v:
             corrupt.append([v, *path[1:]])  # wrong start
-        if len(path) >= 3 and not bpg_adjacent(m, path[0], path[2]):
+        if len(path) >= 3 and not exchange._one_swap_apart(path[0], path[2]):
             corrupt.append([path[0], *path[2:]])  # two swaps in one step
         for bad in corrupt:
             with pytest.raises(InternalCheckError):
@@ -256,10 +253,7 @@ def test_bpg_path_exhaustive_small():
         ]
         for u in verts:
             for v in verts:
-                path = bpg_path(m, u, v)
-                assert path[0] == u and path[-1] == v
-                for a, b in zip(path, path[1:]):
-                    assert bpg_adjacent(m, a, b)
+                exchange.check_bpg_walk(m, bpg_path(m, u, v), u, v)
 
 
 def _sample_vertex(m, rng):
@@ -540,7 +534,7 @@ def _pair_graph(mm, bl):
         if b1 & b2 == 0
     ]
     # one swap leaves the third block where it was, so only vertices that
-    # share some block are offered to bpg_adjacent
+    # share some block are offered to _one_swap_apart
     groups = {}
     for i, v in enumerate(verts):
         for key in ((1, v.a1), (2, v.a2), (3, v.a3)):
@@ -550,7 +544,7 @@ def _pair_graph(mm, bl):
         for members in groups.values()
         for i in members
         for j in members
-        if i < j and bpg_adjacent(mm, verts[i], verts[j])
+        if i < j and exchange._one_swap_apart(verts[i], verts[j])
     ]
     return verts, edges
 
@@ -1086,6 +1080,15 @@ def test_white_moves_matches_the_all_pairs_rule():
         src_side += from_src > 0
     # 133 instances repeat a member and 124 make moves on the src side
     assert repeated >= 100 and src_side >= 100, (repeated, src_side)
+
+
+def test_white_moves_fails_fast_when_advance_makes_no_move(monkeypatch):
+    """A round that changes nothing fails the round bound instead of spinning."""
+    monkeypatch.setattr(exchange, "_advance", lambda m, a1_mask, b1, side: None)
+    start = time.perf_counter()
+    with pytest.raises(InternalCheckError, match="^collection walk overran its round bound$"):
+        white_moves(U24, [{0, 1}, {2, 3}], [{0, 2}, {1, 3}])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_white_moves_memory_stays_linear_in_k():
