@@ -15,17 +15,29 @@ canonical (sets ordered as masks, single spaces, LF, trailing
 newline), so parse(serialize(m)) == m and serialize(parse(t)) is a
 normal form for t.  Parsed content is validated before it is returned.
 
-Body lines are read through a table from each label str(e) to its
-bit 1 << e, built for the call.  A line whose labels are all in the
-table, with ascending bits and a mask of popcount r, is accepted in
-one step.  Any other line runs the per-token checks, which word every
-error and accept non-canonical spellings such as '07'.  The table is
-built only when the body reads more labels than twice the ground
-size: on a short file, and on a wide one whose bits are big ints,
-building it costs more than it saves.
+When the body reads more labels than twice the ground size, it is
+first read in one batch through a table from each label str(e) to its
+bit 1 << e, built for the call: every row must have r + 1 tokens, every
+token must be in the table, the tag must start every row, and the labels
+must ascend within each row.  Each check is one pass of C-level
+iteration over the whole body.  If any check fails (one row spelled
+otherwise is enough, say '07'), the per-token loop reads every row
+instead; it words every error and accepts non-canonical spellings.  On
+a short file, and on a wide one whose bits are big ints, building the
+table costs more than it saves, so the per-token loop reads those.
+
+Serialization looks up each line's labels, one 16-entry table per hex
+digit position of the masks (built once per process), when a line has
+at least as many labels as its mask has hex digits, 4r >= the width of
+the widest mask.  A family with fewer labels per line, such as
+n = 200 with r = 3, looks up one label per element instead.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from itertools import chain
+from operator import lt
 
 from .bitset import iter_elements
 from .core import (
@@ -56,6 +68,53 @@ def _named_int(row: tuple[int, list[str]], name: str) -> int:
     return _int_token(lineno, toks[1])
 
 
+def _read_canonical(body: list[list[str]], n: int, r: int, tag: str) -> list[int] | None:
+    """The masks of a body whose every row is canonical, or None.
+
+    A canonical row is the tag and then r labels str(e), 0 <= e < n, in
+    ascending order.  Each check runs over the whole body at once.
+    """
+    width = r + 1
+    if set(map(len, body)) != {width}:
+        return None
+    bit_of = {str(e): 1 << e for e in range(n)}
+    bit_of[tag] = 0  # sorts first and adds nothing to the mask
+    try:
+        vals = list(map(bit_of.__getitem__, chain.from_iterable(body)))
+    except KeyError:  # out of range, or not spelled as str(e)
+        return None
+    # only the tag reads 0, so a row that strictly ascends from a 0 is the
+    # tag and then r distinct labels, whose bits sum to their union
+    if any(vals[::width]):
+        return None
+    for j in range(r):
+        if not all(map(lt, vals[j::width], vals[j + 1 :: width])):
+            return None
+    return list(map(sum, zip(*[iter(vals)] * width)))
+
+
+def _read_rows(body: list[tuple[int, list[str]]], n: int, r: int, tag: str) -> list[int]:
+    """The masks of a body, read token by token; raises on the first bad row."""
+    masks = []
+    for lineno, toks in body:
+        if toks[0] != tag:
+            raise ParseError(f"line {lineno}: expected a {tag!r} line, got {toks[0]!r}")
+        if len(toks) != r + 1:
+            raise ParseError(f"line {lineno}: expected {r} elements, got {len(toks) - 1}")
+        prev = -1
+        mask = 0
+        for t in toks[1:]:
+            e = _int_token(lineno, t)
+            if e <= prev:
+                raise ParseError(f"line {lineno}: elements must be strictly increasing")
+            if not 0 <= e < n:
+                raise ParseError(f"line {lineno}: element {e} is outside 0..{n - 1}")
+            prev = e
+            mask |= 1 << e
+        masks.append(mask)
+    return masks
+
+
 def parse_matroid(text: str, explicit_work_cap: float = MAX_EXPLICIT_WORK):
     """Read either format; returns the validated matroid object.
 
@@ -84,44 +143,14 @@ def parse_matroid(text: str, explicit_work_cap: float = MAX_EXPLICIT_WORK):
             f"line {rows[1][0]}: ground size {n} exceeds the cap {MAX_GROUND}"
         )
     r = _named_int(rows[2], "r")
-    width = r + 1
+    body = rows[3:]
+    masks = None
     # an entry costs about one token read to build and saves about one per
     # use, so the table pays only when each label is read twice on average
-    tabled = (len(rows) - 3) * r > 2 * n
-    if tabled:
-        bit_of = {str(e): 1 << e for e in range(n)}
-        bit_of[tag] = 0  # sorts first and adds nothing to the mask
-        bit = bit_of.__getitem__
-    masks = []
-    for lineno, toks in rows[3:]:
-        if toks[0] != tag:
-            raise ParseError(f"line {lineno}: expected a {tag!r} line, got {toks[0]!r}")
-        if len(toks) != width:
-            raise ParseError(f"line {lineno}: expected {r} elements, got {len(toks) - 1}")
-        # the last label first: a line spelled otherwise (say zero-padded)
-        # usually misses there, and a KeyError costs more than a lookup
-        if tabled and toks[-1] in bit_of:
-            try:
-                bits = list(map(bit, toks))
-            except KeyError:  # out of range, or not spelled as str(e)
-                pass
-            else:
-                mask = sum(bits)
-                # popcount r: the r bits are distinct, so the sum is their union
-                if mask.bit_count() == r and bits == sorted(bits):
-                    masks.append(mask)
-                    continue
-        prev = -1
-        mask = 0
-        for t in toks[1:]:
-            e = _int_token(lineno, t)
-            if e <= prev:
-                raise ParseError(f"line {lineno}: elements must be strictly increasing")
-            if not 0 <= e < n:
-                raise ParseError(f"line {lineno}: element {e} is outside 0..{n - 1}")
-            prev = e
-            mask |= 1 << e
-        masks.append(mask)
+    if len(body) * r > 2 * n:
+        masks = _read_canonical([toks for _, toks in body], n, r, tag)
+    if masks is None:
+        masks = _read_rows(body, n, r, tag)
     if tag == "ch":
         spm = SparsePavingMatroid(n, r, masks)
         validate(spm)
@@ -140,10 +169,32 @@ def serialize_matroid(m) -> str:
         head, tag, body = "bases 1", "b", tuple(sorted(m.bases))
     else:
         raise TypeError(f"expected a matroid, got {type(m).__name__}")
-    # one label per element, looked up instead of formatted on every line;
-    # the masks ascend, so the last one holds the highest element
-    names = [str(e) for e in range(body[-1].bit_length())] if body else []
-    label = names.__getitem__
     lines = [head, f"n {m.n}", f"r {m.r}"]
-    lines += [" ".join([tag, *map(label, iter_elements(s))]) for s in body]
+    # the masks ascend, so the last one is the widest
+    width = body[-1].bit_length() if body else 0
+    if 4 * m.r >= width:
+        # a line has no more hex digits than labels, so a lookup per digit
+        # costs no more than one per label (with far fewer labels than
+        # digits, as at n = 200, r = 3, it takes twice as long); digits are
+        # read lowest first
+        digits = -(-width // 4)
+        tables = list(map(_digit_labels, range(digits)))
+        fmt = f"0{digits}x"
+        get = dict.__getitem__
+        lines += [tag + "".join(map(get, tables, format(s, fmt)[::-1])) for s in body]
+    else:
+        # one label per element, looked up instead of formatted on every line
+        label = [str(e) for e in range(width)].__getitem__
+        lines += [" ".join([tag, *map(label, iter_elements(s))]) for s in body]
     return "\n".join(lines) + "\n"
+
+
+@cache
+def _digit_labels(i: int) -> dict[str, str]:
+    """Each hex digit at position i, mapped to ' e' for each bit e it sets.
+
+    Cached, so every caller shares the one dict: it is only read.
+    """
+    return {
+        f"{d:x}": "".join(f" {4 * i + b}" for b in range(4) if d >> b & 1) for d in range(16)
+    }

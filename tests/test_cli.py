@@ -16,6 +16,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -96,7 +97,19 @@ def test_serialize_matches_the_per_element_formatter():
         ExplicitMatroid(4096, 1, [1 << 4095]),
         SparsePavingMatroid(0, 0, []),
         SparsePavingMatroid(12, 5, []),
+        ExplicitMatroid(12, 5, []),
+        SparsePavingMatroid(5, 0, [0]),
+        ExplicitMatroid(5, 0, [0]),
+        SparsePavingMatroid(6, 6, [0b111111]),
+        ExplicitMatroid(6, 6, [0b111111]),
     ]
+    # residue classes on both sides of 4r = mask width, the line where a
+    # line holds as many labels as its mask has hex digits, in both formats
+    families = [graham_sloane(200, 3, 7)]
+    for n in range(8, 25):
+        ranks = {2, n // 4, n // 4 + 1} | ({n // 3, n // 2} if n <= 16 else set())
+        families += [graham_sloane(n, r, n % 5) for r in sorted(ranks)]
+    cases += families + [ExplicitMatroid(m.n, m.r, m.chset) for m in families]
     for m in cases:
         assert serialize_matroid(m) == format_per_element(m), m
     assert serialize_matroid(SparsePavingMatroid(4096, 1, [1 << 4095])).endswith(
@@ -151,6 +164,8 @@ TABLE_BODY = "ch 0 3\n" * 5
         ),
         ("spm 1\nn 4\nr 2\n" + TABLE_BODY + "b 0 3\n", "line 9: expected a 'ch' line, got 'b'"),
         ("spm 1\nn 4\nr 2\n" + TABLE_BODY + "ch 0 1 2\n", "line 9: expected 2 elements, got 3"),
+        ("spm 1\nn 4\nr 2\n" + TABLE_BODY + "ch 0\n", "line 9: expected 2 elements, got 1"),
+        ("spm 1\nn 4\nr 2\n" + TABLE_BODY + "0 1 3\n", "line 9: expected a 'ch' line, got '0'"),
     ],
     ids=[
         "version",
@@ -173,6 +188,8 @@ TABLE_BODY = "ch 0 3\n" * 5
         "table-range-mid-line",
         "table-wrong-tag",
         "table-one-too-many",
+        "table-short-last-row",
+        "table-label-for-tag",
     ],
 )
 def test_parse_rejects_malformed(bad, message):
@@ -211,7 +228,7 @@ def test_parse_accepts_non_canonical_spellings_past_the_table(name, m):
     padded = [" ".join(["ch", *(f"0{t}" for t in line.split()[1:])]) for line in body]
     spaced = ["\t".join(line.split()) + "  " for line in body]
     mixed = [p if i % 2 else b for i, (p, b) in enumerate(zip(padded, body))]
-    # only the first label padded: the line gets past the last-label check
+    # only the first label padded: every other token of the row is in the table
     first = [line.replace(" ", " 0", 1) for line in body]
     for spelled in (padded, spaced, mixed, first):
         assert parse_matroid("\n".join([*head, *spelled]) + "\n") == m
@@ -320,6 +337,116 @@ def test_parse_matches_the_per_token_reader():
         assert call_outcome(parse_matroid, text) == want, text
         accepted += not isinstance(want, tuple)
     assert len(small) > 20 and 20 < accepted < 230
+
+
+def _edit_line(rng, lines, kind):
+    """One named edit of a seeded body line of a matroid file's lines."""
+    i = rng.randrange(3, len(lines))
+    tag, *labels = lines[i].split()
+    n = int(lines[1].split()[1])
+    j = rng.randrange(len(labels))
+    if kind == "padded":
+        labels[j] = "0" + labels[j]
+    elif kind == "descending":
+        j = min(j, len(labels) - 2)
+        labels[j], labels[j + 1] = labels[j + 1], labels[j]
+    elif kind == "tag-in-label":
+        labels[j] = tag
+    elif kind == "other-tag":
+        tag = "b" if tag == "ch" else "ch"
+    elif kind == "label-for-tag":  # below the first label where there is one
+        tag = str(rng.randrange(max(int(labels[0]), 1)))
+    elif kind == "short":
+        del labels[j]
+    elif kind == "long":
+        labels.insert(j, str(rng.randrange(n)))
+    elif kind == "out-of-range":
+        labels[j] = str(n + rng.randrange(3))
+    elif kind == "comment":
+        lines.insert(i, "# a comment inside the body")
+        return
+    elif kind == "blank":
+        lines.insert(i, rng.choice(["", "  ", "\t"]))
+        return
+    elif kind == "leading-space":
+        lines[i] = rng.choice([" ", "  ", "\t"]) + lines[i]
+        return
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+        return
+    elif kind == "swapped-lines":
+        k = rng.randrange(3, len(lines))
+        lines[i], lines[k] = lines[k], lines[i]
+        return
+    lines[i] = " ".join([tag, *labels])
+
+
+LINE_EDITS = (
+    "padded",
+    "descending",
+    "tag-in-label",
+    "other-tag",
+    "label-for-tag",
+    "short",
+    "long",
+    "out-of-range",
+    "comment",
+    "blank",
+    "leading-space",
+    "duplicate",
+    "swapped-lines",
+)
+
+
+def _outcome_record(parse, text):
+    """The masks parse built with the class it built them in, or what it raised."""
+    got = call_outcome(parse, text)
+    if isinstance(got, tuple):
+        return got[0].__name__, got[1]
+    masks = got.chset if isinstance(got, SparsePavingMatroid) else tuple(sorted(got.bases))
+    return type(got).__name__, masks
+
+
+def test_parse_outcomes_on_tabled_files_are_frozen():
+    # files large enough for the label table, in both formats; the last is
+    # a residue class under the 'bases 1' head, which reads as far as the
+    # exchange axiom and fails there
+    gs14 = graham_sloane(14, 7, 2)
+    sources = [
+        serialize_matroid(graham_sloane(12, 5, 0)),
+        serialize_matroid(gs14),
+        serialize_matroid(to_explicit(graham_sloane(10, 4, 0))),
+        serialize_matroid(ExplicitMatroid(14, 7, gs14.chset)),
+    ]
+    rng = random.Random(24)
+    records = []
+    for text in sources:
+        lines = text.splitlines()
+        assert (len(lines) - 3) * int(lines[2].split()[1]) > 2 * int(lines[1].split()[1])
+        variants = [text, text.replace("\n", "\r\n"), "".join(f" {x}\n" for x in lines)]
+        for kind in LINE_EDITS:
+            for _ in range(6):
+                edited = list(lines)
+                _edit_line(rng, edited, kind)
+                variants.append("\n".join(edited) + rng.choice(["\n", "\r\n", ""]))
+        for _ in range(30):  # two or three edits of any kind
+            edited = list(lines)
+            for kind in rng.sample(LINE_EDITS, rng.randint(2, 3)):
+                _edit_line(rng, edited, kind)
+            variants.append(rng.choice(["\n", "\r\n"]).join(edited) + "\n")
+        for variant in variants:
+            record = _outcome_record(parse_matroid, variant)
+            assert record == _outcome_record(parse_per_token, variant), variant
+            records.append(record)
+    kinds = Counter(name for name, _ in records)
+    assert dict(kinds) == {
+        "ExchangeAxiomViolation": 43,
+        "ExplicitMatroid": 45,
+        "ParseError": 271,
+        "SparsePavingMatroid": 85,
+    }
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+    assert digest == "3c53bf4c86ce6267"
 
 
 def test_parse_validates_semantics():
@@ -830,8 +957,11 @@ def test_cli_set_labels_are_capped_before_building_a_mask(p44_file):
 
 
 def _corrupt(monkeypatch, name, fn):
-    real = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda *args: fn(real(*args)))
+    """Pass what cli.name, or sparsepaving.module.name if dotted, returns through fn."""
+    module, _, name = name.rpartition(".")
+    owner = getattr(sparsepaving, module) if module else cli
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: fn(real(*args)))
 
 
 TIGHT_TEXT = "spm 1\nn 3\nr 2\nch 0 1\n"
@@ -989,6 +1119,15 @@ def _last_element_out_of_range(text):
             None,
             "output does not re-read: line 17: element 9 is outside 0..8",
         ),
+        # a hex-digit label table that drops label 0 (the tables are cached,
+        # so fn builds a new one); 4r >= 9 bits, so gen gs 9 4 reads them
+        (
+            "fileio._digit_labels",
+            lambda table: {d: labels.removeprefix(" 0") for d, labels in table.items()},
+            ["gen", "gs", "--n", "9", "--r", "4"],
+            None,
+            "output does not re-read: line 4: expected 4 elements, got 3",
+        ),
     ],
     ids=[
         "order-cyclic",
@@ -1009,6 +1148,7 @@ def _last_element_out_of_range(text):
         "minor-explicit-oversize",
         "emit-dropped-line",
         "emit-out-of-range",
+        "emit-label-table",
     ],
 )
 def test_cli_failed_certificate_exits_3(

@@ -118,6 +118,64 @@ def test_chset_is_canonicalized():
     assert a.chset == (mask(1, 2), mask(0, 3))  # ascending mask order
 
 
+# what both constructors make of each input family: the canonical masks
+# with their types (a bool mask stays a bool), or the error of the first
+# item that is not an element set; each entry is a factory, so that a
+# generator is fresh for each constructor
+BOTH = ((0b0110, int), (0b1001, int))
+CONSTRUCTOR_CASES = {
+    "int-masks": (lambda: [0b1001, 0b0110], BOTH),
+    "empty": (lambda: [], ()),
+    "lists": (lambda: [[0, 3], [1, 2]], BOTH),
+    "tuples": (lambda: [(2, 1), (3, 0)], BOTH),
+    "sets": (lambda: [{0, 3}, frozenset({1, 2})], BOTH),
+    "generator-of-iterables": (
+        lambda: (range(e, e + 2) for e in (2, 0)),
+        ((0b0011, int), (0b1100, int)),
+    ),
+    "generator-of-ints": (lambda: (0b11 << e for e in (2, 0)), ((0b0011, int), (0b1100, int))),
+    "bool-mask": (lambda: [True, 0b0110], ((True, bool), (0b0110, int))),
+    "bool-first-of-equal-masks": (lambda: [True, 1], ((True, bool),)),
+    "int-first-of-equal-masks": (lambda: [1, True], ((1, int),)),
+    "bool-elements": (lambda: [[True, 2]], ((0b0110, int),)),
+    "duplicates": (lambda: [0b0110, [1, 2], (2, 1), 0b0110, 0b1001], BOTH),
+    "mixed": (
+        lambda: [0b1001, {1, 2}, range(2)],
+        ((0b0011, int), (0b0110, int), (0b1001, int)),
+    ),
+    "wide-int": (lambda: [1 << 5000, 0b11], ((0b11, int), (1 << 5000, int))),
+    "negative-int": (lambda: [0b0011, -1], (ValueError, "element-set masks are non-negative")),
+    "negative-int-after-iterable": (
+        lambda: [{0, 1}, -2],
+        (ValueError, "element-set masks are non-negative"),
+    ),
+    "negative-element": (lambda: [[0, -1]], (ValueError, "elements are non-negative integers")),
+    "bad-element-before-negative-int": (
+        lambda: [[0, "1"], -1],
+        (ValueError, "elements are non-negative integers"),
+    ),
+    "negative-int-before-bad-element": (
+        lambda: [-1, [0, "1"]],
+        (ValueError, "element-set masks are non-negative"),
+    ),
+    "none": (lambda: [0b11, None], (TypeError, "'NoneType' object is not iterable")),
+    "float": (lambda: [1.0], (TypeError, "'float' object is not iterable")),
+}
+
+
+@pytest.mark.parametrize("items,want", CONSTRUCTOR_CASES.values(), ids=CONSTRUCTOR_CASES)
+def test_constructors_take_masks_and_element_iterables(items, want):
+    def spm_masks():
+        return tuple((h, type(h)) for h in SparsePavingMatroid(4, 2, items()).chset)
+
+    def explicit_masks():
+        bases = ExplicitMatroid(4, 2, items()).bases
+        return tuple(sorted(((b, type(b)) for b in bases), key=lambda p: p[0]))
+
+    assert call_outcome(spm_masks) == want
+    assert call_outcome(explicit_masks) == want
+
+
 def test_validate_rejects_close_pair():
     with pytest.raises(DistanceViolation):
         validate(SparsePavingMatroid(4, 2, [{0, 1}, {0, 2}]))
