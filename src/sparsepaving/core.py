@@ -33,19 +33,6 @@ from .errors import (
 )
 
 
-def _as_masks(items: Iterable[ElementSet | Iterable[int]]) -> list[int]:
-    """as_mask of each item, in order.
-
-    A family of non-negative ints, the form every construction and the
-    parser hand over, is checked by two C-level passes and returned as
-    is; anything else goes through as_mask item by item.
-    """
-    xs = list(items)
-    if set(map(type, xs)) <= {int} and min(xs, default=0) >= 0:
-        return xs
-    return list(map(as_mask, xs))
-
-
 @dataclass(frozen=True)
 class SparsePavingMatroid:
     n: int
@@ -56,7 +43,7 @@ class SparsePavingMatroid:
     def __init__(self, n: int, r: int, chset: Iterable[ElementSet] = ()) -> None:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "r", int(r))
-        canon = tuple(sorted(set(_as_masks(chset))))
+        canon = tuple(sorted({as_mask(h) for h in chset}))
         object.__setattr__(self, "chset", canon)
         object.__setattr__(self, "_index", frozenset(canon))
 
@@ -82,7 +69,7 @@ class ExplicitMatroid:
     def __init__(self, n: int, r: int, bases: Iterable[ElementSet]) -> None:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "r", int(r))
-        object.__setattr__(self, "bases", frozenset(_as_masks(bases)))
+        object.__setattr__(self, "bases", frozenset(as_mask(b) for b in bases))
 
     @property
     def ground(self) -> int:

@@ -26,11 +26,9 @@ instead; it words every error and accepts non-canonical spellings.  On
 a short file, and on a wide one whose bits are big ints, building the
 table costs more than it saves, so the per-token loop reads those.
 
-Serialization looks up each line's labels, one 16-entry table per hex
-digit position of the masks (built once per process), when a line has
-at least as many labels as its mask has hex digits, 4r >= the width of
-the widest mask.  A family with fewer labels per line, such as
-n = 200 with r = 3, looks up one label per element instead.
+Serialization looks up each byte of a mask in a 256-entry table of the
+labels it stands for, one table per byte position, built once per
+process.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from functools import cache
 from itertools import chain
 from operator import lt
 
-from .bitset import iter_elements
 from .core import (
     MAX_EXPLICIT_WORK,
     MAX_GROUND,
@@ -170,31 +167,22 @@ def serialize_matroid(m) -> str:
     else:
         raise TypeError(f"expected a matroid, got {type(m).__name__}")
     lines = [head, f"n {m.n}", f"r {m.r}"]
-    # the masks ascend, so the last one is the widest
-    width = body[-1].bit_length() if body else 0
-    if 4 * m.r >= width:
-        # a line has no more hex digits than labels, so a lookup per digit
-        # costs no more than one per label (with far fewer labels than
-        # digits, as at n = 200, r = 3, it takes twice as long); digits are
-        # read lowest first
-        digits = -(-width // 4)
-        tables = list(map(_digit_labels, range(digits)))
-        fmt = f"0{digits}x"
-        get = dict.__getitem__
-        lines += [tag + "".join(map(get, tables, format(s, fmt)[::-1])) for s in body]
-    else:
-        # one label per element, looked up instead of formatted on every line
-        label = [str(e) for e in range(width)].__getitem__
-        lines += [" ".join([tag, *map(label, iter_elements(s))]) for s in body]
+    # each mask's bytes, lowest first, through one label table per byte
+    # position; the masks ascend, so the last one is the widest
+    size = -(-body[-1].bit_length() // 8) if body else 0
+    tables = list(map(_byte_labels, range(size)))
+    get = list.__getitem__
+    lines += [tag + "".join(map(get, tables, s.to_bytes(size, "little"))) for s in body]
     return "\n".join(lines) + "\n"
 
 
 @cache
-def _digit_labels(i: int) -> dict[str, str]:
-    """Each hex digit at position i, mapped to ' e' for each bit e it sets.
+def _byte_labels(i: int) -> list[str]:
+    """For each byte value, ' e' for each bit e it sets at byte position i.
 
-    Cached, so every caller shares the one dict: it is only read.
+    Cached, so every caller shares the one list: it is only read.
     """
-    return {
-        f"{d:x}": "".join(f" {4 * i + b}" for b in range(4) if d >> b & 1) for d in range(16)
-    }
+    table = [""]
+    for e in range(8 * i, 8 * i + 8):
+        table += [t + f" {e}" for t in table]
+    return table

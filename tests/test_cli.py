@@ -103,8 +103,8 @@ def test_serialize_matches_the_per_element_formatter():
         SparsePavingMatroid(6, 6, [0b111111]),
         ExplicitMatroid(6, 6, [0b111111]),
     ]
-    # residue classes on both sides of 4r = mask width, the line where a
-    # line holds as many labels as its mask has hex digits, in both formats
+    # residue classes whose lines hold more labels than their masks have
+    # bytes, and fewer (as at n = 200, r = 3), in both formats
     families = [graham_sloane(200, 3, 7)]
     for n in range(8, 25):
         ranks = {2, n // 4, n // 4 + 1} | ({n // 3, n // 2} if n <= 16 else set())
@@ -1119,11 +1119,11 @@ def _last_element_out_of_range(text):
             None,
             "output does not re-read: line 17: element 9 is outside 0..8",
         ),
-        # a hex-digit label table that drops label 0 (the tables are cached,
-        # so fn builds a new one); 4r >= 9 bits, so gen gs 9 4 reads them
+        # a byte label table that drops label 0 (the tables are cached, so
+        # fn builds a new one)
         (
-            "fileio._digit_labels",
-            lambda table: {d: labels.removeprefix(" 0") for d, labels in table.items()},
+            "fileio._byte_labels",
+            lambda table: [labels.removeprefix(" 0") for labels in table],
             ["gen", "gs", "--n", "9", "--r", "4"],
             None,
             "output does not re-read: line 4: expected 4 elements, got 3",
