@@ -138,9 +138,12 @@ def _one_swap_apart(u: BasisPairVertex, v: BasisPairVertex) -> bool:
 
 
 def check_bpg_walk(m, path: Sequence[BasisPairVertex], u, v) -> None:
-    """Raise InternalCheckError unless path walks from u to v in the pair graph."""
+    """Raise InternalCheckError unless path walks from u to v in the pair graph
+    in at most 4n steps."""
     if not path or path[0] != u or path[-1] != v:
         raise InternalCheckError("walk endpoints are off")
+    if len(path) - 1 > 4 * m.n:
+        raise InternalCheckError(f"walk of {len(path) - 1} steps exceeds 4n = {4 * m.n}")
     try:
         for w in path:
             bpg_vertex(m, w.a1, w.a2, w.a3)
@@ -304,14 +307,18 @@ def apply_tuple_move(m, state: Sequence[ElementSet], move: Move) -> tuple[int, .
     return tuple(members)
 
 
-def check_moves(m, src, dst, moves: Iterable[Move], ordered: bool) -> None:
-    """Replay moves from src; raise InternalCheckError unless they reach dst.
+def check_moves(m, src, dst, moves: Sequence[Move], ordered: bool) -> None:
+    """Replay moves from src; raise InternalCheckError unless they reach dst
+    in at most 4kr moves, k = len(src).
 
     ordered replays on literal positions, as apply_tuple_move does;
     otherwise positions index the sorted multiset, as in
     apply_white_move.  A move that breaks a basis raises
     ExchangeViolation.
     """
+    bound = 4 * len(src) * m.r
+    if len(moves) > bound:
+        raise InternalCheckError(f"{len(moves)} moves exceed 4kr = {bound}")
     cur = [as_mask(b) for b in src]
     want = [as_mask(b) for b in dst]
     if not ordered:

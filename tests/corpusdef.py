@@ -1,23 +1,48 @@
-"""Deterministic matroid corpus shared by the test modules.
+"""Deterministic matroid corpus and the references shared by the test modules.
 
-Built once at import time from fixed seeds, so every test that walks
-the corpus sees the same objects in the same order.  Names are stable
-and show up in parametrized test ids.
+The corpus is built once at import time from fixed seeds, so every test
+that walks it sees the same objects in the same order.  Names are
+stable and show up in parametrized test ids.
+
+`certify` is bench/certify.py, loaded by path: the textbook predicates
+re-derived with the standard library only, so a test that checks
+through it shares no code with the library.  The helpers at the end
+of the module are the one test-side copy of each shared reference that
+certify has no counterpart for.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from functools import cache
+from pathlib import Path
 
 from sparsepaving import (
+    ExchangeViolation,
     SparsePavingMatroid,
+    apply_tuple_move,
+    apply_white_move,
+    as_mask,
     explicit_rank,
     graham_sloane,
     gs_best_class,
+    is_basis,
     random_sparse_paving,
     subset_masks,
     uniform,
 )
+from sparsepaving.bitset import elements, swap
+
+
+def _load_certify():
+    path = Path(__file__).resolve().parent.parent / "bench" / "certify.py"
+    spec = importlib.util.spec_from_file_location("certify", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+certify = _load_certify()
 
 U24 = uniform(4, 2)
 P44 = SparsePavingMatroid(4, 2, [{0, 3}, {1, 2}])
@@ -129,3 +154,44 @@ def call_outcome(call, *args):
         return call(*args)
     except Exception as e:
         return type(e), str(e)
+
+
+def mask(*elts: int) -> int:
+    return as_mask(elts)
+
+
+def bases_of(m) -> list[int]:
+    """The bases in subset_masks order, which seeded draws from this list rely on."""
+    return [b for b in subset_masks(m.n, m.r) if is_basis(m, b)]
+
+
+def scramble(m, rng, col, steps):
+    """Random legal exchanges, used as an independent target generator."""
+    col = list(col)
+    for _ in range(steps):
+        i, j = rng.randrange(len(col)), rng.randrange(len(col))
+        if i == j:
+            continue
+        xs = list(elements(col[i] & ~col[j]))
+        ys = list(elements(col[j] & ~col[i]))
+        rng.shuffle(xs)
+        rng.shuffle(ys)
+        swaps = ((swap(col[i], x, y), swap(col[j], y, x)) for x in xs for y in ys)
+        hit = next(((ni, nj) for ni, nj in swaps if is_basis(m, ni) and is_basis(m, nj)), None)
+        if hit:
+            col[i], col[j] = hit
+    return col
+
+
+def replay_lands(m, src, dst, moves, ordered) -> bool:
+    """Replay through the public one-move functions; True when it reaches dst."""
+    step = apply_tuple_move if ordered else apply_white_move
+    state, want = tuple(src), tuple(dst)
+    if not ordered:
+        state, want = tuple(sorted(state)), tuple(sorted(want))
+    try:
+        for mv in moves:
+            state = step(m, state, mv)
+    except ExchangeViolation:
+        return False
+    return state == want

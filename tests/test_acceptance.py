@@ -18,19 +18,16 @@ from fractions import Fraction
 from math import comb, isqrt
 
 import sparsepaving.cyclic as cyclic_mod
-from corpusdef import CORPUS, P44, with_max_n
+from corpusdef import CORPUS, P44, bases_of, certify, replay_lands, scramble, with_max_n
 from sparsepaving import (
     Multiset,
     TooLarge,
-    apply_tuple_move,
-    apply_white_move,
     average_ch_intervals,
     bpg_path,
     bpg_vertex,
     brute_force_order,
     ch_interval_count,
     check_density,
-    closure_of,
     cyclic_flats_of,
     find_cyclic_order,
     flat_histogram,
@@ -42,7 +39,6 @@ from sparsepaving import (
     is_basis,
     parse_matroid,
     random_sparse_paving,
-    rank_of,
     serialize_matroid,
     swap_witnesses,
     validate,
@@ -50,12 +46,8 @@ from sparsepaving import (
     white_moves,
     zn_census,
 )
-from sparsepaving.bitset import elements, subset_masks
+from sparsepaving.bitset import elements
 from sparsepaving.exchange import check_bpg_walk
-
-
-def _bases(m) -> list[int]:
-    return [b for b in subset_masks(m.n, m.r) if is_basis(m, b)]
 
 
 def _finish(num: int, label: str, t0: float, limit: float):
@@ -122,7 +114,7 @@ def test_criterion_03_neighbor_and_swap_lemmas():
 
     pools = []
     for name, m in with_max_n(12, min_rank=1):
-        bl = _bases(m)
+        bl = bases_of(m)
         if len(bl) >= 2:
             pools.append((m, bl))
     rng = random.Random(424242)
@@ -158,7 +150,7 @@ def test_criterion_04_pair_graph_connectivity():
         assert ok, f"{name}: pair graph disconnected over {count} vertices"
         if count == 0:
             continue
-        bl = _bases(m)
+        bl = bases_of(m)
         disj: dict[int, list[int]] = {}
         rng = random.Random(zlib.crc32(name.encode()))
 
@@ -174,41 +166,15 @@ def test_criterion_04_pair_graph_connectivity():
         for _ in range(100):
             u, v = pick(), pick()
             path = bpg_path(m, u, v)
-            check_bpg_walk(m, path, u, v)
-            assert len(path) - 1 <= 4 * m.n, name
+            check_bpg_walk(m, path, u, v)  # also holds the walk to 4n steps
     _finish(4, "pair graph connectivity", t0, 300)
-
-
-def _scramble(m, rng, col, steps):
-    # independent target generator: random legal exchanges only
-    col = list(col)
-    for _ in range(steps):
-        i, j = rng.randrange(len(col)), rng.randrange(len(col))
-        if i == j:
-            continue
-        xs = list(elements(col[i] & ~col[j]))
-        ys = list(elements(col[j] & ~col[i]))
-        rng.shuffle(xs)
-        rng.shuffle(ys)
-        done = False
-        for x in xs:
-            for y in ys:
-                ni = (col[i] ^ (1 << x)) | (1 << y)
-                nj = (col[j] ^ (1 << y)) | (1 << x)
-                if is_basis(m, ni) and is_basis(m, nj):
-                    col[i], col[j] = ni, nj
-                    done = True
-                    break
-            if done:
-                break
-    return col
 
 
 def test_criterion_05_collection_walks():
     """Both collection graphs connected on n <= 8; walks stay under 4kr."""
     t0 = time.monotonic()
     for name, m in with_max_n(8):
-        bl = _bases(m)
+        bl = bases_of(m)
         rng = random.Random(zlib.crc32(name.encode()))
         for k in (2, 3):
             for _ in range(20):
@@ -220,20 +186,14 @@ def test_criterion_05_collection_walks():
                 ok2, _count2 = graph_connected(m, "white_tuple", s=s)
                 assert ok and ok2, (name, k, col)
 
-                dst = _scramble(m, rng, col, 3 * k)
+                dst = scramble(m, rng, col, 3 * k)
                 moves = white_moves(m, col, dst)
                 assert len(moves) <= 4 * k * m.r
-                state = tuple(sorted(col))
-                for mv in moves:
-                    state = apply_white_move(m, state, mv)
-                assert state == tuple(sorted(dst))
+                assert replay_lands(m, col, dst, moves, ordered=False)
 
                 moves2 = white2_path(m, col, dst)
                 assert len(moves2) <= 4 * k * m.r
-                state2 = tuple(col)
-                for mv in moves2:
-                    state2 = apply_tuple_move(m, state2, mv)
-                assert state2 == tuple(dst)
+                assert replay_lands(m, col, dst, moves2, ordered=True)
     _finish(5, "collection exchange walks", t0, 600)
 
 
@@ -293,7 +253,7 @@ def test_criterion_08_disjoint_pair_cycles():
             if m.n != 2 * m.r or m.n > 16:
                 continue
             r = m.r
-            bl = _bases(m)
+            bl = bases_of(m)
             pairs = [(b, m.ground & ~b) for b in bl if is_basis(m, m.ground & ~b)]
             rng = random.Random(zlib.crc32(name.encode()))
             if len(pairs) > 1000:
@@ -317,23 +277,10 @@ def test_criterion_08_disjoint_pair_cycles():
     _finish(8, "disjoint pair cycles", t0, 300)
 
 
-def _scan_cyclic_flats(m) -> list[int]:
-    # definition-level: closed, and no element is in every max
-    # independent subset (dropping it keeps the rank)
-    out = []
-    for f in range(1 << m.n):
-        if closure_of(m, f) != f:
-            continue
-        rk = rank_of(m, f)
-        if all(rank_of(m, f & ~(1 << e)) == rk for e in elements(f)):
-            out.append(f)
-    return sorted(out)
-
-
 def test_criterion_09_cyclic_flat_counts():
     t0 = time.monotonic()
     for name, m in with_max_n(12):
-        assert sorted(cyclic_flats_of(m)) == _scan_cyclic_flats(m), name
+        assert sorted(cyclic_flats_of(m)) == certify.cyclic_flats(certify.Spm.of(m)), name
     for name, m in CORPUS:
         flats = cyclic_flats_of(m)
         hist = flat_histogram(flats)

@@ -1021,6 +1021,14 @@ def _last_element_out_of_range(text):
             P44_TEXT,
             "walk leaves the pair graph: first block 0,3 is not a basis",
         ),
+        # sixteen more steps back and forth along a valid walk: only 4n = 16 fails
+        (
+            "bpg_path",
+            lambda p: p + p[-2:] * 8,
+            ["conj", "farber", "--from", "0,1;2,3", "--to", "0,2;1,3"],
+            P44_TEXT,
+            "walk of 17 steps exceeds 4n = 16",
+        ),
         (
             "white_moves",
             lambda mv: mv[:-1],
@@ -1034,6 +1042,15 @@ def _last_element_out_of_range(text):
             ["conj", "white", "--k", "2", "--from", "0,1|2,3", "--to", "0,2|1,3"],
             P44_TEXT,
             "move 0:1:0:2 does not map bases to bases",
+        ),
+        # a legal move and its inverse, eight times, then the real walk:
+        # only 4kr = 16 fails
+        (
+            "white_moves",
+            lambda mv: [Move(0, 1, 1, 2), Move(0, 1, 2, 1)] * 8 + mv,
+            ["conj", "white", "--k", "2", "--from", "0,1|2,3", "--to", "0,2|1,3"],
+            P44_TEXT,
+            "17 moves exceed 4kr = 16",
         ),
         (
             "white2_path",
@@ -1135,8 +1152,10 @@ def _last_element_out_of_range(text):
         "order-pair-window",
         "order-pair-blocks",
         "farber-non-vertex",
+        "farber-over-4n",
         "white-dropped-move",
         "white-illegal-move",
+        "white-over-4kr",
         "white2-dropped-move",
         "flats-non-cyclic",
         "flats-missing-flat",

@@ -13,8 +13,10 @@ from corpusdef import (
     CORPUS,
     P44,
     U24,
+    bases_of,
     call_outcome,
     closure_by_rank,
+    mask,
     small_sparse_paving,
     sparse_paving_families,
     with_max_n,
@@ -60,10 +62,6 @@ from sparsepaving.bitset import format_set, lowest_element
 from sparsepaving.core import MAX_GROUND, _drop_element, _rank_attaining, check_ground
 from sparsepaving.errors import TooLarge
 from test_guards import _family
-
-
-def mask(*elts: int) -> int:
-    return as_mask(elts)
 
 
 # -- bit masks ------------------------------------------------------------------
@@ -698,8 +696,8 @@ def test_swap_witnesses_loses_at_most_two():
     checked = 0
     while checked < 2_000:
         m = rng.choice(pool)
-        b1 = rng.choice([b for b in subset_masks(m.n, m.r) if is_basis(m, b)])
-        b2 = rng.choice([b for b in subset_masks(m.n, m.r) if is_basis(m, b)])
+        b1 = rng.choice(bases_of(m))
+        b2 = rng.choice(bases_of(m))
         diff = b1 & ~b2
         if not diff:
             continue

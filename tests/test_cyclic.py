@@ -14,8 +14,11 @@ from corpusdef import (
     CORPUS,
     P44,
     U24,
+    bases_of,
     call_outcome,
+    certify,
     gs_best,
+    mask,
     small_sparse_paving,
     sparse_paving_families,
     with_max_n,
@@ -55,26 +58,16 @@ from sparsepaving.errors import guaranteed
 from test_guards import _family
 
 
-def mask(*elts: int) -> int:
-    return as_mask(elts)
-
-
-def windows_are_bases(m, seq) -> bool:
-    """Every cyclic window of m.r consecutive entries of seq, tested with is_basis."""
-    k = len(seq)
-    return all(
-        is_basis(m, as_mask(seq[(p + i) % k] for i in range(m.r))) for p in range(k)
-    )
-
-
 def judge_swaps(check, m, seq, positions, *args) -> int:
     """Swap every pair of positions in seq; check must raise exactly when
-    some window stops being a basis.  Returns how many swaps it rejected."""
+    certify finds a window that is not a basis.  Returns how many swaps it
+    rejected."""
+    spm = certify.Spm.of(m)
     rejected = 0
     for i, j in itertools.combinations(positions, 2):
         bad = list(seq)
         bad[i], bad[j] = bad[j], bad[i]
-        if windows_are_bases(m, bad):
+        if certify.windows_ok(spm, bad, len(bad)) is None:
             check(m, tuple(bad), *args)
         else:
             with pytest.raises(InternalCheckError):
@@ -436,7 +429,7 @@ def test_gabow_cycle_any_restricts_and_relabels():
     for _, m in CORPUS:
         if m.n <= 2 * m.r or m.r < 2 or m.n > 14:
             continue
-        bases = [b for b in subset_masks(m.n, m.r) if is_basis(m, b)]
+        bases = bases_of(m)
         for _ in range(10):
             b1 = rng.choice(bases)
             rest = [b for b in bases if b & b1 == 0]

@@ -15,8 +15,12 @@ from corpusdef import (
     CORPUS,
     P44,
     U24,
+    bases_of,
     call_outcome,
     gs_best,
+    mask,
+    replay_lands,
+    scramble,
     small_sparse_paving,
     with_max_n,
 )
@@ -55,28 +59,6 @@ from sparsepaving.errors import guaranteed
 from sparsepaving.exchange import _anchor, _exchange, check_bpg_walk
 import sparsepaving.exchange as exchange
 from test_guards import _family
-
-
-def mask(*elts: int) -> int:
-    return as_mask(elts)
-
-
-def bases_of(m):
-    return [b for b in subset_masks(m.n, m.r) if is_basis(m, b)]
-
-
-def replay_lands(m, src, dst, moves, ordered) -> bool:
-    """Replay through the public one-move functions; True when it reaches dst."""
-    step = apply_tuple_move if ordered else apply_white_move
-    state, want = tuple(src), tuple(dst)
-    if not ordered:
-        state, want = tuple(sorted(state)), tuple(sorted(want))
-    try:
-        for mv in moves:
-            state = step(m, state, mv)
-    except ExchangeViolation:
-        return False
-    return state == want
 
 
 # -- multiset and move plumbing --------------------------------------------------
@@ -217,8 +199,7 @@ def test_bpg_path_is_a_verified_walk(name, m):
         v = _random_vertex(m, rng)
         path = bpg_path(m, u, v)
         assert path[0] == u and path[-1] == v
-        assert len(path) - 1 <= 4 * m.n
-        exchange.check_bpg_walk(m, path, u, v)
+        exchange.check_bpg_walk(m, path, u, v)  # also holds the walk to 4n steps
         w = path[len(path) // 2]
         corrupt = [[u, BasisPairVertex(w.a1, w.a1, w.a3), *path[1:]]]  # non-vertex
         if u != v:
@@ -391,41 +372,14 @@ def test_check_moves_frozen():
 def test_white2_path_reorders_equal_multisets():
     # same multiset, swapped positions: the ordered walk has real work
     moves = white2_path(U24, [{0, 1}, {2, 3}], [{2, 3}, {0, 1}])
-    state = (mask(0, 1), mask(2, 3))
-    for mv in moves:
-        state = apply_tuple_move(U24, state, mv)
-    assert state == (mask(2, 3), mask(0, 1))
+    src, dst = [mask(0, 1), mask(2, 3)], [mask(2, 3), mask(0, 1)]
+    assert replay_lands(U24, src, dst, moves, ordered=True)
     assert 0 < len(moves) <= 4 * 2 * U24.r
 
 
 def _random_collection(m, rng, k):
     bl = bases_of(m)
     return [rng.choice(bl) for _ in range(k)]
-
-
-def _scramble(m, rng, col, steps):
-    """Random legal exchanges, used as an independent target generator."""
-    col = list(col)
-    for _ in range(steps):
-        i, j = rng.randrange(len(col)), rng.randrange(len(col))
-        if i == j:
-            continue
-        xs = [e for e in range(m.n) if ((col[i] & ~col[j]) >> e) & 1]
-        ys = [e for e in range(m.n) if ((col[j] & ~col[i]) >> e) & 1]
-        rng.shuffle(xs)
-        rng.shuffle(ys)
-        done = False
-        for x in xs:
-            for y in ys:
-                ni = (col[i] ^ (1 << x)) | (1 << y)
-                nj = (col[j] ^ (1 << y)) | (1 << x)
-                if is_basis(m, ni) and is_basis(m, nj):
-                    col[i], col[j] = ni, nj
-                    done = True
-                    break
-            if done:
-                break
-    return col
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -436,23 +390,14 @@ def test_collection_walks_land_on_scrambled_targets(k):
     for m in pool:
         for _ in range(6):
             src = _random_collection(m, rng, k)
-            dst = _scramble(m, rng, src, 3 * k)
+            dst = scramble(m, rng, src, 3 * k)
             moves = white_moves(m, src, dst)
-            assert len(moves) <= 4 * k * m.r
-            state = tuple(sorted(src))
-            for mv in moves:
-                state = apply_white_move(m, state, mv)
-            assert state == tuple(sorted(dst))
-
+            assert replay_lands(m, src, dst, moves, ordered=False)
             moves2 = white2_path(m, src, dst)
-            assert len(moves2) <= 4 * k * m.r
-            state2 = tuple(src)
-            for mv in moves2:
-                state2 = apply_tuple_move(m, state2, mv)
-            assert state2 == tuple(dst)
+            assert replay_lands(m, src, dst, moves2, ordered=True)
 
             for ordered, mvs in ((False, moves), (True, moves2)):
-                exchange.check_moves(m, src, dst, mvs, ordered)
+                exchange.check_moves(m, src, dst, mvs, ordered)  # also holds them to 4kr
                 # drop one move; the public replay decides the verdict
                 for t in {0, len(mvs) // 2, len(mvs) - 1} if mvs else ():
                     bad = mvs[:t] + mvs[t + 1 :]
@@ -944,10 +889,7 @@ def test_white_moves_stress_far_partitions():
                 continue
             moves = white_moves(m, src, dst)
             assert len(moves) <= 4 * k * m.r
-            state = tuple(sorted(src))
-            for mv in moves:
-                state = apply_white_move(m, state, mv)
-            assert state == tuple(sorted(dst))
+            assert replay_lands(m, src, dst, moves, ordered=False)
             total += len(moves)
     assert total > 0
 
@@ -975,7 +917,7 @@ def _sample_basis(m, rng):
 def _frozen_instance(m, k, label):
     rng = random.Random(zlib.crc32(label.encode()))
     src = [_sample_basis(m, rng) for _ in range(k)]
-    return src, _scramble(m, rng, src, 4 * k)
+    return src, scramble(m, rng, src, 4 * k)
 
 
 def _moves_digest(moves):

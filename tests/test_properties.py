@@ -1,7 +1,7 @@
 """Property tests on random sparse paving matroids, n <= 12.
 
-Each exchange walk must pass its certificate and stay within its
-theorem bound: 4n steps for a pair-graph path, 4kr moves for a
+Each exchange walk must pass its certificate, which also holds it to
+its theorem bound: 4n steps for a pair-graph path, 4kr moves for a
 collection walk.  The file format round-trips both representations,
 the sparse paving minors agree with the explicit ones, and the dual's
 bases are the complements of the bases.
@@ -80,7 +80,6 @@ def test_bpg_path_certified_within_4n(data, m):
     u, v = ends
     path = bpg_path(m, u, v)
     check_bpg_walk(m, path, u, v)
-    assert len(path) - 1 <= 4 * m.n
 
 
 @given(
@@ -96,10 +95,8 @@ def test_collection_walks_certified_within_4kr(data, m, k, seed):
     rng.shuffle(dst)
     moves = white_moves(m, src, dst)
     check_moves(m, src, dst, moves, ordered=False)
-    assert len(moves) <= 4 * k * m.r
     moves2 = white2_path(m, src, dst)
     check_moves(m, src, dst, moves2, ordered=True)
-    assert len(moves2) <= 4 * k * m.r
 
 
 @given(matroids(lambda n: n))
