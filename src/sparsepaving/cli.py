@@ -78,8 +78,14 @@ def _parse_set(spec: str) -> int:
         return 0
     mask = 0
     for tok in spec.split(","):
+        digits = tok.strip()
         try:
-            e = int(tok)
+            # the file format's integer rule: ASCII digits only, where int()
+            # alone takes signs, underscores and other scripts' digits; it
+            # refuses a token past the interpreter's limit on digits per int
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(tok)
+            e = int(digits)
         except ValueError:
             raise PreconditionViolated(f"bad element {tok!r} in set spec {spec!r}") from None
         if not 0 <= e < MAX_GROUND:  # before 1 << e builds a huge int
@@ -195,6 +201,16 @@ def _check_pair_graph_vertex(m, spec: str):
     return bpg_vertex(m, a1, a2, m.ground & ~(a1 | a2))
 
 
+def _print_oracle(m, kind: str, s: Multiset | None, cap: int, label: str) -> int:
+    """Run the exhaustive connectivity oracle and print its verdict line."""
+    connected, count = graph_connected(m, kind, s=s, cap=cap)
+    if not connected:
+        print("WITNESS disconnected", count)
+        return EXIT_FAILS
+    print(f"{label} {count} vertices")
+    return EXIT_OK
+
+
 def _cmd_conj_farber(args) -> int:
     m = _load_spm(args)
     if (args.src is None) != (args.dst is None):
@@ -208,11 +224,7 @@ def _cmd_conj_farber(args) -> int:
         for vert in path:
             print(f"v {format_set(vert.a1)}|{format_set(vert.a2)}|{format_set(vert.a3)}")
     if args.oracle or args.src is None:
-        connected, count = graph_connected(m, "bpg", cap=args.cap_vertices)
-        if not connected:
-            print("WITNESS disconnected", count)
-            return EXIT_FAILS
-        print(f"connected {count} vertices")
+        return _print_oracle(m, "bpg", None, args.cap_vertices, "connected")
     return EXIT_OK
 
 
@@ -230,11 +242,7 @@ def _run_collection_walk(args) -> int:
     if args.oracle:
         s = Multiset.from_elements(e for b in src for e in elements(b))
         kind = "white_tuple" if args.ordered else "white_multiset"
-        connected, count = graph_connected(m, kind, s=s, cap=args.cap_vertices)
-        if not connected:
-            print("WITNESS disconnected", count)
-            return EXIT_FAILS
-        print(f"oracle connected {count} vertices")
+        return _print_oracle(m, kind, s, args.cap_vertices, "oracle connected")
     return EXIT_OK
 
 

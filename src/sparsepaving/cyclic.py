@@ -256,10 +256,11 @@ def check_cyclic_order(m, order) -> None:
 
 def _problem_positions(m, b: list, c: list) -> list[int] | None:
     # None if a window starting in the first block fails, else the failing
-    # windows starting in the second block (the block itself, at 0, cannot)
+    # windows starting in the second block.  None of them is the block
+    # itself, at r: it is the basis _disjoint_bases checked, in some order
     pred, _, r = basis_predicate(m)
     bad = _dependent_windows(pred, 2 * r, r, b + c)
-    return None if bad and bad[0] < r else [p - r for p in bad if p > r]
+    return None if bad and bad[0] < r else [p - r for p in bad]
 
 
 def _swapped(seq: list, i: int, j: int) -> list:

@@ -164,11 +164,11 @@ def _exchange(
     return None
 
 
-def _anchor(
-    pred: Callable[[int], bool], b1: int, x: int, a1: int, a2: int
+def _anchor_of(
+    pred: Callable[[int], bool], b1: int, pairs: Iterable[tuple[int, int]]
 ) -> tuple[int, int]:
-    """Order (a1, a2) so that b1 - x + a1 is the blocked square's dependent corner."""
-    corners = (o for o in ((a1, a2), (a2, a1)) if not pred(swap(b1, x, o[0])))
+    """The first (x, y) in pairs with b1 - x + y dependent: a blocked square's anchor."""
+    corners = (o for o in pairs if not pred(swap(b1, *o)))
     return guaranteed(next(corners, None), "blocked square lost its anchor")
 
 
@@ -217,12 +217,12 @@ def _disjoint_pair_path(
         # dependent; anchoring on it forces the other three corners, and
         # a shared element exists because the pattern is impossible in
         # rank two.
-        a1, a2 = _anchor(pred, cur1, b1, a1, a2)
+        _, a = _anchor_of(pred, cur1, ((b1, a1), (b1, a2)))
         common = cur1 & tgt1
         if not common:
             raise InternalCheckError("blocked exchange square in rank two")
         x = lowest_element(common)
-        for b, a in ((x, a1), (b2, a2)):
+        for b, a in ((x, a), (b2, lowest_element(need ^ (1 << a)))):
             hit = _exchange(pred, cur1, cur2, [(b, a)])
             step(*guaranteed(hit, "detour step left the basis family"))
     return out
@@ -395,81 +395,54 @@ def _pick_helper(act: Counter, amb: int, bma: int) -> int:
 def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
     """One improvement round: bring the member b1 of `side` nearer a1_mask.
 
-    The helper member b2 holds more of a1 - b1 than of b1 - a1.  Case
-    split on half the symmetric difference: pruned exchanges handle
-    three or more, direct or anchored double steps handle two, and for
-    one a chain either finishes outright or fixes interfering members
-    one exchange at a time, strictly shrinking their number.
+    The helper member b2 holds more of a1 - b1 than of b1 - a1: p
+    elements of the one and q of the other.  While half the symmetric
+    difference is two or more, one exchange search tries pairs (b, a)
+    with b from b1 - a1 and a from the helper: the helper's lowest a
+    against every b when q = 0, the lowest b outside the helper against
+    every a when p >= 3 or half = 2, else (half >= 3, p = 2, q = 1) the
+    two-by-two square of the two lowest such b and both a.  Past two,
+    only the square can miss.  A miss anchors on the first tried pair
+    with b1 - b + a dependent and takes a double step: b leaves for a
+    helper element outside a1 and b1, then the other b gives way to a;
+    or, when half = 2 and q = 1, a shared element of a1 and b1 first
+    gives way to a, then b to the other a.  For one a chain either
+    finishes outright or fixes interfering members one exchange at a
+    time, strictly shrinking their number.
     """
     pred, n, r = basis_predicate(m)
     amb = a1_mask & ~b1
     bma = b1 & ~a1_mask
     half = amb.bit_count()
 
-    if half >= 3:
+    if half >= 2:
         b2 = _pick_helper(side.act, amb, bma)
-        p = (b2 & amb).bit_count()
-        q = (b2 & bma).bit_count()
+        mine = b2 & amb
+        p, q = mine.bit_count(), (b2 & bma).bit_count()
+        square = half >= 3 and p == 2 and q == 1
         if q == 0:
-            a = lowest_element(b2 & amb)
-            hit = _exchange(pred, b1, b2, ((bh, a) for bh in iter_elements(bma)))
-            hit = guaranteed(hit, "pruned exchange failed with no overlap")
-        elif p >= 3:
-            bh = lowest_element(bma & ~b2)
-            hit = _exchange(pred, b1, b2, ((bh, a) for a in iter_elements(b2 & amb)))
-            hit = guaranteed(hit, "pruned exchange failed on a rich helper")
+            xs, ys = elements(bma), (lowest_element(mine),)
         else:
-            # p = 2, q = 1
-            a1c, a2c = elements(b2 & amb)
-            rest = bma & ~b2
-            b1c = lowest_element(rest)
-            b2c = lowest_element(rest ^ (1 << b1c))
-            hit = _exchange(pred, b1, b2, itertools.product((b1c, b2c), (a1c, a2c)))
-            if hit is None:
-                a1c, a2c = _anchor(pred, b1, b1c, a1c, a2c)
-                spare = b2 & ~(a1_mask | b1)
-                if not spare:
-                    raise InternalCheckError("anchored case needs an outside element")
-                nb1, nb2 = side.push(m, b1, b2, b1c, lowest_element(spare))
-                side.push(m, nb1, nb2, b2c, a1c)
-                return
-        side.push(m, b1, b2, *hit)
-        return
-
-    if half == 2:
-        b2 = _pick_helper(side.act, amb, bma)
-        a1c, a2c = elements(amb)
-        b1c, b2c = elements(bma)
-        q0 = b2 & bma
-        if q0 == 0:
-            a = lowest_element(b2 & amb)
-            hit = _exchange(pred, b1, b2, ((b1c, a), (b2c, a)))
-            if hit is not None:
-                side.push(m, b1, b2, *hit)
-                return
-            # anchor on the blocked (b1 - b) + a completion, relabeling
-            # so b1c names it; the helper side of the other pair is then
-            # a forced second dependent set
-            if pred(swap(b1, b1c, a)):
-                b1c, b2c = b2c, b1c
-            esc = (z for z in iter_elements(b2 & ~a1_mask) if pred(swap(b2, z, b1c)))
-            z = guaranteed(next(esc, None), "no escape element beside the anchor")
-            nb1, nb2 = side.push(m, b1, b2, b1c, z)
-            side.push(m, nb1, nb2, b2c, a)
-            return
-        # the helper meets {b1c, b2c} in one element; call it b1c
-        if q0 != (1 << b1c):
-            b1c, b2c = b2c, b1c
-        hit = _exchange(pred, b1, b2, ((b2c, a1c), (b2c, a2c)))
+            xs, ys = elements(bma & ~b2)[: 1 + square], elements(mine)
+        pairs = list(itertools.product(xs, ys))
+        hit = _exchange(pred, b1, b2, pairs)
         if hit is not None:
             side.push(m, b1, b2, *hit)
             return
-        if pred(swap(b1, b2c, a1c)):
-            a1c, a2c = a2c, a1c
-        esc = (x for x in iter_elements(a1_mask & b1 & ~b2) if pred(swap(b2, a1c, x)))
-        x = guaranteed(next(esc, None), "no shared element escapes the anchor")
-        nb1, nb2 = side.push(m, b1, b2, x, a1c)
-        side.push(m, nb1, nb2, b2c, a2c)
+        if half >= 3 and not square:
+            raise InternalCheckError("pruned exchange failed")
+        b, a = _anchor_of(pred, b1, pairs)
+        if half == 2 and q:
+            esc = (x for x in iter_elements(a1_mask & b1 & ~b2) if pred(swap(b2, a, x)))
+            x = guaranteed(next(esc, None), "no shared element escapes the anchor")
+            first, then = (x, a), (b, lowest_element(mine ^ (1 << a)))
+        else:
+            outside = b2 & ~(a1_mask | b1)
+            esc = (z for z in iter_elements(outside) if pred(swap(b2, z, b)))
+            z = guaranteed(next(esc, None), "no escape element beside the anchor")
+            first, then = (b, z), (lowest_element(bma & ~b2 & ~(1 << b)), a)
+        nb1, nb2 = side.push(m, b1, b2, *first)
+        side.push(m, nb1, nb2, *then)
         return
 
     # half == 1.  The loop ends: every pass that does not return is the

@@ -716,6 +716,20 @@ def test_cli_exit_codes(tmp_path):
         (["relax", "{f}", "--ch", "-"], P44_TEXT, "- is not a designated set of m"),
         (["relax", "{f}", "--ch", "0,x"], P44_TEXT, "bad element 'x' in set spec '0,x'"),
         (["relax", "{f}", "--ch", "1,1"], P44_TEXT, "repeated element 1 in set spec '1,1'"),
+        # set specs follow the file format's integer rule: ASCII digits only
+        (["relax", "{f}", "--ch", "+0,3"], P44_TEXT, "bad element '+0' in set spec '+0,3'"),
+        (["relax", "{f}", "--ch", "1_0"], P44_TEXT, "bad element '1_0' in set spec '1_0'"),
+        (
+            ["relax", "{f}", "--ch", "\u0663,0"],
+            P44_TEXT,
+            "bad element '\u0663' in set spec '\u0663,0'",
+        ),
+        (["relax", "{f}", "--ch=-0,3"], P44_TEXT, "bad element '-0' in set spec '-0,3'"),
+        (
+            ["relax", "{f}", "--ch", "0," + "1" * 4301],
+            P44_TEXT,
+            f"bad element {'1' * 4301!r} in set spec {'0,' + '1' * 4301!r}",
+        ),
         (
             ["conj", "farber", "{f}", "--from", "0,1", "--to", "2,3"],
             P44_TEXT,
@@ -742,6 +756,11 @@ def test_cli_exit_codes(tmp_path):
         "empty-set-dash",
         "bad-token",
         "repeated-element",
+        "plus-sign",
+        "underscore",
+        "non-ascii-digit",
+        "minus-zero",
+        "past-the-digit-limit",
         "vertex-without-semicolon",
         "missing-n-r",
         "explicit-rank-range",

@@ -56,7 +56,7 @@ from sparsepaving import (
 from sparsepaving.bitset import elements, iter_elements, lowest_element, swap
 from sparsepaving.core import basis_predicate
 from sparsepaving.errors import guaranteed
-from sparsepaving.exchange import _anchor, _exchange, check_bpg_walk
+from sparsepaving.exchange import _exchange, check_bpg_walk
 import sparsepaving.exchange as exchange
 from test_guards import _family
 
@@ -743,19 +743,19 @@ U84 = uniform(8, 4)
 U83 = uniform(8, 3)
 U104 = uniform(10, 4)
 
-# (label, matroid, side members, target, expected move count); the first
+# (label, matroid, side members, target, expected moves); the first
 # member is the one being advanced.  chsets are engineered to force each
 # internal case in turn, from pruned single swaps to anchored detours
 # and the interferer chain.
 ADVANCE_CASES = [
-    ("far-no-overlap", U84, [{0, 1, 2, 3}, {4, 5, 6, 7}], {0, 4, 5, 6}, 1),
-    ("far-rich-helper", U84, [{0, 1, 2, 3}, {1, 4, 5, 6}], {0, 4, 5, 6}, 1),
+    ("far-no-overlap", U84, [{0, 1, 2, 3}, {4, 5, 6, 7}], {0, 4, 5, 6}, [(0, 1, 1, 4)]),
+    ("far-rich-helper", U84, [{0, 1, 2, 3}, {1, 4, 5, 6}], {0, 4, 5, 6}, [(0, 1, 2, 4)]),
     (
         "far-21-direct",
         U104,
         [{0, 1, 2, 3}, {3, 4, 5, 7}, {0, 6, 8, 9}],
         {0, 4, 5, 6},
-        1,
+        [(0, 1, 1, 4)],
     ),
     (
         "far-21-anchored",
@@ -764,7 +764,7 @@ ADVANCE_CASES = [
         ),
         [{0, 1, 2, 3}, {3, 4, 5, 7}, {0, 6, 8, 9}],
         {0, 4, 5, 6},
-        2,
+        [(0, 1, 1, 7), (0, 1, 4, 2)],
     ),
     (
         "far-21-anchored-relabel",
@@ -773,53 +773,53 @@ ADVANCE_CASES = [
         ),
         [{0, 1, 2, 3}, {3, 4, 5, 7}, {0, 6, 8, 9}],
         {0, 4, 5, 6},
-        2,
+        [(0, 1, 1, 7), (0, 1, 5, 2)],
     ),
-    ("two-clean-direct", U84, [{0, 1, 2, 3}, {4, 5, 6, 7}], {0, 1, 4, 5}, 1),
+    ("two-clean-direct", U84, [{0, 1, 2, 3}, {4, 5, 6, 7}], {0, 1, 4, 5}, [(0, 1, 2, 4)]),
     (
         "two-clean-anchored",
         SparsePavingMatroid(8, 4, [{0, 1, 3, 4}, {3, 5, 6, 7}]),
         [{0, 1, 2, 3}, {4, 5, 6, 7}],
         {0, 1, 4, 5},
-        2,
+        [(0, 1, 2, 6), (0, 1, 3, 4)],
     ),
     (
         "two-clean-anchored-relabel",
         SparsePavingMatroid(8, 4, [{0, 1, 2, 4}, {2, 5, 6, 7}]),
         [{0, 1, 2, 3}, {4, 5, 6, 7}],
         {0, 1, 4, 5},
-        2,
+        [(0, 1, 3, 6), (0, 1, 2, 4)],
     ),
-    ("two-meet-direct", U84, [{0, 1, 2, 3}, {2, 4, 5, 6}], {0, 1, 4, 5}, 1),
-    ("two-meet-relabel", U84, [{0, 1, 2, 3}, {3, 4, 5, 6}], {0, 1, 4, 5}, 1),
+    ("two-meet-direct", U84, [{0, 1, 2, 3}, {2, 4, 5, 6}], {0, 1, 4, 5}, [(0, 1, 3, 4)]),
+    ("two-meet-relabel", U84, [{0, 1, 2, 3}, {3, 4, 5, 6}], {0, 1, 4, 5}, [(0, 1, 2, 4)]),
     (
         "two-meet-anchored",
         SparsePavingMatroid(8, 4, [{0, 1, 2, 4}, {2, 3, 4, 6}]),
         [{0, 1, 2, 3}, {2, 4, 5, 6}],
         {0, 1, 4, 5},
-        2,
+        [(0, 1, 0, 4), (0, 1, 3, 5)],
     ),
     (
         "two-meet-anchored-relabel",
         SparsePavingMatroid(8, 4, [{0, 1, 2, 5}, {2, 3, 5, 6}]),
         [{0, 1, 2, 3}, {2, 4, 5, 6}],
         {0, 1, 4, 5},
-        2,
+        [(0, 1, 0, 5), (0, 1, 3, 4)],
     ),
-    ("one-direct", U83, [{0, 1, 2}, {3, 4, 5}], {0, 1, 3}, 1),
+    ("one-direct", U83, [{0, 1, 2}, {3, 4, 5}], {0, 1, 3}, [(0, 1, 2, 3)]),
     (
         "one-helper-rescue",
         SparsePavingMatroid(8, 3, [{2, 4, 5}]),
         [{0, 1, 2}, {3, 4, 5}, {0, 4, 6}],
         {0, 1, 3},
-        2,
+        [(1, 2, 5, 0), (0, 1, 2, 3)],
     ),
     (
         "one-interferer-chain",
         SparsePavingMatroid(8, 3, [{2, 4, 5}]),
         [{0, 1, 2}, {3, 4, 5}, {3, 4, 5}, {2, 6, 7}],
         {0, 1, 3},
-        3,
+        [(1, 3, 3, 6), (1, 3, 4, 7), (0, 3, 2, 3)],
     ),
 ]
 
@@ -835,7 +835,7 @@ def test_advance_branches(label, m, members, target, expect):
     start = tuple(sorted(as_mask(s) for s in members))
     side = exchange._Side(start)
     exchange._advance(m, tgt, b1, side)
-    assert len(side.moves) == expect
+    assert side.moves == expect
 
     # independent replay of the logged moves
     state = start
@@ -869,6 +869,127 @@ def test_advance_two_member_side_exhausts_the_chain():
     side = exchange._Side((0b0011, 0b1100))
     with pytest.raises(InternalCheckError, match="^single-swap chain exhausted every repair$"):
         exchange._advance(m, 0b0101, 0b0011, side)
+
+
+def anchor_by_corner(pred, b1, x, a1, a2):
+    """_anchor before it took the tried pairs, kept for the two references below."""
+    corners = (o for o in ((a1, a2), (a2, a1)) if not pred(swap(b1, x, o[0])))
+    return guaranteed(next(corners, None), "blocked square lost its anchor")
+
+
+def advance_by_case(m, a1_mask, b1, side):
+    """_advance's half >= 2 blocks as they were, case by case, kept as the reference."""
+    pred, n, r = basis_predicate(m)
+    amb = a1_mask & ~b1
+    bma = b1 & ~a1_mask
+    half = amb.bit_count()
+    assert half >= 2
+
+    if half >= 3:
+        b2 = exchange._pick_helper(side.act, amb, bma)
+        p = (b2 & amb).bit_count()
+        q = (b2 & bma).bit_count()
+        if q == 0:
+            a = lowest_element(b2 & amb)
+            hit = _exchange(pred, b1, b2, ((bh, a) for bh in iter_elements(bma)))
+            hit = guaranteed(hit, "pruned exchange failed with no overlap")
+        elif p >= 3:
+            bh = lowest_element(bma & ~b2)
+            hit = _exchange(pred, b1, b2, ((bh, a) for a in iter_elements(b2 & amb)))
+            hit = guaranteed(hit, "pruned exchange failed on a rich helper")
+        else:
+            a1c, a2c = elements(b2 & amb)
+            rest = bma & ~b2
+            b1c = lowest_element(rest)
+            b2c = lowest_element(rest ^ (1 << b1c))
+            hit = _exchange(pred, b1, b2, itertools.product((b1c, b2c), (a1c, a2c)))
+            if hit is None:
+                a1c, a2c = anchor_by_corner(pred, b1, b1c, a1c, a2c)
+                spare = b2 & ~(a1_mask | b1)
+                if not spare:
+                    raise InternalCheckError("anchored case needs an outside element")
+                nb1, nb2 = side.push(m, b1, b2, b1c, lowest_element(spare))
+                side.push(m, nb1, nb2, b2c, a1c)
+                return
+        side.push(m, b1, b2, *hit)
+        return
+
+    b2 = exchange._pick_helper(side.act, amb, bma)
+    a1c, a2c = elements(amb)
+    b1c, b2c = elements(bma)
+    q0 = b2 & bma
+    if q0 == 0:
+        a = lowest_element(b2 & amb)
+        hit = _exchange(pred, b1, b2, ((b1c, a), (b2c, a)))
+        if hit is not None:
+            side.push(m, b1, b2, *hit)
+            return
+        if pred(swap(b1, b1c, a)):
+            b1c, b2c = b2c, b1c
+        esc = (z for z in iter_elements(b2 & ~a1_mask) if pred(swap(b2, z, b1c)))
+        z = guaranteed(next(esc, None), "no escape element beside the anchor")
+        nb1, nb2 = side.push(m, b1, b2, b1c, z)
+        side.push(m, nb1, nb2, b2c, a)
+        return
+    if q0 != (1 << b1c):
+        b1c, b2c = b2c, b1c
+    hit = _exchange(pred, b1, b2, ((b2c, a1c), (b2c, a2c)))
+    if hit is not None:
+        side.push(m, b1, b2, *hit)
+        return
+    if pred(swap(b1, b2c, a1c)):
+        a1c, a2c = a2c, a1c
+    esc = (x for x in iter_elements(a1_mask & b1 & ~b2) if pred(swap(b2, a1c, x)))
+    x = guaranteed(next(esc, None), "no shared element escapes the anchor")
+    nb1, nb2 = side.push(m, b1, b2, x, a1c)
+    side.push(m, nb1, nb2, b2c, a2c)
+
+
+def _advance_draws(label, bl, count):
+    """Seeded (a1, b1, side) with half >= 2 under white_moves' side rule.
+
+    The side holds at least as much of a1 - b1 as of b1 - a1, counted
+    with multiplicity, as in every round of white_moves.  white_moves
+    also advances only a nearest pair, which these draws do not ask for.
+    """
+    rng = random.Random(zlib.crc32(label.encode()))
+    for _ in range(count):
+        a1, b1 = rng.choice(bl), rng.choice(bl)
+        amb, bma = a1 & ~b1, b1 & ~a1
+        if amb.bit_count() < 2:
+            continue
+        gain = {v: (v & amb).bit_count() - (v & bma).bit_count() for v in bl}
+        helpers = [v for v in bl if gain[v] > 0]
+        members = [b1, rng.choice(helpers)] + rng.choices(bl, k=rng.randint(0, 3))
+        if sum(gain[v] for v in members) >= 0:
+            yield a1, b1, tuple(sorted(members))
+
+
+def test_advance_matches_the_case_by_case_reference():
+    """_advance against its case-by-case form on every family with n <= 6 and the corpus.
+
+    Both must log the same moves and leave the same state, or raise the
+    same error.  Draws are counted by the moves they make; anchored
+    detours (two moves) are rare on valid matroids, and the side rule
+    alone lets a few draws miss their escape element.
+    """
+
+    def outcome(advance, m, a1, b1, start):
+        side = exchange._Side(start)
+        got = call_outcome(advance, m, a1, b1, side)
+        return got if isinstance(got, tuple) else (side.moves, side.state)
+
+    pool = [(f"family {i}", m, 16) for i, m in enumerate(small_sparse_paving(6))]
+    pool += [(name, m, 48) for name, m in CORPUS if 4 <= m.n <= 14]
+    made = Counter()
+    for label, m, draws in pool:
+        bl = bases_of(m)
+        for a1, b1, start in _advance_draws(label, bl, draws if len(bl) > 1 else 0):
+            want = outcome(advance_by_case, m, a1, b1, start)
+            assert outcome(exchange._advance, m, a1, b1, start) == want, (label, a1, b1, start)
+            made[want[1] if isinstance(want[1], str) else len(want[0])] += 1
+    assert made[1] > 1500 and made[2] >= 10, made
+    assert made["no escape element beside the anchor"] > 0, made
 
 
 def test_white_moves_stress_far_partitions():
@@ -1080,7 +1201,7 @@ def disjoint_pair_path_assigning(pred, cur1, cur2, tgt1, tgt2):
         if hit is not None:
             step(*hit)
             continue
-        a1, a2 = _anchor(pred, cur1, b1, a1, a2)
+        a1, a2 = anchor_by_corner(pred, cur1, b1, a1, a2)
         common = cur1 & tgt1
         if not common:
             raise InternalCheckError("blocked exchange square in rank two")
