@@ -949,8 +949,9 @@ def _advance_draws(label, bl, count):
     """Seeded (a1, b1, side) with half >= 2 under white_moves' side rule.
 
     The side holds at least as much of a1 - b1 as of b1 - a1, counted
-    with multiplicity, as in every round of white_moves.  white_moves
-    also advances only a nearest pair, which these draws do not ask for.
+    with multiplicity, as in every round of white_moves.  The rest of a
+    walk's state (a second side of bases with the same union, a nearest
+    pair) is not drawn, so a few draws fail a guard even here.
     """
     rng = random.Random(zlib.crc32(label.encode()))
     for _ in range(count):
@@ -970,8 +971,7 @@ def test_advance_matches_the_case_by_case_reference():
 
     Both must log the same moves and leave the same state, or raise the
     same error.  Draws are counted by the moves they make; anchored
-    detours (two moves) are rare on valid matroids, and the side rule
-    alone lets a few draws miss their escape element.
+    detours (two moves) are rare on valid matroids.
     """
 
     def outcome(advance, m, a1, b1, start):

@@ -12,9 +12,10 @@ The second calls exchange._advance directly: a random side, a member b1
 and a target a1 drawn from the family, under white_moves' side rule
 (the side holds at least as much of a1 - b1 as of b1 - a1, counted
 with multiplicity), which reaches the deep cases of the collection walk
-that whole walks seldom build.  white_moves also advances only a
-nearest pair; without that rule even a sparse paving matroid can fail
-a guard, so these draws test the guards, not the proofs.  A search that counting
+that whole walks seldom build.  The draws keep that rule only, not the
+rest of a walk's state (a second side of bases with the same union, a
+nearest pair), so even a sparse paving matroid can fail a guard under
+them: they test the guards, not the proofs.  A search that counting
 alone guarantees, whatever the family, has no guard to reach: it
 carries its argument as a comment instead (_pick_helper, the
 single-swap chain's termination, white2_path's transposition walk).
