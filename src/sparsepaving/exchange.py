@@ -401,14 +401,15 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
     with b from b1 - a1 and a from the helper: the helper's lowest a
     against every b when q = 0, the lowest b outside the helper against
     every a when p >= 3 or half = 2, else (half >= 3, p = 2, q = 1) the
-    two-by-two square of the two lowest such b and both a.  Past two,
-    only the square can miss.  A miss anchors on the first tried pair
-    with b1 - b + a dependent and takes a double step: b leaves for a
-    helper element outside a1 and b1, then the other b gives way to a;
-    or, when half = 2 and q = 1, a shared element of a1 and b1 first
-    gives way to a, then b to the other a.  For one a chain either
-    finishes outright or fixes interfering members one exchange at a
-    time, strictly shrinking their number.
+    two-by-two square of the two lowest such b and both a.  At half >= 3
+    only the square can miss: the others try three or more pairs, and
+    the pruned exchange bound fails at most two.  A miss anchors on the
+    first tried pair with b1 - b + a dependent and takes a double step:
+    b leaves for a helper element outside a1 and b1, then the other b
+    gives way to a; or, when half = 2 and q = 1, a shared element of a1
+    and b1 first gives way to a, then b to the other a.  For one a chain
+    either finishes outright or fixes interfering members one exchange
+    at a time, strictly shrinking their number.
     """
     pred, n, r = basis_predicate(m)
     amb = a1_mask & ~b1
