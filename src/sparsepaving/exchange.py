@@ -36,7 +36,7 @@ from .bitset import (
     subset_masks,
     swap,
 )
-from .core import MAX_VERTICES, basis_predicate
+from .core import MAX_VERTICES, SparsePavingMatroid, basis_predicate
 from .errors import (
     ElementOutOfRange,
     ExchangeViolation,
@@ -87,6 +87,8 @@ class Multiset:
         for e, c in counts:
             if not isinstance(e, int) or e < 0:
                 raise ElementOutOfRange(f"bad multiset element {e!r}")
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise PreconditionViolated(f"multiplicity {c!r} is not an int")
             if c < 0:
                 raise PreconditionViolated("negative multiplicity")
             agg[e] = agg.get(e, 0) + c
@@ -654,6 +656,78 @@ def _take(levels: tuple[int, ...], b: int) -> tuple[int, ...]:
     return tuple((lv & ~b) | (up & b) for lv, up in zip(levels, levels[1:] + (0,)))
 
 
+def _pair_vertices(n: int, r: int, designated: list[int]) -> set[int]:
+    """Every ordered pair of disjoint r-sets of {0, .., n-1} with neither
+    block in designated, as the ints (a1 << n) | a2; needs 1 <= r <= n // 2.
+
+    With g = 2^n - 1 and the union u = a1 | a2 the int is u + a1 * g.
+    The unions are grouped by the element m that starts their upper
+    half: u = lo + hi with lo the r elements of u below m and hi = u - lo
+    holding m.  The first block takes i elements x of lo and r - i
+    elements y of hi, so the int is (lo + x * g) + (hi + y * g): for each
+    m and i, every sum of one term from the lo side and one from the hi
+    side, which costs one addition per pair and no basis-predicate call.
+    Right after a group is listed, its pairs with a designated block are
+    removed (see _designated_pairs), so the set never holds more than
+    one group's worth of them.
+    """
+    g = (1 << n) - 1
+    singles = bits(g)
+    verts: set[int] = set()
+    for m in range(r, n - r + 1):
+        top = singles[m]
+        los = [(t, sum(t)) for t in itertools.combinations(singles[:m], r)]
+        his = [((top, *t), top + sum(t)) for t in itertools.combinations(singles[m + 1 :], r - 1)]
+        for i in range(r + 1):
+            xs = [s + x * g for t, s in los for x in map(sum, itertools.combinations(t, i))]
+            ys = [s + y * g for t, s in his for y in map(sum, itertools.combinations(t, r - i))]
+            # loop over the shorter side, add over the longer one in C
+            if len(xs) > len(ys):
+                xs, ys = ys, xs
+            for x in xs:
+                verts.update(map(x.__add__, ys))
+        verts.difference_update(_designated_pairs(n, r, designated, m))
+    return verts
+
+
+def _designated_pairs(n: int, r: int, designated: list[int], m: int) -> Iterable[int]:
+    """The pairs of group m of _pair_vertices with a designated block.
+
+    For h in designated, the other block c adds r - k elements below m,
+    where h has k, and the rest above m, taking m itself unless h does.
+    """
+    top = 1 << m
+    below, above = top - 1, ((1 << n) - 1) & -(top << 1)
+    for h in designated:
+        k = (h & below).bit_count()
+        pin, rest = (0, k) if h & top else (top, k - 1)
+        if rest < 0:
+            continue
+        lows = list(map(sum, itertools.combinations(bits(below & ~h), r - k)))
+        for high in map(sum, itertools.combinations(bits(above & ~h), rest)):
+            for low in lows:
+                c = low + pin + high
+                yield (h << n) | c
+                yield (c << n) | h
+
+
+def _orderings(col: list[int]) -> Iterable[tuple[int, ...]]:
+    """The distinct orderings of the sorted list col, in lexicographic order,
+    by next-permutation: one tuple per ordering, however many repeats."""
+    while True:
+        yield tuple(col)
+        i = len(col) - 2
+        while i >= 0 and col[i] >= col[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(col) - 1
+        while col[j] <= col[i]:
+            j -= 1
+        col[i], col[j] = col[j], col[i]
+        col[i + 1 :] = col[:i:-1]
+
+
 def _connected(
     unseen: set,
     neighbours: Callable[[object], Iterable],
@@ -711,9 +785,24 @@ def graph_connected(
 
     kind is "bpg", "white_multiset", or "white_tuple"; the white kinds
     need the multiset union s.  Enumerating more than cap vertices
-    raises TooLarge; the pair graph compares its count with cap after
-    each first block's row, so the cap bounds that pass as well.  An
+    raises TooLarge, and the cap bounds the enumeration as well.  An
     empty or single-vertex graph counts as connected.
+
+    The pair graph of a SparsePavingMatroid with designated family H
+    is every ordered pair of disjoint r-sets less those with a block in
+    H (see _pair_vertices): at most 2|H| C(n-r, r) of the C(n, r)
+    C(n-r, r) pairs, so (C(n, r) - 2|H|) C(n-r, r) is a lower bound on
+    the vertex count, and TooLarge is raised before listing when it
+    exceeds cap.  A separated family has |H| <= C(n, r) / (n-r+1), and
+    with that, once n - r >= 2, a listing that passes the test lists at
+    most three times cap pairs.  A family that breaks that inequality
+    (it cannot be separated) and an ExplicitMatroid, whose bases may be
+    few, list the pairs per first block instead, comparing the count
+    with cap after each row.
+    The collection graphs are listed by exact cover: the next member
+    holds the least element still to cover, and members with the same
+    least element are taken in one fixed order, so each multiset comes
+    out once; the tuple kind adds its distinct orderings.
 
     Every vertex is enumerated before the search, so adjacency is
     decided by membership in the vertex set: a single swap keeps a pair
@@ -745,15 +834,29 @@ def graph_connected(
             raise PreconditionViolated("the pair graph takes no multiset")
         if 2 * r > n:
             return True, 0  # no r-set fits in the complement of another
-        # vertex (a1, a2) is the int (a1 << n) | a2
-        verts: set[int] = set()
-        for b1 in filter(pred, subset_masks(n, r)):
-            # b1's row: the bases among the r-subsets of its complement
-            row = filter(pred, map(sum, itertools.combinations(bits(ground & ~b1), r)))
-            verts.update(map((b1 << n).__or__, row))
-            # checked per first block; a negative cap still admits an empty graph
+        # vertex (a1, a2) is the int (a1 << n) | a2; a negative cap still
+        # admits an empty graph
+        designated = None
+        if isinstance(m, SparsePavingMatroid):
+            designated = [h for h in m.chset if h.bit_count() == r and not h >> n]
+        # |H| <= C(n, r) / (n-r+1) holds for every separated family and
+        # keeps the listing within three times cap (see the docstring)
+        if r and designated is not None and len(designated) * (n - r + 1) <= math.comb(n, r):
+            # at most 2|H| C(n-r, r) of the C(n, r) C(n-r, r) pairs hold a
+            # designated block, so the count is at least this bound
+            if (math.comb(n, r) - 2 * len(designated)) * math.comb(n - r, r) > max(cap, 0):
+                raise TooLarge(f"pair graph exceeds {cap} vertices")
+            verts = _pair_vertices(n, r, designated)
             if len(verts) > max(cap, 0):
                 raise TooLarge(f"pair graph exceeds {cap} vertices")
+        else:
+            verts = set()
+            for b1 in filter(pred, subset_masks(n, r)):
+                # b1's row: the bases among the r-subsets of its complement
+                row = filter(pred, map(sum, itertools.combinations(bits(ground & ~b1), r)))
+                verts.update(map((b1 << n).__or__, row))
+                if len(verts) > max(cap, 0):
+                    raise TooLarge(f"pair graph exceeds {cap} vertices")
 
         def pair_neighbours(v: int) -> list[int]:
             a1, a2 = v >> n, v & ground
@@ -790,27 +893,40 @@ def graph_connected(
         raise PreconditionViolated("union size is not a multiple of the rank")
     k = total // r
     multiset = kind == "white_multiset"
-    # sorted, and multisets restart at the current index, so they come
-    # out as canonical (sorted) tuples
+    # exact cover: the next member holds the least element e still to
+    # cover, and no element below e is left, so it is a basis in e's row,
+    # the bases whose least element is e.  Members from one row are taken
+    # in row order, so each multiset of members comes out once.
+    by_low: dict[int, list[int]] = {}
     support = as_mask(counts)
-    bases = sorted(b for b in subset_masks(n, r) if not b & ~support and pred(b))
+    for b in subset_masks(n, r):
+        if not b & ~support and pred(b):
+            by_low.setdefault(b & -b, []).append(b)
     cols: set[tuple[int, ...]] = set()
-    top = max(counts.values(), default=0)
-    # depth first with an explicit stack, so any k fits: (first index,
-    # what is left of the union, members so far)
+    # at least one level, so that the empty union reads as covered
+    top = max(counts.values(), default=1)
+    # depth first with an explicit stack, so any k fits: (what is left of
+    # the union, members so far, index of the last member in its row)
     levels = tuple(as_mask(e for e, c in counts.items() if c > i) for i in range(top))
-    stack = [(0, levels, ())]
+    stack = [(levels, (), 0)]
     while stack:
-        lo, levels, chosen = stack.pop()
-        if len(chosen) == k:
-            cols.add(chosen)
+        levels, chosen, last = stack.pop()
+        left = levels[0]
+        if not left:
+            col = sorted(chosen)
+            found = (tuple(col),) if multiset else _orderings(col)
+            # stop one past the cap, so no multiset's orderings run far beyond it
+            cols.update(itertools.islice(found, max(cap, 0) + 1 - len(cols)))
             if len(cols) > cap:
                 raise TooLarge(f"collection graph exceeds {cap} vertices")
             continue
-        for idx in range(lo, len(bases)):
-            b = bases[idx]
-            if not b & ~levels[0]:
-                stack.append((idx if multiset else 0, _take(levels, b), (*chosen, b)))
+        low = left & -left
+        row = by_low.get(low, ())
+        start = last if chosen and chosen[-1] & -chosen[-1] == low else 0
+        for idx in range(start, len(row)):
+            b = row[idx]
+            if not b & ~left:
+                stack.append((_take(levels, b), (*chosen, b), idx))
 
     def col_neighbours(col: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
         for i in range(k):

@@ -17,6 +17,7 @@ from corpusdef import (
     U24,
     bases_of,
     call_outcome,
+    certify,
     gs_best,
     mask,
     replay_lands,
@@ -47,6 +48,7 @@ from sparsepaving import (
     graham_sloane,
     graph_connected,
     is_basis,
+    random_sparse_paving,
     subset_masks,
     to_explicit,
     uniform,
@@ -79,6 +81,13 @@ def test_multiset_input_checks():
         Multiset.from_elements([0, "2"])
     with pytest.raises(PreconditionViolated, match="^negative multiplicity$"):
         Multiset([(0, 1), (1, -1)])
+    # a multiplicity must be an int, not a float, a string or a bool
+    with pytest.raises(PreconditionViolated, match="^multiplicity 2.0 is not an int$"):
+        Multiset([(0, 2.0), (1, 2.0)])
+    with pytest.raises(PreconditionViolated, match="^multiplicity '1' is not an int$"):
+        Multiset([(0, "1")])
+    with pytest.raises(PreconditionViolated, match="^multiplicity True is not an int$"):
+        Multiset([(0, True)])
 
 
 def test_apply_white_move_validates():
@@ -287,7 +296,8 @@ def test_graph_connected_bpg_frozen():
 
 
 def test_graph_connected_bpg_cap_bounds_the_first_pass():
-    """The vertex cap is compared after each first block's row.
+    """The vertex cap bounds the listing of the vertices too: a lower
+    bound on the count is compared with it before any is listed.
 
     graham_sloane(22, 11, 0) has 705,432 candidate bases; listing them
     all before the first comparison took about 0.4 s.
@@ -319,6 +329,54 @@ def test_graph_connected_bpg_counts_no_vertex_past_half_rank():
     start = time.perf_counter()
     assert graph_connected(uniform(24, 13), "bpg") == (True, 0)
     assert time.perf_counter() - start < 0.1
+
+
+def _check_count_and_cap(m, kind, want, s=None):
+    """graph_connected reports (True, want), passes at cap = want and
+    raises at cap = want - 1."""
+    assert graph_connected(m, kind, s=s) == (True, want)
+    assert graph_connected(m, kind, s=s, cap=want) == (True, want)
+    with pytest.raises(TooLarge):
+        graph_connected(m, kind, s=s, cap=want - 1)
+
+
+@pytest.mark.parametrize(
+    "n,r,classes",
+    [(10, 4, range(10)), (11, 5, range(11)), (12, 5, range(12)), (13, 6, range(13)),
+     (11, 4, "random"), (12, 3, "random"), (13, 6, "random")],
+    ids=["gs10_4", "gs11_5", "gs12_5", "gs13_6", "rnd11_4", "rnd12_3", "rnd13_6"],
+)
+def test_graph_connected_bpg_count_closed_form(n, r, classes):
+    """A sparse paving matroid with designated family H has
+    C(n, r) C(n-r, r) - 2|H| C(n-r, r) + D pair-graph vertices, D the
+    ordered disjoint pairs inside H; every residue class at the
+    benchmark's sizes, and seeded random families."""
+    if classes == "random":
+        family = [random_sparse_paving(n, r, seed=s, max_sets=t) for s, t in ((1, 8), (2, 24), (3, None))]
+    else:
+        family = [graham_sloane(n, r, c) for c in classes]
+    for m in family:
+        h = m.chset
+        d = sum(1 for a in h for b in h if not a & b)
+        q = math.comb(n - r, r)
+        _check_count_and_cap(m, "bpg", math.comb(n, r) * q - 2 * len(h) * q + d)
+
+
+def test_graph_connected_bpg_unseparated_families():
+    """Unvalidated families give the counts of their explicit forms.  One
+    with more than C(n, r) / (n-r+1) sets cannot be separated and is
+    listed per first block, so every 5-set of 30 elements returns at
+    once instead of listing all C(30, 5) C(25, 5) pairs of 5-sets."""
+    pairs = [mask(0, 1), mask(0, 2)]  # at symmetric difference 2
+    crowded = [b for b in subset_masks(8, 2) if b < 1 << 5]  # 10 > 28 / 7
+    for h in (pairs, crowded):
+        m = SparsePavingMatroid(8, 2, h)
+        explicit = ExplicitMatroid(8, 2, [b for b in subset_masks(8, 2) if b not in h])
+        assert graph_connected(m, "bpg") == graph_connected(explicit, "bpg")
+    m = SparsePavingMatroid(30, 5, subset_masks(30, 5))
+    start = time.perf_counter()
+    assert graph_connected(m, "bpg") == (True, 0)
+    assert time.perf_counter() - start < 1
 
 
 def test_graph_connected_bpg_memory():
@@ -421,6 +479,33 @@ def test_graph_connected_collections_frozen():
         graph_connected(P44, "white_multiset")
     with pytest.raises(PreconditionViolated):
         graph_connected(P44, "white_multiset", s=Multiset.from_elements([0]))
+
+
+@pytest.mark.parametrize(
+    "k,family",
+    [
+        (4, (P44, uniform(5, 2), gs_best(6, 3), gs_best(7, 3))),
+        (5, (P44, uniform(5, 2), gs_best(6, 3))),
+        (6, (P44, uniform(5, 2), gs_best(5, 2))),
+    ],
+    ids=["k4", "k5", "k6"],
+)
+def test_graph_connected_collections_count_against_certify(k, family):
+    """Both collection kinds against certify's brute-force count, for
+    unions of k members with a repeat, so that equal members and members
+    sharing their least element both occur.  The families stay small
+    because certify counts the tuples one by one."""
+    rng = random.Random(k)
+    for m in family:
+        bl = bases_of(m)
+        for _ in range(3):
+            head = [rng.choice(bl) for _ in range(k - 2)]
+            col = head + [head[0], rng.choice(bl)]
+            union = Counter(e for b in col for e in elements(b))
+            s = Multiset(union.items())
+            for kind, ordered in (("white_multiset", False), ("white_tuple", True)):
+                want = certify.count_collections(certify.Spm.of(m), dict(union), ordered)
+                _check_count_and_cap(m, kind, want, s)
 
 
 def test_graph_connected_collection_input_checks():
