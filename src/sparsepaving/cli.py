@@ -55,7 +55,7 @@ from .exchange import (
     white2_path,
     white_moves,
 )
-from .fileio import parse_matroid, serialize_matroid
+from .fileio import _int_token, parse_matroid, serialize_matroid
 from .flats import (
     bounds,
     check_bounds,
@@ -78,15 +78,9 @@ def _parse_set(spec: str) -> int:
         return 0
     mask = 0
     for tok in spec.split(","):
-        digits = tok.strip()
-        try:
-            # the file format's integer rule: ASCII digits only, where int()
-            # alone takes signs, underscores and other scripts' digits; it
-            # refuses a token past the interpreter's limit on digits per int
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError(tok)
-            e = int(digits)
-        except ValueError:
+        try:  # the file format's integer rule
+            e = _int_token(0, tok.strip())
+        except ParseError:
             raise PreconditionViolated(f"bad element {tok!r} in set spec {spec!r}") from None
         if not 0 <= e < MAX_GROUND:  # before 1 << e builds a huge int
             raise PreconditionViolated(
@@ -294,8 +288,9 @@ def _cmd_bounds(args) -> int:
     b = bounds(args.n, args.r)
     check_bounds(b)
     print("zn_upper", b.zn_upper)
-    print("zn_lower_int", b.zn_lower_int)
-    print("zn_lower", b.zn_lower_radical, "=", b.zn_lower_decimal)
+    if b.zn_lower_int is not None:
+        print("zn_lower_int", b.zn_lower_int)
+        print("zn_lower", b.zn_lower_radical, "=", b.zn_lower_decimal)
     if b.ch_upper is not None:
         print("ch_upper", b.ch_upper)
     return EXIT_OK

@@ -185,10 +185,13 @@ def _disjoint_pair_path(
 
     Every step swaps one element between the two blocks and keeps both
     blocks bases.  Returns the pairs after each step (start excluded).
-    Progress per round: a pruned exchange while at least three elements
-    are out of place, else one of four direct swaps, else the blocked
-    two-by-two pattern pins four dependent sets and a two-step detour
-    through a shared element works.
+    With one element out of place the swap is direct.  Otherwise one
+    exchange search tries pairs (b, a), b out of place in cur1 and a
+    wanted from cur2, by _advance's rule: the lowest b against every a
+    while at least three elements are out of place, where the pruned
+    exchange bound guarantees a hit, else the two-by-two square of both
+    b and both a.  A blocked square pins four dependent sets, and a
+    two-step detour through a shared element works.
     """
     out: list[tuple[int, int]] = []
 
@@ -204,27 +207,25 @@ def _disjoint_pair_path(
             # adjacent: both blocks keep the target's union, so this swap lands on it
             step(lowest_element(gap), lowest_element(need))
             continue
-        if gap.bit_count() >= 3:
-            x = lowest_element(gap)
-            hit = _exchange(pred, cur1, cur2, ((x, y) for y in iter_elements(need)))
-            step(*guaranteed(hit, "no pruned-exchange witness in pair walk"))
-            continue
-        b1, b2 = elements(gap)
-        a1, a2 = elements(need)
-        hit = _exchange(pred, cur1, cur2, itertools.product((b1, b2), (a1, a2)))
+        square = gap.bit_count() == 2
+        # pairs come lazily, since at most two of them fail off the square
+        xs = elements(gap) if square else (lowest_element(gap),)
+        hit = _exchange(pred, cur1, cur2, ((x, y) for x in xs for y in iter_elements(need)))
         if hit is not None:
             step(*hit)
             continue
-        # Blocked square.  One of the two sets (cur1 - b1) + a must be
+        if not square:
+            raise InternalCheckError("no pruned-exchange witness in pair walk")
+        # Blocked square.  One of the two sets (cur1 - xs[0]) + a must be
         # dependent; anchoring on it forces the other three corners, and
         # a shared element exists because the pattern is impossible in
         # rank two.
-        _, a = _anchor_of(pred, cur1, ((b1, a1), (b1, a2)))
+        _, a = _anchor_of(pred, cur1, ((xs[0], y) for y in iter_elements(need)))
         common = cur1 & tgt1
         if not common:
             raise InternalCheckError("blocked exchange square in rank two")
         x = lowest_element(common)
-        for b, a in ((x, a), (b2, lowest_element(need ^ (1 << a)))):
+        for b, a in ((x, a), (xs[1], lowest_element(need ^ (1 << a)))):
             hit = _exchange(pred, cur1, cur2, [(b, a)])
             step(*guaranteed(hit, "detour step left the basis family"))
     return out
@@ -398,27 +399,32 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
     """One improvement round: bring the member b1 of `side` nearer a1_mask.
 
     The helper member b2 holds more of a1 - b1 than of b1 - a1: p
-    elements of the one and q of the other.  While half the symmetric
-    difference is two or more, one exchange search tries pairs (b, a)
-    with b from b1 - a1 and a from the helper: the helper's lowest a
-    against every b when q = 0, the lowest b outside the helper against
-    every a when p >= 3 or half = 2, else (half >= 3, p = 2, q = 1) the
-    two-by-two square of the two lowest such b and both a.  At half >= 3
-    only the square can miss: the others try three or more pairs, and
-    the pruned exchange bound fails at most two.  A miss anchors on the
-    first tried pair with b1 - b + a dependent and takes a double step:
-    b leaves for a helper element outside a1 and b1, then the other b
-    gives way to a; or, when half = 2 and q = 1, a shared element of a1
-    and b1 first gives way to a, then b to the other a.  For one a chain
-    either finishes outright or fixes interfering members one exchange
-    at a time, strictly shrinking their number.
+    elements of the one and q of the other.  Each pass runs one exchange
+    search over pairs (b, a), b from b1 - a1 and a from the helper: the
+    helper's lowest a against every b when q = 0, the lowest b outside
+    the helper against every a when p >= 3 or half = 2, else (half >= 3,
+    p = 2, q = 1) the two-by-two square of the two lowest such b and both
+    a.  At half = 1 that is the direct swap (b, a), q being 0.  At half
+    >= 3 only the square can miss: the others try three or more pairs,
+    and the pruned exchange bound fails at most two.  A miss at half >= 2
+    anchors on the first tried pair with b1 - b + a dependent and takes a
+    double step: b leaves for a helper element outside a1 and b1, then
+    the other b gives way to a; or, when half = 2 and q = 1, a shared
+    element of a1 and b1 first gives way to a, then b to the other a.  A
+    miss at half = 1 repairs one other member bh, the first in sorted
+    order of the best kind: one lacking b and part of b2 - a (a pre-swap),
+    else one holding b without a (an interferer), else one holding both
+    that differs from b2 in four or more elements.  One exchange search
+    between bh and b2 serves all three; an interferer's fix starts the
+    next pass, and the other two end with the direct swap against the
+    new helper.
     """
     pred, n, r = basis_predicate(m)
     amb = a1_mask & ~b1
     bma = b1 & ~a1_mask
     half = amb.bit_count()
 
-    if half >= 2:
+    while True:  # only an interferer fix starts another pass (see there)
         b2 = _pick_helper(side.act, amb, bma)
         mine = b2 & amb
         p, q = mine.bit_count(), (b2 & bma).bit_count()
@@ -427,14 +433,46 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
             xs, ys = elements(bma), (lowest_element(mine),)
         else:
             xs, ys = elements(bma & ~b2)[: 1 + square], elements(mine)
-        pairs = list(itertools.product(xs, ys))
-        hit = _exchange(pred, b1, b2, pairs)
+        hit = _exchange(pred, b1, b2, itertools.product(xs, ys))
         if hit is not None:
             side.push(m, b1, b2, *hit)
             return
+        if half == 1:
+            b, a = xs[0], ys[0]
+            rest = b2 & ~(1 << a)
+            bh, kind = None, 3
+            for v in sorted(side.act):
+                if side.act[v] <= (v == b1) + (v == b2):
+                    continue  # the only copy of b1 or of b2
+                if not (v >> b) & 1:
+                    k = 0 if rest & ~v else 3
+                else:
+                    k = 1 if not (v >> a) & 1 else 2 if (b2 ^ v).bit_count() >= 4 else 3
+                if k < kind:
+                    bh, kind = v, k
+                    if k == 0:
+                        break
+            if bh is None:
+                raise InternalCheckError("single-swap chain exhausted every repair")
+            if kind == 2:
+                x = lowest_element(bh & ~(1 << b) & ~b2)
+                tries = ((x, y) for y in iter_elements(b2 & ~bh))
+            else:
+                y = a if kind else lowest_element(rest & ~bh)
+                tries = ((z, y) for z in iter_elements(bh & ~b2))
+            z, y = guaranteed(_exchange(pred, bh, b2, tries), "symmetric exchange witness missing")
+            nb2, _ = side.push(m, b2, bh, y, z)
+            if kind == 1:
+                # The interferer bh took a for some z; z is not b, as
+                # b2 - a + b failed above, so bh stops interfering and b2
+                # does not start.  b1 never moves, so the interferers drop
+                # by exactly one per pass.
+                continue
+            side.push(m, b1, nb2, b, a)
+            return
         if half >= 3 and not square:
             raise InternalCheckError("pruned exchange failed")
-        b, a = _anchor_of(pred, b1, pairs)
+        b, a = _anchor_of(pred, b1, itertools.product(xs, ys))
         if half == 2 and q:
             esc = (x for x in iter_elements(a1_mask & b1 & ~b2) if pred(swap(b2, a, x)))
             x = guaranteed(next(esc, None), "no shared element escapes the anchor")
@@ -447,51 +485,6 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
         nb1, nb2 = side.push(m, b1, b2, *first)
         side.push(m, nb1, nb2, *then)
         return
-
-    # half == 1.  The loop ends: every pass that does not return is the
-    # interferer fix below, and each one leaves one interferer fewer.
-    a1c = lowest_element(amb)
-    b1c = lowest_element(bma)
-    while True:
-        b2 = _pick_helper(side.act, amb, bma)
-        x_mask = b2 & ~(1 << a1c)
-        if pred(x_mask | (1 << b1c)):
-            side.push(m, b1, b2, b1c, a1c)
-            return
-        others = side.act.copy()
-        others[b1] -= 1
-        others[b2] -= 1
-        others = +others
-        ordered = sorted(others)
-        # a member missing b1c and part of x_mask lets a pre-swap pull
-        # the helper off the dependent completion for good
-        for bh in ordered:
-            if (bh >> b1c) & 1 or not x_mask & ~bh:
-                continue
-            y = lowest_element(x_mask & ~bh)
-            hit = _exchange(pred, bh, b2, ((z, y) for z in iter_elements(bh & ~b2)))
-            z, _ = guaranteed(hit, "symmetric exchange witness missing")
-            nb2, _ = side.push(m, b2, bh, y, z)
-            side.push(m, b1, nb2, b1c, a1c)
-            return
-        # interferers hold b1c without a1c; hand the first one an a1c
-        # from the helper for some z.  z is not b1c, as b2 - a1c + b1c
-        # failed above, so bh stops interfering and b2 does not start;
-        # b1 never moves, so the others drop by exactly one per pass
-        bh = next((v for v in ordered if (v >> b1c) & 1 and not (v >> a1c) & 1), None)
-        if bh is not None:
-            hit = _exchange(pred, b2, bh, ((a1c, z) for z in iter_elements(bh & ~b2)))
-            side.push(m, b2, bh, *guaranteed(hit, "interferer fix found no exchange"))
-            continue
-        for bh in ordered:
-            if (bh >> b1c) & 1 and (bh >> a1c) & 1 and (b2 ^ bh).bit_count() >= 4:
-                x = lowest_element(bh & ~(1 << b1c) & ~b2)
-                hit = _exchange(pred, bh, b2, ((x, y) for y in iter_elements(b2 & ~bh)))
-                _, y = guaranteed(hit, "no exchange with a member far from the helper")
-                nb2, _ = side.push(m, b2, bh, y, x)
-                side.push(m, b1, nb2, b1c, a1c)
-                return
-        raise InternalCheckError("single-swap chain exhausted every repair")
 
 
 def _as_members(m, col: Sequence[ElementSet], what: str) -> tuple[int, ...]:

@@ -135,16 +135,17 @@ class BoundsReport:
     zn_upper bounds the number of cyclic flats of any matroid on n
     elements; zn_lower_int is the integer threshold some sparse paving
     matroid is guaranteed to reach (ceil of the radical expression,
-    plus 2 for the trivial flats).  ch_upper bounds the number of
-    designated dependent r-sets.
+    plus 2 for the trivial flats).  The matroids behind it have
+    2 <= r <= n - 2, so the three zn_lower fields are None for n < 4.
+    ch_upper bounds the number of designated dependent r-sets.
     """
 
     n: int
     r: int | None
     zn_upper: Fraction
-    zn_lower_int: int
-    zn_lower_decimal: str
-    zn_lower_radical: str
+    zn_lower_int: int | None
+    zn_lower_decimal: str | None
+    zn_lower_radical: str | None
     ch_upper: Fraction | None
 
 
@@ -154,19 +155,20 @@ def bounds(n: int, r: int | None = None) -> BoundsReport:
     check_ground(n)
     if r is not None and not 0 <= r <= n:
         raise PreconditionViolated(f"rank {r} not in 0..{n}")
-    # ceil(2^{n-1} / n^{3/2}) without floats: the smallest q with
-    # q^2 >= ceil(2^{2(n-1)} / n^3)
-    q = isqrt(-(-(1 << (2 * (n - 1))) // n**3) - 1) + 1
-    with localcontext() as ctx:
-        ctx.prec = 36
-        dec = Decimal(1 << (n - 1)) / Decimal(n) ** Decimal("1.5") + 2
+    lower = None, None, None
+    if n >= 4:
+        # ceil(2^{n-1} / n^{3/2}) without floats: the smallest q with
+        # q^2 >= ceil(2^{2(n-1)} / n^3)
+        q = isqrt(-(-(1 << (2 * (n - 1))) // n**3) - 1) + 1
+        with localcontext() as ctx:
+            ctx.prec = 36
+            dec = Decimal(1 << (n - 1)) / Decimal(n) ** Decimal("1.5") + 2
+        lower = q + 2, f"{dec:.12g}", f"2^{n - 1}/{n}^(3/2) + 2"
     report = BoundsReport(
-        n=n,
-        r=r,
-        zn_upper=Fraction(1 << (n + 1), n + 2),
-        zn_lower_int=q + 2,
-        zn_lower_decimal=f"{dec:.12g}",
-        zn_lower_radical=f"2^{n - 1}/{n}^(3/2) + 2",
+        n,
+        r,
+        Fraction(1 << (n + 1), n + 2),
+        *lower,
         ch_upper=Fraction(comb(n, r), n - r + 1) if r is not None else None,
     )
     check_bounds(report)
@@ -177,14 +179,18 @@ def check_bounds(report: BoundsReport) -> None:
     """Raise InternalCheckError unless report holds the exact bounds for its n and r.
 
     q = zn_lower_int - 2 is the ceiling of 2^{n-1}/n^{3/2} exactly when
-    (q-1)^2 n^3 < 2^{2(n-1)} <= q^2 n^3, which also forces q >= 1;
-    zn_upper and ch_upper are re-derived as fractions.
+    (q-1)^2 n^3 < 2^{2(n-1)} <= q^2 n^3, which also forces q >= 1; below
+    n = 4 the zn_lower fields must be None.  zn_upper and ch_upper are
+    re-derived as fractions.
     """
     n, r = report.n, report.r
     t, n3 = 1 << (2 * (n - 1)), n**3
-    q = report.zn_lower_int - 2
-    if not (q - 1) ** 2 * n3 < t <= q * q * n3:
-        raise InternalCheckError(f"zn_lower_int {q + 2} is not the ceiling plus 2")
+    low = report.zn_lower_int
+    if n < 4:
+        if (low, report.zn_lower_decimal, report.zn_lower_radical) != (None, None, None):
+            raise InternalCheckError("zn_lower is set below n = 4")
+    elif low is None or not (low - 3) ** 2 * n3 < t <= (low - 2) ** 2 * n3:
+        raise InternalCheckError(f"zn_lower_int {low} is not the ceiling plus 2")
     zn_upper = Fraction(1 << (n + 1), n + 2)
     if report.zn_upper != zn_upper:
         raise InternalCheckError(f"zn_upper {report.zn_upper} should be {zn_upper}")

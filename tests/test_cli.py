@@ -683,6 +683,9 @@ def test_cli_flats_avg_bounds(p44_file):
     assert out == (
         "zn_upper 16/3\nzn_lower_int 3\nzn_lower 2^3/4^(3/2) + 2 = 3\nch_upper 2\n"
     )
+    # below n = 4 no sparse paving matroid has 2 <= r <= n - 2: no lower bound
+    assert run_cli("bounds", "--n", "2") == (0, "zn_upper 2\n")
+    assert run_cli("bounds", "--n", "3", "--r", "1") == (0, "zn_upper 16/5\nch_upper 1\n")
 
 
 def test_cli_census_jobs_invariant():

@@ -963,13 +963,20 @@ def anchor_by_corner(pred, b1, x, a1, a2):
 
 
 def advance_by_case(m, a1_mask, b1, side):
-    """_advance's half >= 2 blocks as they were, case by case, kept as the reference."""
+    """_advance as it was, case by case, kept as the reference.
+
+    The half >= 2 blocks and the half = 1 single-swap chain are the
+    forms before each was folded into one exchange search per round.
+    The chain returns the name of the repair that ended it.
+    """
     pred, n, r = basis_predicate(m)
     amb = a1_mask & ~b1
     bma = b1 & ~a1_mask
     half = amb.bit_count()
-    assert half >= 2
+    assert half >= 1
 
+    if half == 1:
+        return single_swap_chain(m, pred, amb, bma, b1, side)
     if half >= 3:
         b2 = exchange._pick_helper(side.act, amb, bma)
         p = (b2 & amb).bit_count()
@@ -1030,8 +1037,48 @@ def advance_by_case(m, a1_mask, b1, side):
     side.push(m, nb1, nb2, b2c, a2c)
 
 
+def single_swap_chain(m, pred, amb, bma, b1, side):
+    """The half = 1 case of advance_by_case: three ordered scans, three searches."""
+    a1c = lowest_element(amb)
+    b1c = lowest_element(bma)
+    while True:
+        b2 = exchange._pick_helper(side.act, amb, bma)
+        x_mask = b2 & ~(1 << a1c)
+        if pred(x_mask | (1 << b1c)):
+            side.push(m, b1, b2, b1c, a1c)
+            return "direct"
+        others = side.act.copy()
+        others[b1] -= 1
+        others[b2] -= 1
+        others = +others
+        ordered = sorted(others)
+        for bh in ordered:
+            if (bh >> b1c) & 1 or not x_mask & ~bh:
+                continue
+            y = lowest_element(x_mask & ~bh)
+            hit = _exchange(pred, bh, b2, ((z, y) for z in iter_elements(bh & ~b2)))
+            z, _ = guaranteed(hit, "symmetric exchange witness missing")
+            nb2, _ = side.push(m, b2, bh, y, z)
+            side.push(m, b1, nb2, b1c, a1c)
+            return "pre-swap"
+        bh = next((v for v in ordered if (v >> b1c) & 1 and not (v >> a1c) & 1), None)
+        if bh is not None:
+            hit = _exchange(pred, b2, bh, ((a1c, z) for z in iter_elements(bh & ~b2)))
+            side.push(m, b2, bh, *guaranteed(hit, "interferer fix found no exchange"))
+            continue
+        for bh in ordered:
+            if (bh >> b1c) & 1 and (bh >> a1c) & 1 and (b2 ^ bh).bit_count() >= 4:
+                x = lowest_element(bh & ~(1 << b1c) & ~b2)
+                hit = _exchange(pred, bh, b2, ((x, y) for y in iter_elements(b2 & ~bh)))
+                _, y = guaranteed(hit, "no exchange with a member far from the helper")
+                nb2, _ = side.push(m, b2, bh, y, x)
+                side.push(m, b1, nb2, b1c, a1c)
+                return "far"
+        raise InternalCheckError("single-swap chain exhausted every repair")
+
+
 def _advance_draws(label, bl, count):
-    """Seeded (a1, b1, side) with half >= 2 under white_moves' side rule.
+    """Seeded (a1, b1, side) with a1 != b1 under white_moves' side rule.
 
     The side holds at least as much of a1 - b1 as of b1 - a1, counted
     with multiplicity, as in every round of white_moves.  The rest of a
@@ -1042,7 +1089,7 @@ def _advance_draws(label, bl, count):
     for _ in range(count):
         a1, b1 = rng.choice(bl), rng.choice(bl)
         amb, bma = a1 & ~b1, b1 & ~a1
-        if amb.bit_count() < 2:
+        if not amb:
             continue
         gain = {v: (v & amb).bit_count() - (v & bma).bit_count() for v in bl}
         helpers = [v for v in bl if gain[v] > 0]
@@ -1051,30 +1098,53 @@ def _advance_draws(label, bl, count):
             yield a1, b1, tuple(sorted(members))
 
 
+# the single-swap chain's two guards that share one message since its fold
+FOLDED_GUARDS = ("interferer fix found no exchange", "no exchange with a member far from the helper")
+
+
 def test_advance_matches_the_case_by_case_reference():
-    """_advance against its case-by-case form on every family with n <= 6 and the corpus.
+    """_advance against its case-by-case form, on valid and non-matroid families.
 
     Both must log the same moves and leave the same state, or raise the
-    same error.  Draws are counted by the moves they make; anchored
-    detours (two moves) are rare on valid matroids.
+    same error, but for the chain's two folded guards, which now raise
+    "symmetric exchange witness missing".  The valid families are every
+    one with n <= 6 and the corpus.  The non-matroid families, drawn as
+    test_guards draws them, get half = 1 draws only: the half >= 2 fold
+    moved where a non-matroid fault surfaces.  Draws are counted by half
+    and by the moves they make, or at half = 1 by the repair that ended
+    the chain; anchored detours (two moves) are rare on valid matroids.
     """
 
     def outcome(advance, m, a1, b1, start):
         side = exchange._Side(start)
         got = call_outcome(advance, m, a1, b1, side)
-        return got if isinstance(got, tuple) else (side.moves, side.state)
+        if isinstance(got, tuple):  # the class and message raised
+            kind, msg = got
+            return (kind, "symmetric exchange witness missing" if msg in FOLDED_GUARDS else msg), msg
+        return (side.moves, side.state), got
 
-    pool = [(f"family {i}", m, 16) for i, m in enumerate(small_sparse_paving(6))]
-    pool += [(name, m, 48) for name, m in CORPUS if 4 <= m.n <= 14]
+    pool = [(f"family {i}", m, bases_of(m), 16) for i, m in enumerate(small_sparse_paving(6))]
+    pool += [(name, m, bases_of(m), 48) for name, m in CORPUS if 4 <= m.n <= 14]
+    rng = random.Random(29)
+    for i in range(300):
+        n = rng.randint(4, 8)
+        m, fam = _family(rng, n, rng.randint(2, n - 2), 0.3)
+        pool.append((f"non-matroid {i}", m, fam, 8))
     made = Counter()
-    for label, m, draws in pool:
-        bl = bases_of(m)
+    for label, m, bl, draws in pool:
         for a1, b1, start in _advance_draws(label, bl, draws if len(bl) > 1 else 0):
-            want = outcome(advance_by_case, m, a1, b1, start)
-            assert outcome(exchange._advance, m, a1, b1, start) == want, (label, a1, b1, start)
-            made[want[1] if isinstance(want[1], str) else len(want[0])] += 1
-    assert made[1] > 1500 and made[2] >= 10, made
-    assert made["no escape element beside the anchor"] > 0, made
+            half = (a1 & ~b1).bit_count()
+            if half > 1 and label.startswith("non-matroid"):
+                continue
+            want, why = outcome(advance_by_case, m, a1, b1, start)
+            got, _ = outcome(exchange._advance, m, a1, b1, start)
+            assert got == want, (label, a1, b1, start)
+            made[min(half, 2), why or len(want[0])] += 1
+    assert made[2, 1] > 1500 and made[2, 2] >= 10, made
+    assert made[2, "no escape element beside the anchor"] > 0, made
+    assert made[1, "direct"] > 3000 and made[1, "pre-swap"] >= 100, made
+    assert made[1, "far"] > 0, made
+    assert all(made[1, msg] > 0 for msg in FOLDED_GUARDS), made
 
 
 def test_white_moves_stress_far_partitions():

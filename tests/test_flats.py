@@ -24,6 +24,7 @@ from sparsepaving import (
     cyclic_flats_of,
     dual,
     explicit_rank,
+    explicit_validate,
     flat_histogram,
     graham_sloane,
     random_sparse_paving,
@@ -270,6 +271,9 @@ def test_bounds_lower_int_is_exact_ceiling():
     # ceil(2^(n-1) / n^(3/2)) + 2 recomputed with Fraction arithmetic
     for n in range(1, 25):
         got = bounds(n).zn_lower_int
+        if n < 4:  # no sparse paving matroid with 2 <= r <= n - 2
+            assert got is None
+            continue
         t = 1 << (2 * (n - 1))
         q = got - 2
         # q is the least integer with q^2 * n^3 >= 2^(2(n-1))
@@ -281,6 +285,9 @@ def test_bounds_lower_int_is_exact_ceiling():
 def test_bounds_decimal_tracks_the_radical():
     for n in (2, 5, 9, 16):
         b = bounds(n)
+        if n < 4:
+            assert b.zn_lower_decimal is None and b.zn_lower_radical is None
+            continue
         approx = (1 << (n - 1)) / n**1.5 + 2
         assert abs(float(b.zn_lower_decimal) - approx) < 1e-9 * max(1.0, approx)
 
@@ -324,9 +331,36 @@ def test_check_bounds_rejects_each_corrupted_field():
         replace(b, ch_upper=None),
         replace(bounds(10), ch_upper=Fraction(1)),
         replace(b, n=11),
+        replace(b, zn_lower_int=None),
+        replace(bounds(3), zn_lower_int=3),
+        replace(bounds(2), zn_lower_radical="2^1/2^(3/2) + 2"),
     ):
         with pytest.raises(InternalCheckError):
             check_bounds(bad)
+
+
+def test_bounds_lower_int_is_reached_up_to_n4():
+    """zn_lower_int, where defined, is at most the true maximum number of
+    cyclic flats, over every matroid on n <= 4 elements."""
+    most = {}
+    for n in range(1, 5):
+        most[n] = 0
+        for r in range(n + 1):
+            sets = [mask(*c) for c in combinations(range(n), r)]
+            for pick in range(1, 1 << len(sets)):
+                em = ExplicitMatroid(n, r, [s for i, s in enumerate(sets) if pick >> i & 1])
+                try:
+                    explicit_validate(em)
+                except ValidationError:
+                    continue
+                most[n] = max(most[n], len(cyclic_flats_of(em)))
+    assert most == {1: 1, 2: 2, 3: 2, 4: 4}
+    for n, top in most.items():
+        low = bounds(n).zn_lower_int
+        assert (low is None) == (n < 4)
+        assert low is None or low <= top, (n, low, top)
+    with pytest.raises(InternalCheckError, match="^zn_lower is set below n = 4$"):
+        check_bounds(replace(bounds(3), zn_lower_int=3))
 
 
 def test_ch_upper_met_with_equality_at_p44():

@@ -62,12 +62,10 @@ REACHED = {
 }
 
 # every InternalCheckError message the direct _advance draws reach: all
-# seven guard sites of _advance and the _anchor_of it calls
+# five guard sites of _advance and the _anchor_of it calls
 ADVANCE_REACHED = {
     "blocked square lost its anchor",
-    "interferer fix found no exchange",
     "no escape element beside the anchor",
-    "no exchange with a member far from the helper",
     "no shared element escapes the anchor",
     "pruned exchange failed",
     "single-swap chain exhausted every repair",
