@@ -660,9 +660,8 @@ def _pair_vertices(n: int, r: int, designated: list[int]) -> set[int]:
     elements y of hi, so the int is (lo + x * g) + (hi + y * g): for each
     m and i, every sum of one term from the lo side and one from the hi
     side, which costs one addition per pair and no basis-predicate call.
-    Right after a group is listed, its pairs with a designated block are
-    removed (see _designated_pairs), so the set never holds more than
-    one group's worth of them.
+    The pairs with a designated block h are then removed in one pass:
+    (h, c) and (c, h) for every r-set c of h's complement.
     """
     g = (1 << n) - 1
     singles = bits(g)
@@ -679,29 +678,13 @@ def _pair_vertices(n: int, r: int, designated: list[int]) -> set[int]:
                 xs, ys = ys, xs
             for x in xs:
                 verts.update(map(x.__add__, ys))
-        verts.difference_update(_designated_pairs(n, r, designated, m))
-    return verts
-
-
-def _designated_pairs(n: int, r: int, designated: list[int], m: int) -> Iterable[int]:
-    """The pairs of group m of _pair_vertices with a designated block.
-
-    For h in designated, the other block c adds r - k elements below m,
-    where h has k, and the rest above m, taking m itself unless h does.
-    """
-    top = 1 << m
-    below, above = top - 1, ((1 << n) - 1) & -(top << 1)
     for h in designated:
-        k = (h & below).bit_count()
-        pin, rest = (0, k) if h & top else (top, k - 1)
-        if rest < 0:
-            continue
-        lows = list(map(sum, itertools.combinations(bits(below & ~h), r - k)))
-        for high in map(sum, itertools.combinations(bits(above & ~h), rest)):
-            for low in lows:
-                c = low + pin + high
-                yield (h << n) | c
-                yield (c << n) | h
+        for c in map(sum, itertools.combinations(bits(g & ~h), r)):
+            verts.discard((h << n) | c)
+            verts.discard((c << n) | h)
+    # copied without the removed pairs' dummy slots: with them, the search's
+    # set differences rebuild the table early, at up to twice the size
+    return set(verts) if designated else verts
 
 
 def _orderings(col: list[int]) -> Iterable[tuple[int, ...]]:
@@ -777,9 +760,10 @@ def graph_connected(
     """Exhaustive connectivity check; returns (connected, vertex count).
 
     kind is "bpg", "white_multiset", or "white_tuple"; the white kinds
-    need the multiset union s.  Enumerating more than cap vertices
-    raises TooLarge, and the cap bounds the enumeration as well.  An
-    empty or single-vertex graph counts as connected.
+    need the multiset union s.  Once the arguments are checked, more
+    than max(cap, 5,000,000) candidate bases C(n, r) raise TooLarge, as
+    does enumerating more than cap vertices, a cap that bounds the
+    enumeration too.  An empty or single-vertex graph counts as connected.
 
     The pair graph of a SparsePavingMatroid with designated family H
     is every ordered pair of disjoint r-sets less those with a block in
@@ -787,15 +771,20 @@ def graph_connected(
     C(n-r, r) pairs, so (C(n, r) - 2|H|) C(n-r, r) is a lower bound on
     the vertex count, and TooLarge is raised before listing when it
     exceeds cap.  A separated family has |H| <= C(n, r) / (n-r+1), and
-    with that, once n - r >= 2, a listing that passes the test lists at
-    most three times cap pairs.  A family that breaks that inequality
-    (it cannot be separated) and an ExplicitMatroid, whose bases may be
-    few, list the pairs per first block instead, comparing the count
-    with cap after each row.
-    The collection graphs are listed by exact cover: the next member
-    holds the least element still to cover, and members with the same
-    least element are taken in one fixed order, so each multiset comes
-    out once; the tuple kind adds its distinct orderings.
+    with that, once n - r >= 2, the C(n, r) C(n-r, r) pairs listed
+    before H's are removed are at most three times cap.  A family that
+    breaks that inequality (it cannot be separated) and an
+    ExplicitMatroid, whose bases may be few, list the pairs per first
+    block instead, comparing the count with cap after each row.
+    The collection graphs are listed by exact cover from the bases
+    inside the union's support: the next member holds the least element
+    still to cover, and members with the same least element are taken
+    in one fixed order, so each multiset comes out once; the tuple kind
+    adds its distinct orderings.  A branch is dropped once an element
+    has more copies left than members are left, as a member holds it
+    once.  Each step copies one mask per multiplicity level, so a union
+    of k members whose largest multiplicity is t is refused when k t
+    exceeds max(cap, 5,000,000).
 
     Every vertex is enumerated before the search, so adjacency is
     decided by membership in the vertex set: a single swap keeps a pair
@@ -806,34 +795,48 @@ def graph_connected(
     pops or sweeps, and stops when every vertex has been reached or
     none is left to reach.
 
-    A pair-graph pop lists the exact swaps of the vertex
-    v = (a1 << n) | a2.  A sweep tries v ^ d for each two-element delta
-    d instead: (p << n) | p, p << n and p for every pair p = {x, y}.
-    A candidate that lands in the vertex set is an edge.  Its blocks
-    a1 ^ (d >> n) and a2 ^ (d & ground) keep popcount r, so each
-    nonempty half of d has one element inside its block and one
-    outside.  (p << n) | p therefore trades x and y between a1 and a2;
-    p << n trades an element of a1 for one outside it, which is not in
-    a2 because the blocks stay disjoint, so it comes from the leftover
-    block; p does the same for a2.  Every swap is one of these, so a
-    sweep tries every swap too.
+    A pair-graph pop lists the exact swaps of v = (a1 << n) | a2.  A
+    sweep tries v ^ d for each two-element delta d instead: (p << n) | p,
+    p << n and p for every pair p = {x, y}; a candidate that lands in the
+    vertex set is an edge.  Its blocks a1 ^ (d >> n) and a2 ^ (d & ground)
+    keep popcount r, so each nonempty half of d has one element inside
+    its block and one outside.  (p << n) | p therefore trades x and y
+    between a1 and a2; p << n trades an element of a1 for one outside it,
+    which is not in a2 as the blocks stay disjoint, so it comes from the
+    leftover block; p does the same for a2.  Every swap is one of these,
+    so a sweep tries every swap too.
     """
     pred, n, r = basis_predicate(m)
     ground = (1 << n) - 1
-    if math.comb(n, r) > max(cap, 5_000_000):
-        raise TooLarge("too many candidate bases to enumerate")
     if kind == "bpg":
         if s is not None:
             raise PreconditionViolated("the pair graph takes no multiset")
+    elif kind not in ("white_multiset", "white_tuple"):
+        raise PreconditionViolated(f"unknown graph kind {kind!r}")
+    elif s is None:
+        raise PreconditionViolated("collection graphs need the multiset union")
+    else:
+        counts = s.counter()
+        for e in counts:
+            if e >= n:
+                raise ElementOutOfRange(f"multiset element {e} outside the ground set")
+        if r == 0:
+            if s.total:
+                raise PreconditionViolated("rank zero admits only the empty union")
+            return True, 1
+        if s.total % r:
+            raise PreconditionViolated("union size is not a multiple of the rank")
+    bound = max(cap, 5_000_000)
+    if math.comb(n, r) > bound:
+        raise TooLarge("too many candidate bases to enumerate")
+    if kind == "bpg":
         if 2 * r > n:
             return True, 0  # no r-set fits in the complement of another
-        # vertex (a1, a2) is the int (a1 << n) | a2; a negative cap still
-        # admits an empty graph
+        # a negative cap still admits an empty graph
         designated = None
         if isinstance(m, SparsePavingMatroid):
             designated = [h for h in m.chset if h.bit_count() == r and not h >> n]
-        # |H| <= C(n, r) / (n-r+1) holds for every separated family and
-        # keeps the listing within three times cap (see the docstring)
+        # a separated family passes, and keeps the listing within three times cap
         if r and designated is not None and len(designated) * (n - r + 1) <= math.comb(n, r):
             # at most 2|H| C(n-r, r) of the C(n, r) C(n-r, r) pairs hold a
             # designated block, so the count is at least this bound
@@ -864,47 +867,29 @@ def graph_connected(
         pairs = [x | y for x, y in itertools.combinations(bits(ground), 2)]
         deltas = [(p << n) | p for p in pairs] + [p << n for p in pairs] + pairs
 
-        def pair_candidates(v: int) -> Iterable[int]:
-            return map(v.__xor__, deltas)
+        return _connected(verts, pair_neighbours, lambda v: map(v.__xor__, deltas))
 
-        return _connected(verts, pair_neighbours, pair_candidates)
-
-    if kind not in ("white_multiset", "white_tuple"):
-        raise PreconditionViolated(f"unknown graph kind {kind!r}")
-    if s is None:
-        raise PreconditionViolated("collection graphs need the multiset union")
-    counts = s.counter()
-    for e in counts:
-        if e >= n:
-            raise ElementOutOfRange(f"multiset element {e} outside the ground set")
-    total = s.total
-    if r == 0:
-        if total:
-            raise PreconditionViolated("rank zero admits only the empty union")
-        return True, 1
-    if total % r:
-        raise PreconditionViolated("union size is not a multiple of the rank")
-    k = total // r
-    multiset = kind == "white_multiset"
-    # exact cover: the next member holds the least element e still to
-    # cover, and no element below e is left, so it is a basis in e's row,
-    # the bases whose least element is e.  Members from one row are taken
-    # in row order, so each multiset of members comes out once.
-    by_low: dict[int, list[int]] = {}
-    support = as_mask(counts)
-    for b in subset_masks(n, r):
-        if not b & ~support and pred(b):
-            by_low.setdefault(b & -b, []).append(b)
-    cols: set[tuple[int, ...]] = set()
+    k = s.total // r
     # at least one level, so that the empty union reads as covered
     top = max(counts.values(), default=1)
+    if k * top > bound:
+        raise TooLarge(f"a union of {k} members with multiplicity {top} is too large to cover")
+    multiset = kind == "white_multiset"
+    # e's row: the bases whose least element is e, the only ones that can
+    # hold e once no element below it is left to cover
+    by_low: dict[int, list[int]] = {}
+    for b in filter(pred, map(sum, itertools.combinations(bits(as_mask(counts)), r))):
+        by_low.setdefault(b & -b, []).append(b)
+    cols: set[tuple[int, ...]] = set()
     # depth first with an explicit stack, so any k fits: (what is left of
     # the union, members so far, index of the last member in its row)
     levels = tuple(as_mask(e for e, c in counts.items() if c > i) for i in range(top))
     stack = [(levels, (), 0)]
     while stack:
         levels, chosen, last = stack.pop()
-        left = levels[0]
+        left, rest = levels[0], k - len(chosen)
+        if rest < top and levels[rest]:
+            continue  # an element has more copies left than members: no cover
         if not left:
             col = sorted(chosen)
             found = (tuple(col),) if multiset else _orderings(col)

@@ -629,7 +629,7 @@ def test_cli_conj_commands(p44_file):
 
 
 @pytest.mark.parametrize("which", ["white", "white2"])
-def test_cli_collection_oracle_takes_any_k(tmp_path, which):
+def test_cli_collection_oracle_takes_any_k(tmp_path, capsys, which):
     # the collection enumeration goes one member deeper per level, so it
     # must not lean on the interpreter's recursion limit (about 1,000)
     f = tmp_path / "u24.txt"
@@ -637,6 +637,13 @@ def test_cli_collection_oracle_takes_any_k(tmp_path, which):
     col = "|".join(["0,1"] * 1200)
     argv = ["conj", which, str(f), "--k", "1200", "--from", col, "--to", col, "--oracle"]
     assert run_cli(*argv) == (0, "moves 0\noracle connected 1 vertices\n")
+    # one cover of k members with multiplicity k costs about k * k: refused
+    # past 5,000,000 as too large, exit 2, instead of running for seconds
+    col = "|".join(["0,1"] * 4000)
+    argv = ["conj", which, str(f), "--k", "4000", "--from", col, "--to", col, "--oracle"]
+    assert run_cli(*argv) == (2, "moves 0\n")
+    err = "error: a union of 4000 members with multiplicity 4000 is too large to cover\n"
+    assert capsys.readouterr().err == err
 
 
 def test_cli_disconnected_oracle_exits_1(monkeypatch, p44_file):

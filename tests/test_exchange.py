@@ -293,6 +293,11 @@ def test_graph_connected_bpg_frozen():
         graph_connected(P44, "bpg", s=Multiset.from_elements([0]))
     with pytest.raises(PreconditionViolated):
         graph_connected(P44, "nope")
+    # the arguments are checked before the C(40, 20) candidate bases are counted
+    with pytest.raises(PreconditionViolated, match="^unknown graph kind 'nope'$"):
+        graph_connected(uniform(40, 20), "nope")
+    with pytest.raises(PreconditionViolated, match="^the pair graph takes no multiset$"):
+        graph_connected(uniform(40, 20), "bpg", s=Multiset.from_elements([0]))
 
 
 def test_graph_connected_bpg_cap_bounds_the_first_pass():
@@ -366,12 +371,25 @@ def test_graph_connected_bpg_unseparated_families():
     """Unvalidated families give the counts of their explicit forms.  One
     with more than C(n, r) / (n-r+1) sets cannot be separated and is
     listed per first block, so every 5-set of 30 elements returns at
-    once instead of listing all C(30, 5) C(25, 5) pairs of 5-sets."""
+    once instead of listing all C(30, 5) C(25, 5) pairs of 5-sets.
+
+    Near-uniform families, each r-set drawn with probability
+    1 / (2 (n-r+1)), need not be separated, yet are small enough for the
+    removal pass; each also holds an (r+1)-set and an r-set past the
+    ground set, which designate no r-set of the ground and change no count."""
     pairs = [mask(0, 1), mask(0, 2)]  # at symmetric difference 2
     crowded = [b for b in subset_masks(8, 2) if b < 1 << 5]  # 10 > 28 / 7
-    for h in (pairs, crowded):
-        m = SparsePavingMatroid(8, 2, h)
-        explicit = ExplicitMatroid(8, 2, [b for b in subset_masks(8, 2) if b not in h])
+    families = [(8, 2, pairs), (8, 2, crowded)]
+    rng = random.Random(30)
+    for n, r in ((8, 3), (9, 3), (9, 4), (10, 3), (10, 4), (11, 4), (11, 5)):
+        for _ in range(3):
+            near = [b for b in subset_masks(n, r) if rng.random() < 0.5 / (n - r + 1)]
+            assert len(near) * (n - r + 1) <= math.comb(n, r)  # so the removal pass runs
+            stray = [(1 << (r + 1)) - 1, (1 << (r - 1)) - 1 | 1 << n]
+            families.append((n, r, near + stray))
+    for n, r, h in families:
+        m = SparsePavingMatroid(n, r, h)
+        explicit = ExplicitMatroid(n, r, [b for b in subset_masks(n, r) if b not in h])
         assert graph_connected(m, "bpg") == graph_connected(explicit, "bpg")
     m = SparsePavingMatroid(30, 5, subset_masks(30, 5))
     start = time.perf_counter()
@@ -475,6 +493,25 @@ def test_graph_connected_collections_frozen():
     assert graph_connected(U24, "white_multiset", s=s) == (True, 3)
     doubled = Multiset.from_elements([0, 0, 1, 1])
     assert graph_connected(U24, "white_multiset", s=doubled) == (True, 1)
+    # 0 with 8 copies and 1..13 once: 7 members, each holding 0 at most
+    # once, so no cover; the search drops such branches at once (2.1 s
+    # when it explored them)
+    start = time.perf_counter()
+    s = Multiset([(0, 8)] + [(e, 1) for e in range(1, 14)])
+    assert graph_connected(uniform(14, 3), "white_multiset", s=s) == (True, 0)
+    assert time.perf_counter() - start < 0.1
+    # 0 in each of 5 members, which pair up 1..10 in 9!! = 945 ways
+    s = Multiset([(0, 5)] + [(e, 1) for e in range(1, 11)])
+    assert graph_connected(uniform(11, 3), "white_multiset", s=s) == (True, 945)
+    # each cover step copies one mask per multiplicity level, so one
+    # collection of k members costs about k times the top multiplicity,
+    # refused past max(cap, 5,000,000) before any is listed
+    s = Multiset([(0, 1000), (1, 1000)])
+    assert graph_connected(uniform(2, 2), "white_multiset", s=s) == (True, 1)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="^a union of 4000 members with multiplicity 4000 is"):
+        graph_connected(uniform(2, 2), "white_multiset", s=Multiset([(0, 4000), (1, 4000)]))
+    assert time.perf_counter() - start < 0.1
     with pytest.raises(PreconditionViolated):
         graph_connected(P44, "white_multiset")
     with pytest.raises(PreconditionViolated):
@@ -519,6 +556,14 @@ def test_graph_connected_collection_input_checks():
         graph_connected(uniform(3, 0), "white_tuple", s=Multiset.from_elements([1]))
     empty = Multiset.from_elements([])
     assert graph_connected(uniform(3, 0), "white_multiset", s=empty) == (True, 1)
+    # the arguments are checked before the C(40, 20) candidate bases are counted
+    big = uniform(40, 20)
+    with pytest.raises(PreconditionViolated, match="^collection graphs need the multiset union$"):
+        graph_connected(big, "white_multiset")
+    with pytest.raises(ElementOutOfRange, match=outside.format(40)):
+        graph_connected(big, "white_tuple", s=Multiset.from_elements([0, 40]))
+    with pytest.raises(PreconditionViolated, match="^union size is not a multiple of the rank$"):
+        graph_connected(big, "white_multiset", s=Multiset.from_elements([0]))
 
 
 def test_graph_connected_matches_walks():
