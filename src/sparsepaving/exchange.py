@@ -649,42 +649,95 @@ def _take(levels: tuple[int, ...], b: int) -> tuple[int, ...]:
     return tuple((lv & ~b) | (up & b) for lv, up in zip(levels, levels[1:] + (0,)))
 
 
-def _pair_vertices(n: int, r: int, designated: list[int]) -> set[int]:
-    """Every ordered pair of disjoint r-sets of {0, .., n-1} with neither
-    block in designated, as the ints (a1 << n) | a2; needs 1 <= r <= n // 2.
+def _pair_graph(m, cap: int) -> tuple[set[int], Callable, Callable]:
+    """The pair graph of m as (vertices, neighbours, candidates) for
+    _connected, with the vertex (a1, a2, a3) as the int (a1 << n) | a2.
 
-    With g = 2^n - 1 and the union u = a1 | a2 the int is u + a1 * g.
-    The unions are grouped by the element m that starts their upper
-    half: u = lo + hi with lo the r elements of u below m and hi = u - lo
-    holding m.  The first block takes i elements x of lo and r - i
-    elements y of hi, so the int is (lo + x * g) + (hi + y * g): for each
-    m and i, every sum of one term from the lo side and one from the hi
-    side, which costs one addition per pair and no basis-predicate call.
-    The pairs with a designated block h are then removed in one pass:
-    (h, c) and (c, h) for every r-set c of h's complement.
+    The pair graph of a SparsePavingMatroid with designated family H
+    is every ordered pair of disjoint r-sets less those with a block in
+    H: at most 2|H| C(n-r, r) of the C(n, r) C(n-r, r) pairs, so
+    (C(n, r) - 2|H|) C(n-r, r) is a lower bound on the vertex count, and
+    TooLarge is raised before listing when it exceeds cap.  A separated
+    family has |H| <= C(n, r) / (n-r+1), and with that, once n - r >= 2,
+    the C(n, r) C(n-r, r) pairs listed before H's are removed are at most
+    three times cap.  A family that breaks that inequality (it cannot be
+    separated) and an ExplicitMatroid, whose bases may be few, list the
+    pairs per first block, comparing the count with cap after each row.
+
+    The separated listing: with g = 2^n - 1 and the union u = a1 | a2 the
+    int is u + a1 * g.  The unions are grouped by the element j that
+    starts their upper half: u = lo + hi with lo the r elements of u below
+    j and hi = u - lo holding j.  The first block takes i elements x of lo
+    and r - i elements y of hi, so the int is (lo + x * g) + (hi + y * g):
+    for each j and i, every sum of one term from the lo side and one from
+    the hi side, which costs one addition per pair and no basis-predicate
+    call.  The pairs with a designated block h are then removed in one
+    pass: (h, c) and (c, h) for every r-set c of h's complement.
+
+    A pop lists the exact swaps of v.  A sweep tries v ^ d for each
+    two-element delta d instead: (p << n) | p, p << n and p for every pair
+    p = {x, y}; a candidate that lands in the vertex set is an edge.  Its
+    blocks a1 ^ (d >> n) and a2 ^ (d & g) keep popcount r, so each
+    nonempty half of d has one element inside its block and one outside.
+    (p << n) | p therefore trades x and y between a1 and a2; p << n trades
+    an element of a1 for one outside it, which is not in a2 as the blocks
+    stay disjoint, so it comes from the leftover block; p does the same
+    for a2.  Every swap is one of these, so a sweep tries every swap too.
     """
+    pred, n, r = basis_predicate(m)
     g = (1 << n) - 1
-    singles = bits(g)
+    units = bits(g)
+    limit = max(cap, 0)  # a negative cap still admits an empty graph
+    designated = None
+    if isinstance(m, SparsePavingMatroid):
+        designated = [h for h in m.chset if h.bit_count() == r and not h >> n]
     verts: set[int] = set()
-    for m in range(r, n - r + 1):
-        top = singles[m]
-        los = [(t, sum(t)) for t in itertools.combinations(singles[:m], r)]
-        his = [((top, *t), top + sum(t)) for t in itertools.combinations(singles[m + 1 :], r - 1)]
-        for i in range(r + 1):
-            xs = [s + x * g for t, s in los for x in map(sum, itertools.combinations(t, i))]
-            ys = [s + y * g for t, s in his for y in map(sum, itertools.combinations(t, r - i))]
-            # loop over the shorter side, add over the longer one in C
-            if len(xs) > len(ys):
-                xs, ys = ys, xs
-            for x in xs:
-                verts.update(map(x.__add__, ys))
-    for h in designated:
-        for c in map(sum, itertools.combinations(bits(g & ~h), r)):
-            verts.discard((h << n) | c)
-            verts.discard((c << n) | h)
-    # copied without the removed pairs' dummy slots: with them, the search's
-    # set differences rebuild the table early, at up to twice the size
-    return set(verts) if designated else verts
+    # a separated family passes, and keeps the listing within three times cap
+    separated = designated is not None and len(designated) * (n - r + 1) <= math.comb(n, r)
+    if separated and 0 < 2 * r <= n:
+        if (math.comb(n, r) - 2 * len(designated)) * math.comb(n - r, r) > limit:
+            raise TooLarge(f"pair graph exceeds {cap} vertices")
+        for j, top in enumerate(units[r : n - r + 1], r):
+            los = [(t, sum(t)) for t in itertools.combinations(units[:j], r)]
+            his = [((top, *t), top + sum(t)) for t in itertools.combinations(units[j + 1 :], r - 1)]
+            for i in range(r + 1):
+                xs = [s + x * g for t, s in los for x in map(sum, itertools.combinations(t, i))]
+                ys = [s + y * g for t, s in his for y in map(sum, itertools.combinations(t, r - i))]
+                # loop over the shorter side, add over the longer one in C
+                if len(xs) > len(ys):
+                    xs, ys = ys, xs
+                for x in xs:
+                    verts.update(map(x.__add__, ys))
+        for h in designated:
+            for c in map(sum, itertools.combinations(bits(g & ~h), r)):
+                verts.discard((h << n) | c)
+                verts.discard((c << n) | h)
+        # copied without the removed pairs' dummy slots: with them, the search's
+        # set differences rebuild the table early, at up to twice the size
+        verts = set(verts) if designated else verts
+    elif 2 * r <= n:  # else no r-set fits in the complement of another
+        for b1 in filter(pred, subset_masks(n, r)):
+            # b1's row: the bases among the r-subsets of its complement
+            row = filter(pred, map(sum, itertools.combinations(bits(g & ~b1), r)))
+            verts.update(map((b1 << n).__or__, row))
+            if len(verts) > limit:
+                break  # no later row can bring the count back under cap
+    if len(verts) > limit:
+        raise TooLarge(f"pair graph exceeds {cap} vertices")
+
+    def neighbours(v: int) -> list[int]:
+        a1, a2 = v >> n, v & g
+        bits1, bits2, bits3 = bits(a1), bits(a2), bits(g & ~(a1 | a2))
+        out = [v ^ ((x | y) << n) ^ x ^ y for x in bits1 for y in bits2]
+        out += [v ^ ((x | y) << n) for x in bits1 for y in bits3]
+        out += [v ^ x ^ y for x in bits2 for y in bits3]
+        return out
+
+    # two-element deltas for the first and second, first and
+    # leftover, second and leftover blocks (see the docstring)
+    pairs = [x | y for x, y in itertools.combinations(units, 2)]
+    deltas = [(p << n) | p for p in pairs] + [p << n for p in pairs] + pairs
+    return verts, neighbours, lambda v: map(v.__xor__, deltas)
 
 
 def _orderings(col: list[int]) -> Iterable[tuple[int, ...]]:
@@ -751,130 +804,30 @@ def _connected(
     return not unseen, count
 
 
-def graph_connected(
-    m,
-    kind: str,
-    s: Multiset | None = None,
-    cap: int = MAX_VERTICES,
-) -> tuple[bool, int]:
-    """Exhaustive connectivity check; returns (connected, vertex count).
+def _collection_graph(m, s: Multiset, kind: str, cap: int) -> tuple[set, Callable, Callable]:
+    """The collection graph of kind on the union s as (vertices,
+    neighbours, candidates) for _connected, each vertex a tuple of
+    k = |s| / r bases, sorted for the kind "white_multiset".
 
-    kind is "bpg", "white_multiset", or "white_tuple"; the white kinds
-    need the multiset union s.  Once the arguments are checked, more
-    than max(cap, 5,000,000) candidate bases C(n, r) raise TooLarge, as
-    does enumerating more than cap vertices, a cap that bounds the
-    enumeration too.  An empty or single-vertex graph counts as connected.
-
-    The pair graph of a SparsePavingMatroid with designated family H
-    is every ordered pair of disjoint r-sets less those with a block in
-    H (see _pair_vertices): at most 2|H| C(n-r, r) of the C(n, r)
-    C(n-r, r) pairs, so (C(n, r) - 2|H|) C(n-r, r) is a lower bound on
-    the vertex count, and TooLarge is raised before listing when it
-    exceeds cap.  A separated family has |H| <= C(n, r) / (n-r+1), and
-    with that, once n - r >= 2, the C(n, r) C(n-r, r) pairs listed
-    before H's are removed are at most three times cap.  A family that
-    breaks that inequality (it cannot be separated) and an
-    ExplicitMatroid, whose bases may be few, list the pairs per first
-    block instead, comparing the count with cap after each row.
-    The collection graphs are listed by exact cover from the bases
-    inside the union's support: the next member holds the least element
-    still to cover, and members with the same least element are taken
-    in one fixed order, so each multiset comes out once; the tuple kind
-    adds its distinct orderings.  A branch is dropped once an element
-    has more copies left than members are left, as a member holds it
-    once.  Each step copies one mask per multiplicity level, so a union
-    of k members whose largest multiplicity is t is refused when k t
-    exceeds max(cap, 5,000,000).
-
-    Every vertex is enumerated before the search, so adjacency is
-    decided by membership in the vertex set: a single swap keeps a pair
-    disjoint and a collection's union fixed, so the swapped pair or
-    collection is a neighbour exactly when it is a vertex, that is, when
-    both changed blocks or members are bases.  No theorem is assumed:
-    the search (see _connected) tries every swap out of each vertex it
-    pops or sweeps, and stops when every vertex has been reached or
-    none is left to reach.
-
-    A pair-graph pop lists the exact swaps of v = (a1 << n) | a2.  A
-    sweep tries v ^ d for each two-element delta d instead: (p << n) | p,
-    p << n and p for every pair p = {x, y}; a candidate that lands in the
-    vertex set is an edge.  Its blocks a1 ^ (d >> n) and a2 ^ (d & ground)
-    keep popcount r, so each nonempty half of d has one element inside
-    its block and one outside.  (p << n) | p therefore trades x and y
-    between a1 and a2; p << n trades an element of a1 for one outside it,
-    which is not in a2 as the blocks stay disjoint, so it comes from the
-    leftover block; p does the same for a2.  Every swap is one of these,
-    so a sweep tries every swap too.
+    The collections are listed by exact cover from the bases inside the
+    union's support: the next member holds the least element still to
+    cover, and members with the same least element are taken in one
+    fixed order, so each multiset comes out once; the tuple kind adds
+    its distinct orderings.  A branch is dropped once an element has
+    more copies left than members are left, as a member holds it once.
+    Each step copies one mask per multiplicity level, so a union of k
+    members whose largest multiplicity is t is refused when k t exceeds
+    max(cap, 5,000,000).
     """
-    pred, n, r = basis_predicate(m)
-    ground = (1 << n) - 1
-    if kind == "bpg":
-        if s is not None:
-            raise PreconditionViolated("the pair graph takes no multiset")
-    elif kind not in ("white_multiset", "white_tuple"):
-        raise PreconditionViolated(f"unknown graph kind {kind!r}")
-    elif s is None:
-        raise PreconditionViolated("collection graphs need the multiset union")
-    else:
-        counts = s.counter()
-        for e in counts:
-            if e >= n:
-                raise ElementOutOfRange(f"multiset element {e} outside the ground set")
-        if r == 0:
-            if s.total:
-                raise PreconditionViolated("rank zero admits only the empty union")
-            return True, 1
-        if s.total % r:
-            raise PreconditionViolated("union size is not a multiple of the rank")
-    bound = max(cap, 5_000_000)
-    if math.comb(n, r) > bound:
-        raise TooLarge("too many candidate bases to enumerate")
-    if kind == "bpg":
-        if 2 * r > n:
-            return True, 0  # no r-set fits in the complement of another
-        # a negative cap still admits an empty graph
-        designated = None
-        if isinstance(m, SparsePavingMatroid):
-            designated = [h for h in m.chset if h.bit_count() == r and not h >> n]
-        # a separated family passes, and keeps the listing within three times cap
-        if r and designated is not None and len(designated) * (n - r + 1) <= math.comb(n, r):
-            # at most 2|H| C(n-r, r) of the C(n, r) C(n-r, r) pairs hold a
-            # designated block, so the count is at least this bound
-            if (math.comb(n, r) - 2 * len(designated)) * math.comb(n - r, r) > max(cap, 0):
-                raise TooLarge(f"pair graph exceeds {cap} vertices")
-            verts = _pair_vertices(n, r, designated)
-            if len(verts) > max(cap, 0):
-                raise TooLarge(f"pair graph exceeds {cap} vertices")
-        else:
-            verts = set()
-            for b1 in filter(pred, subset_masks(n, r)):
-                # b1's row: the bases among the r-subsets of its complement
-                row = filter(pred, map(sum, itertools.combinations(bits(ground & ~b1), r)))
-                verts.update(map((b1 << n).__or__, row))
-                if len(verts) > max(cap, 0):
-                    raise TooLarge(f"pair graph exceeds {cap} vertices")
-
-        def pair_neighbours(v: int) -> list[int]:
-            a1, a2 = v >> n, v & ground
-            bits1, bits2, bits3 = bits(a1), bits(a2), bits(ground & ~(a1 | a2))
-            out = [v ^ ((x | y) << n) ^ x ^ y for x in bits1 for y in bits2]
-            out += [v ^ ((x | y) << n) for x in bits1 for y in bits3]
-            out += [v ^ x ^ y for x in bits2 for y in bits3]
-            return out
-
-        # two-element deltas for the first and second, first and
-        # leftover, second and leftover blocks (see the docstring)
-        pairs = [x | y for x, y in itertools.combinations(bits(ground), 2)]
-        deltas = [(p << n) | p for p in pairs] + [p << n for p in pairs] + pairs
-
-        return _connected(verts, pair_neighbours, lambda v: map(v.__xor__, deltas))
-
+    pred, _, r = basis_predicate(m)
+    counts = s.counter()
     k = s.total // r
     # at least one level, so that the empty union reads as covered
     top = max(counts.values(), default=1)
-    if k * top > bound:
+    if k * top > max(cap, 5_000_000):
         raise TooLarge(f"a union of {k} members with multiplicity {top} is too large to cover")
     multiset = kind == "white_multiset"
+    limit = max(cap, 0)
     # e's row: the bases whose least element is e, the only ones that can
     # hold e once no element below it is left to cover
     by_low: dict[int, list[int]] = {}
@@ -894,19 +847,18 @@ def graph_connected(
             col = sorted(chosen)
             found = (tuple(col),) if multiset else _orderings(col)
             # stop one past the cap, so no multiset's orderings run far beyond it
-            cols.update(itertools.islice(found, max(cap, 0) + 1 - len(cols)))
-            if len(cols) > cap:
+            cols.update(itertools.islice(found, limit + 1 - len(cols)))
+            if len(cols) > limit:
                 raise TooLarge(f"collection graph exceeds {cap} vertices")
             continue
         low = left & -left
         row = by_low.get(low, ())
         start = last if chosen and chosen[-1] & -chosen[-1] == low else 0
-        for idx in range(start, len(row)):
-            b = row[idx]
+        for idx, b in enumerate(row[start:], start):
             if not b & ~left:
                 stack.append((_take(levels, b), (*chosen, b), idx))
 
-    def col_neighbours(col: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+    def neighbours(col: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
         for i in range(k):
             for j in range(i + 1, k):
                 bi, bj = col[i], col[j]
@@ -916,4 +868,51 @@ def graph_connected(
                         nxt[i], nxt[j] = bi ^ x ^ y, bj ^ x ^ y
                         yield tuple(sorted(nxt)) if multiset else tuple(nxt)
 
-    return _connected(cols, col_neighbours, col_neighbours)
+    return cols, neighbours, neighbours
+
+
+def graph_connected(
+    m,
+    kind: str,
+    s: Multiset | None = None,
+    cap: int = MAX_VERTICES,
+) -> tuple[bool, int]:
+    """Exhaustive connectivity check; returns (connected, vertex count).
+
+    kind is "bpg", "white_multiset", or "white_tuple"; the white kinds
+    need the multiset union s.  Once the arguments are checked, more
+    than max(cap, 5,000,000) candidate bases C(n, r) raise TooLarge, as
+    does enumerating more than cap vertices, a cap that bounds the
+    enumeration too.  An empty or single-vertex graph counts as connected.
+
+    Every vertex is enumerated before the search (see _pair_graph and
+    _collection_graph), so adjacency is decided by membership in the
+    vertex set: a single swap keeps a pair disjoint and a collection's
+    union fixed, so the swapped pair or collection is a neighbour
+    exactly when it is a vertex, that is, when both changed blocks or
+    members are bases.  No theorem is assumed: the search (see
+    _connected) tries every swap out of each vertex it pops or sweeps,
+    and stops when every vertex has been reached or none is left to reach.
+    """
+    _, n, r = basis_predicate(m)
+    if kind == "bpg":
+        if s is not None:
+            raise PreconditionViolated("the pair graph takes no multiset")
+    elif kind not in ("white_multiset", "white_tuple"):
+        raise PreconditionViolated(f"unknown graph kind {kind!r}")
+    elif not isinstance(s, Multiset):
+        raise PreconditionViolated("collection graphs need the multiset union")
+    else:
+        for e, _ in s.counts:
+            if e >= n:
+                raise ElementOutOfRange(f"multiset element {e} outside the ground set")
+        if r == 0:
+            if s.total:
+                raise PreconditionViolated("rank zero admits only the empty union")
+            return True, 1
+        if s.total % r:
+            raise PreconditionViolated("union size is not a multiple of the rank")
+    if math.comb(n, r) > max(cap, 5_000_000):
+        raise TooLarge("too many candidate bases to enumerate")
+    graph = _pair_graph(m, cap) if kind == "bpg" else _collection_graph(m, s, kind, cap)
+    return _connected(*graph)

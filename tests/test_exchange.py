@@ -56,7 +56,7 @@ from sparsepaving import (
     white_moves,
 )
 from sparsepaving.bitset import elements, iter_elements, lowest_element, swap
-from sparsepaving.core import basis_predicate
+from sparsepaving.core import MAX_VERTICES, basis_predicate
 from sparsepaving.errors import guaranteed
 from sparsepaving.exchange import _exchange, check_bpg_walk
 import sparsepaving.exchange as exchange
@@ -564,6 +564,10 @@ def test_graph_connected_collection_input_checks():
         graph_connected(big, "white_tuple", s=Multiset.from_elements([0, 40]))
     with pytest.raises(PreconditionViolated, match="^union size is not a multiple of the rank$"):
         graph_connected(big, "white_multiset", s=Multiset.from_elements([0]))
+    # a Counter is not taken for the multiset union, however it counts
+    for kind in ("white_multiset", "white_tuple"):
+        with pytest.raises(PreconditionViolated, match="^collection graphs need the multiset union$"):
+            graph_connected(P44, kind, s=Counter({0: 1, 1: 1}))
 
 
 def test_graph_connected_matches_walks():
@@ -600,7 +604,7 @@ def _components(verts, edges):
     return len({find(i) for i in range(len(verts))})
 
 
-def _pair_graph(mm, bl):
+def _definition_pair_graph(mm, bl):
     ground = (1 << mm.n) - 1
     verts = [
         bpg_vertex(mm, b1, b2, ground & ~(b1 | b2))
@@ -638,7 +642,7 @@ def _collections(bl, union, k):
     return found
 
 
-def _collection_graph(mm, cols, ordered):
+def _definition_collection_graph(mm, cols, ordered):
     if ordered:
         cols = {p for v in cols for p in itertools.permutations(v)}
     verts = sorted(cols)
@@ -676,10 +680,10 @@ def _check_all_kinds(name, forms, bl):
             union = Counter(e for b in col for e in elements(b))
             unions.append((Multiset(union.items()), _collections(bl, union, k)))
     for mm in forms:
-        _check_oracle(mm, "bpg", *_pair_graph(mm, bl))
+        _check_oracle(mm, "bpg", *_definition_pair_graph(mm, bl))
         for s, cols in unions:
             for kind, ordered in (("white_multiset", False), ("white_tuple", True)):
-                _check_oracle(mm, kind, *_collection_graph(mm, cols, ordered), s)
+                _check_oracle(mm, kind, *_definition_collection_graph(mm, cols, ordered), s)
 
 
 @pytest.mark.parametrize("name,m", with_max_n(9), ids=[n for n, _ in with_max_n(9)])
@@ -741,31 +745,24 @@ def connected_by_stack(unseen, neighbours, candidates=None):
     return not unseen, count
 
 
-def _oracle_outcomes(monkeypatch, mm, unions):
-    """graph_connected on the pair graph and both collection graphs per
-    union, under the stack-only reference and then under _connected."""
-    calls = [(mm, "bpg", None)]
-    calls += [(mm, kind, s) for s in unions for kind in ("white_multiset", "white_tuple")]
-    with monkeypatch.context() as mp:
-        mp.setattr(exchange, "_connected", connected_by_stack)
-        want = [graph_connected(*call) for call in calls]
-    return want, [graph_connected(*call) for call in calls]
-
-
-def test_connected_matches_the_stack_reference(monkeypatch):
-    """Every sparse paving family with n <= 6 in both representations,
-    with one seeded two-member union for the collection graphs, then the
-    random set families, whose graphs can split."""
+def _small_cases():
+    """(label, matroid, bases, unions): every sparse paving family with
+    n <= 6 in both representations, with one seeded two-member union for
+    the collection graphs (none at rank 0, where the empty union does not
+    fix the collection size)."""
     rng = random.Random(0)
-    outcomes = Counter()
-    for m in small_sparse_paving(6):
+    for i, m in enumerate(small_sparse_paving(6)):
         bl = bases_of(m)
         unions = []
         if m.r:
             unions.append(Multiset.from_elements(e for _ in range(2) for e in elements(rng.choice(bl))))
         for mm in (m, to_explicit(m)):
-            want, got = _oracle_outcomes(monkeypatch, mm, unions)
-            assert got == want, mm
+            yield f"family {i} as {type(mm).__name__}", mm, bl, unions
+
+
+def _set_family_cases():
+    """(label, matroid, bases, unions): the random set families, whose
+    graphs can split, each with seeded unions of 2, 2 and 3 members."""
     for name, n, r, density in FAMILIES + SPARSE_FAMILIES:
         family = _set_family(name, n, r, density)
         frng = random.Random(zlib.crc32(name.encode()))
@@ -773,10 +770,77 @@ def test_connected_matches_the_stack_reference(monkeypatch):
             Multiset.from_elements(e for _ in range(k) for e in elements(frng.choice(family)))
             for k in (2, 2, 3)
         ]
-        want, got = _oracle_outcomes(monkeypatch, ExplicitMatroid(n, r, family), unions)
-        assert got == want, name
+        yield name, ExplicitMatroid(n, r, family), family, unions
+
+
+def _listed_graphs(mm, unions):
+    """(kind, union, (vertices, neighbours, candidates)) for the pair
+    graph and both collection graphs per union, as the listers return them."""
+    yield "bpg", None, exchange._pair_graph(mm, MAX_VERTICES)
+    for s in unions:
+        for kind in ("white_multiset", "white_tuple"):
+            yield kind, s, exchange._collection_graph(mm, s, kind, MAX_VERTICES)
+
+
+def _oracle_outcomes(mm, unions):
+    """The stack-only reference and _connected, each on its own copy of
+    every listed graph's vertex set."""
+    want, got = [], []
+    for _, _, (verts, neighbours, candidates) in _listed_graphs(mm, unions):
+        want.append(connected_by_stack(set(verts), neighbours))
+        got.append(exchange._connected(set(verts), neighbours, candidates))
+    return want, got
+
+
+def test_connected_matches_the_stack_reference():
+    """Every sparse paving family with n <= 6 in both representations,
+    with one seeded two-member union for the collection graphs, then the
+    random set families, whose graphs can split."""
+    for label, mm, _, unions in _small_cases():
+        want, got = _oracle_outcomes(mm, unions)
+        assert got == want, label
+    outcomes = Counter()
+    for label, mm, _, unions in _set_family_cases():
+        want, got = _oracle_outcomes(mm, unions)
+        assert got == want, label
         outcomes.update(ok for ok, _ in got)
     assert outcomes[False] and outcomes[True], outcomes
+
+
+def _definition_neighbourhoods(verts, edges):
+    """Each vertex's one-swap neighbourhood, as a set of vertices."""
+    around = {v: set() for v in verts}
+    for i, j in edges:
+        around[verts[i]].add(verts[j])
+        around[verts[j]].add(verts[i])
+    return around
+
+
+@pytest.mark.parametrize("cases", [_small_cases, _set_family_cases], ids=["small", "set_families"])
+def test_listers_give_the_definition_adjacency(cases):
+    """For every vertex v of each lister's graph, the vertices among
+    neighbours(v) and those among candidates(v) are each exactly v's
+    one-swap neighbourhood in the definition graph, and the vertex sets
+    agree; a pair-graph vertex (a1 << n) | a2 is read as its partition."""
+    for label, mm, bl, unions in cases():
+        g = (1 << mm.n) - 1
+        for kind, s, (verts, neighbours, candidates) in _listed_graphs(mm, unions):
+            if kind == "bpg":
+                dverts, edges = _definition_pair_graph(mm, bl)
+
+                def key(v):
+                    return BasisPairVertex(v >> mm.n, v & g, g & ~((v >> mm.n) | v))
+
+            else:
+                cols = _collections(bl, s.counter(), s.total // mm.r)
+                dverts, edges = _definition_collection_graph(mm, cols, kind == "white_tuple")
+                key = tuple
+            around = _definition_neighbourhoods(dverts, edges)
+            assert {key(v) for v in verts} == set(around), (label, kind, s)
+            for v in verts:
+                want = around[key(v)]
+                assert {key(w) for w in neighbours(v) if w in verts} == want, (label, kind, v)
+                assert {key(w) for w in candidates(v) if w in verts} == want, (label, kind, v)
 
 
 class _Ordered(set):
@@ -837,20 +901,11 @@ def test_connected_switches_between_pops_and_sweeps():
     assert exchange._connected(set(), None, None) == connected_by_stack(set(), None) == (True, 0)
 
 
-def test_connected_builds_a_quarter_of_the_reference_neighbour_lists(monkeypatch):
+def test_connected_builds_a_quarter_of_the_reference_neighbour_lists():
     """A pin on work that does not depend on the host: the pair graph of
     gs12_5c10 (13,964 vertices) builds 343 full neighbour lists and
     sweeps 6,802 vertices, where the stack-only search builds 3,475."""
-    captured = []
-    real = exchange._connected
-
-    def capture(unseen, *callables):
-        captured.append((set(unseen), *callables))
-        return real(unseen, *callables)
-
-    monkeypatch.setattr(exchange, "_connected", capture)
-    assert graph_connected(graham_sloane(12, 5, 10), "bpg") == (True, 13964)
-    (verts, neighbours, candidates), = captured
+    verts, neighbours, candidates = exchange._pair_graph(graham_sloane(12, 5, 10), MAX_VERTICES)
     calls = Counter()
 
     def counting(kind, f):
@@ -860,7 +915,7 @@ def test_connected_builds_a_quarter_of_the_reference_neighbour_lists(monkeypatch
 
         return counted
 
-    got = real(set(verts), counting("pops", neighbours), counting("sweeps", candidates))
+    got = exchange._connected(set(verts), counting("pops", neighbours), counting("sweeps", candidates))
     assert got == (True, 13964)
     assert connected_by_stack(set(verts), counting("reference", neighbours)) == got
     assert 4 * calls["pops"] <= calls["reference"], calls
