@@ -12,6 +12,8 @@ with code 3.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 from functools import cache
 
@@ -394,14 +396,19 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
+    # stdout is held until the command returns, so exit 2 and 3 print nothing there
+    held = io.StringIO()
     try:
-        return args.fn(args)
+        with contextlib.redirect_stdout(held):
+            code = args.fn(args)
     except (ValidationError, PreconditionViolated, TooLarge, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except MatroidError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    sys.stdout.write(held.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -174,31 +175,32 @@ def _anchor_of(
     return guaranteed(next(corners, None), "blocked square lost its anchor")
 
 
-def _disjoint_pair_path(
-    pred: Callable[[int], bool],
-    cur1: int,
-    cur2: int,
-    tgt1: int,
-    tgt2: int,
+def _pair_path(
+    pred: Callable[[int], bool], cur1: int, cur2: int, tgt1: int
 ) -> list[tuple[int, int]]:
-    """Walk a disjoint basis pair to a target pair on the same ground.
+    """Walk the basis cur1 onto tgt1 by symmetric exchanges with cur2.
 
     Every step swaps one element between the two blocks and keeps both
-    blocks bases.  Returns the pairs after each step (start excluded).
-    With one element out of place the swap is direct.  Otherwise one
-    exchange search tries pairs (b, a), b out of place in cur1 and a
+    blocks bases; returns the swaps (x, y), x leaving cur1 and y joining
+    it.  With one element out of place the swap is direct.  Otherwise
+    one exchange search tries pairs (b, a), b out of place in cur1 and a
     wanted from cur2, by _advance's rule: the lowest b against every a
     while at least three elements are out of place, where the pruned
     exchange bound guarantees a hit, else the two-by-two square of both
     b and both a.  A blocked square pins four dependent sets, and a
-    two-step detour through a shared element works.
+    two-step detour through an element of cur1 and tgt1 outside cur2 works.
+
+    cur1 and cur2 may share elements S.  S never moves; every predicate
+    call reads the full blocks, which is the basis predicate of the
+    contraction by S; and that contraction is again sparse paving, so the
+    pruned-exchange and blocked-square arguments still hold in it.
     """
     out: list[tuple[int, int]] = []
 
     def step(x: int, y: int) -> None:
         nonlocal cur1, cur2
         cur1, cur2 = swap(cur1, x, y), swap(cur2, y, x)
-        out.append((cur1, cur2))
+        out.append((x, y))
 
     while cur1 != tgt1:
         gap = cur1 & ~tgt1
@@ -218,10 +220,10 @@ def _disjoint_pair_path(
             raise InternalCheckError("no pruned-exchange witness in pair walk")
         # Blocked square.  One of the two sets (cur1 - xs[0]) + a must be
         # dependent; anchoring on it forces the other three corners, and
-        # a shared element exists because the pattern is impossible in
-        # rank two.
+        # an element in place outside cur2 exists because the pattern is
+        # impossible in rank two.
         _, a = _anchor_of(pred, cur1, ((xs[0], y) for y in iter_elements(need)))
-        common = cur1 & tgt1
+        common = cur1 & tgt1 & ~cur2
         if not common:
             raise InternalCheckError("blocked exchange square in rank two")
         x = lowest_element(common)
@@ -270,8 +272,10 @@ def bpg_path(m, u: BasisPairVertex, v: BasisPairVertex) -> list[BasisPairVertex]
         cur3 = swap(cur3, a3c, b)
         path.append(BasisPairVertex(*pair, cur3))
 
-    for n1, n2 in _disjoint_pair_path(pred, *pair, v.a1, v.a2):
-        path.append(BasisPairVertex(n1, n2, cur3))
+    a1, a2 = pair
+    for x, y in _pair_path(pred, a1, a2, v.a1):
+        a1, a2 = swap(a1, x, y), swap(a2, y, x)
+        path.append(BasisPairVertex(a1, a2, cur3))
     check_bpg_walk(m, path, u, v)
     return path
 
@@ -592,8 +596,8 @@ def white2_path(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     The multiset is matched first by carrying white_moves over to the
     ordered state (the sorted state is always sorted(cur)); the leftover
     permutation is resolved one transposition at a time, each realized
-    as a disjoint-pair walk in the minor that contracts the two members'
-    shared elements and deletes everything outside their union.  The
+    as a pair walk (_pair_path) of the one member onto the other, in
+    which their shared elements never move, so no minor is built.  The
     final replay certifies every move.
     """
     pred, n, _ = basis_predicate(m)
@@ -617,22 +621,10 @@ def white2_path(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
         if cur[p] == dst_t[p]:
             continue
         q = next(qq for qq in range(p + 1, k) if cur[qq] == dst_t[p])
-        ai, aj = cur[p], cur[q]
-        shared = ai & aj
-        d1 = ai & ~shared
-        d2 = aj & ~shared
-
-        def view(dmask: int, _shared=shared) -> bool:
-            return pred(dmask | _shared)
-
-        # the walk returns only once its first block is d2, so cur[p]
-        # ends as aj = dst_t[p]; the replay below certifies every step
-        prev1 = d1
-        for n1, _ in _disjoint_pair_path(view, d1, d2, d2, d1):
-            x = lowest_element(prev1 & ~n1)
-            y = lowest_element(n1 & ~prev1)
+        # the walk returns only once cur[p] is the old cur[q] = dst_t[p];
+        # the replay below certifies every step
+        for x, y in _pair_path(pred, cur[p], cur[q], cur[q]):
             emit(p, q, x, y)
-            prev1 = n1
     check_moves(m, src_t, dst_t, out, ordered=True)
     return out
 
@@ -703,11 +695,7 @@ def _pair_graph(m, cap: int) -> tuple[set[int], Callable, Callable]:
             for i in range(r + 1):
                 xs = [s + x * g for t, s in los for x in map(sum, itertools.combinations(t, i))]
                 ys = [s + y * g for t, s in his for y in map(sum, itertools.combinations(t, r - i))]
-                # loop over the shorter side, add over the longer one in C
-                if len(xs) > len(ys):
-                    xs, ys = ys, xs
-                for x in xs:
-                    verts.update(map(x.__add__, ys))
+                verts.update(itertools.starmap(operator.add, itertools.product(xs, ys)))
         for h in designated:
             for c in map(sum, itertools.combinations(bits(g & ~h), r)):
                 verts.discard((h << n) | c)

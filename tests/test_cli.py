@@ -641,9 +641,32 @@ def test_cli_collection_oracle_takes_any_k(tmp_path, capsys, which):
     # past 5,000,000 as too large, exit 2, instead of running for seconds
     col = "|".join(["0,1"] * 4000)
     argv = ["conj", which, str(f), "--k", "4000", "--from", col, "--to", col, "--oracle"]
-    assert run_cli(*argv) == (2, "moves 0\n")
+    assert run_cli(*argv) == (2, "")
     err = "error: a union of 4000 members with multiplicity 4000 is too large to cover\n"
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["conj", "farber", "--from", "0,1;2,3", "--to", "0,2;1,3", "--cap-vertices", "1"],
+            "pair graph exceeds 1 vertices",
+        ),
+        (
+            [
+                "conj", "white", "--k", "2", "--from", "0,1|2,3", "--to", "0,2|1,3",
+                "--cap-vertices", "0",
+            ],
+            "collection graph exceeds 0 vertices",
+        ),
+    ],
+    ids=["farber", "white"],
+)
+def test_cli_oracle_refused_after_a_walk_prints_nothing(p44_file, capsys, argv, err):
+    # the walk succeeds before the oracle is refused: exit 2 still leaves stdout empty
+    assert run_cli(*argv[:2], p44_file, *argv[2:], "--oracle") == (2, "")
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_cli_disconnected_oracle_exits_1(monkeypatch, p44_file):

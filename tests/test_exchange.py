@@ -903,8 +903,8 @@ def test_connected_switches_between_pops_and_sweeps():
 
 def test_connected_builds_a_quarter_of_the_reference_neighbour_lists():
     """A pin on work that does not depend on the host: the pair graph of
-    gs12_5c10 (13,964 vertices) builds 343 full neighbour lists and
-    sweeps 6,802 vertices, where the stack-only search builds 3,475."""
+    gs12_5c10 (13,964 vertices) builds 356 full neighbour lists and
+    sweeps 6,795 vertices, where the stack-only search builds 3,431."""
     verts, neighbours, candidates = exchange._pair_graph(graham_sloane(12, 5, 10), MAX_VERTICES)
     calls = Counter()
 
@@ -1467,6 +1467,15 @@ def disjoint_pair_path_assigning(pred, cur1, cur2, tgt1, tgt2):
     return out
 
 
+def swaps_through(cur1, firsts):
+    """The swaps (x, y), x leaving and y joining, that walk cur1 through firsts."""
+    out = []
+    for n1 in firsts:
+        out.append((lowest_element(cur1 & ~n1), lowest_element(n1 & ~cur1)))
+        cur1 = n1
+    return out
+
+
 def bpg_path_by_side(m, u, v):
     """bpg_path before its two basis blocks became one list, kept as the reference."""
     pred, n, _ = basis_predicate(m)
@@ -1520,7 +1529,7 @@ def bpg_path_by_side(m, u, v):
 
 
 def test_pair_walks_match_the_two_sided_reference():
-    """bpg_path and _disjoint_pair_path against their two-sided forms.
+    """bpg_path and _pair_path against their two-sided forms.
 
     Four seeded (u, v) per sparse paving family with n <= 6, and for
     each u a seeded target pair on the same union of its first two
@@ -1541,7 +1550,58 @@ def test_pair_walks_match_the_two_sided_reference():
             assert call_outcome(bpg_path, m, u, v) == want, (m, u, v)
             raised += isinstance(want, tuple)
             w = rng.choice([w for w in verts if w.a3 == u.a3])
-            args = (pred, u.a1, u.a2, w.a1, w.a2)
-            want = call_outcome(disjoint_pair_path_assigning, *args)
-            assert call_outcome(exchange._disjoint_pair_path, *args) == want, (m, u, w)
+            want = call_outcome(disjoint_pair_path_assigning, pred, u.a1, u.a2, w.a1, w.a2)
+            if isinstance(want, list):
+                want = swaps_through(u.a1, [n1 for n1, _ in want])
+            assert call_outcome(exchange._pair_path, pred, u.a1, u.a2, w.a1) == want, (m, u, w)
     assert raised > 10
+
+
+def transposition_by_view(pred, ai, aj):
+    """white2_path's transposition before the pair walk took overlapping
+    members, kept as the reference: the disjoint walk of the contraction by
+    the shared elements, its first blocks decoded into swaps."""
+    shared = ai & aj
+
+    def view(dmask: int) -> bool:
+        return pred(dmask | shared)
+
+    d1, d2 = ai & ~shared, aj & ~shared
+    return swaps_through(d1, [n1 for n1, _ in disjoint_pair_path_assigning(view, d1, d2, d2, d1)])
+
+
+def test_pair_walk_of_overlapping_members_matches_the_contraction():
+    """_pair_path on two bases that share elements against the walk of the
+    contraction by the shared elements, guard class and message included.
+
+    Seeded pairs of distinct bases with a common element, eight per
+    sparse paving family with n <= 6 and two per non-matroid family of the
+    guard fuzz.  None of those reaches a blocked square with an element
+    already in place, which needs rank three after contracting, so two
+    built pairs do: {0..4} onto {0, 5..8} at rank 5, sharing 0, meets the
+    square {3, 4} x {7, 8} after two steps, and its detour must start
+    from 5 or 6 and not from 0; the second adds the shared element 9 to
+    every set.
+    """
+    rng = random.Random(5)
+    cases = [(m, 8, []) for m in small_sparse_paving(6)]
+    cases += [(_family(rng, n, rng.randint(2, n - 1), 0.5)[0], 2, []) for n in (4, 5, 6, 7) * 60]
+    square = ({0, 4, 5, 6, 7}, {0, 1, 2, 4, 8}, {0, 3, 5, 6, 8}, {0, 1, 2, 3, 7})
+    for extra in (set(), {9}):
+        m = SparsePavingMatroid(9 + len(extra), 5 + len(extra), [h | extra for h in square])
+        cases.append((m, 0, [(mask(0, 1, 2, 3, 4, *extra), mask(0, 5, 6, 7, 8, *extra))]))
+    seen = Counter()
+    for m, draws, built in cases:
+        pred, n, r = basis_predicate(m)
+        bases = [b for b in subset_masks(n, r) if pred(b)]
+        pairs = [(a, b) for a in bases for b in bases if a & b and a != b]
+        for ai, aj in built + [rng.choice(pairs) for _ in range(draws if pairs else 0)]:
+            want = call_outcome(transposition_by_view, pred, ai, aj)
+            assert call_outcome(exchange._pair_path, pred, ai, aj, aj) == want, (m, ai, aj)
+            if isinstance(want, tuple):
+                seen[want[1]] += 1
+            else:
+                seen["detour" if len(want) > (ai & ~aj).bit_count() else "direct"] += 1
+    # 4,508 direct walks, the 2 detours, and 17 and 3 raises of the two guards
+    assert seen["detour"] == 2 and seen["direct"] > 4000, seen
+    assert seen["blocked exchange square in rank two"] and seen["blocked square lost its anchor"]

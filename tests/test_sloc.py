@@ -2,6 +2,9 @@
 fixture module small enough to count by hand."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "sloc.py"
@@ -60,3 +63,17 @@ def test_main_lists_totals_and_nested_functions(tmp_path, capsys):
         ["fixture.py:outer", "8", "4"],
         ["fixture.py:inner", "2", "2"],
     ]
+
+
+def test_a_closed_reader_stops_it_quietly():
+    """Writing to a pipe whose reader is gone, as under `| head -1`, ends
+    with exit 0 and nothing on stderr, not a BrokenPipeError traceback."""
+    r, w = os.pipe()
+    os.close(r)  # closed before the child starts, so its first write fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(_PATH)], stdout=w, stderr=subprocess.PIPE, timeout=60
+        )
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (0, b"")

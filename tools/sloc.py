@@ -14,6 +14,7 @@ Usage: python tools/sloc.py [package_dir]
 from __future__ import annotations
 
 import ast
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -78,4 +79,12 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early, as `| head -1` does: stop quietly with exit 0;
+        # stdout now points nowhere, so the final flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
