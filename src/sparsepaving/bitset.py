@@ -76,11 +76,16 @@ def swap(mask: int, x: int, y: int) -> int:
     return (mask ^ (1 << x)) | (1 << y)
 
 
+def subsets(mask: int, k: int) -> Iterator[int]:
+    """The k-element subsets of mask as masks, in lexicographic order."""
+    return map(sum, combinations(bits(mask), k))
+
+
 def subset_masks(n: int, r: int) -> Iterator[int]:
     """All r-element subsets of {0, .., n-1} as masks, in lexicographic order."""
     if r < 0:
         return iter(())
-    return map(sum, combinations(bits((1 << n) - 1), r))
+    return subsets((1 << n) - 1, r)
 
 
 def format_set(mask: int) -> str:

@@ -26,7 +26,7 @@ import sys
 from itertools import combinations, filterfalse
 from math import comb, gcd
 
-from .bitset import bits, iter_elements, subset_masks
+from .bitset import iter_elements, subset_masks, subsets
 from .core import MAX_EXPLICIT_WORK, SparsePavingMatroid, check_rank, validate
 from .errors import InternalCheckError, RangeError, ResidueOutOfRange, TooLarge
 
@@ -106,8 +106,7 @@ def _sum_buckets(lo: int, hi: int, k: int, n: int) -> dict[int, list[int]]:
     """
     out: dict[int, list[int]] = {}
     sums = map(sum, combinations(range(lo, hi), k))
-    masks = map(sum, combinations(bits((1 << hi) - (1 << lo)), k))
-    for s, mask in zip(sums, masks):
+    for s, mask in zip(sums, subsets((1 << hi) - (1 << lo), k)):
         out.setdefault(s % n, []).append(mask)
     return out
 

@@ -34,7 +34,7 @@ from .bitset import (
     format_set,
     iter_elements,
     lowest_element,
-    subset_masks,
+    subsets,
     swap,
 )
 from .core import MAX_VERTICES, SparsePavingMatroid, basis_predicate
@@ -51,6 +51,8 @@ from .errors import (
     ValidationError,
     guaranteed,
 )
+
+WORK_FLOOR = 5_000_000  # least work graph_connected's guards admit, whatever the cap
 
 
 class Move(NamedTuple):
@@ -86,7 +88,7 @@ class Multiset:
     def __init__(self, counts: Iterable[tuple[int, int]]) -> None:
         agg: dict[int, int] = {}
         for e, c in counts:
-            if not isinstance(e, int) or e < 0:
+            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise ElementOutOfRange(f"bad multiset element {e!r}")
             if not isinstance(c, int) or isinstance(c, bool):
                 raise PreconditionViolated(f"multiplicity {c!r} is not an int")
@@ -697,16 +699,16 @@ def _pair_graph(m, cap: int) -> tuple[set[int], Callable, Callable]:
                 ys = [s + y * g for t, s in his for y in map(sum, itertools.combinations(t, r - i))]
                 verts.update(itertools.starmap(operator.add, itertools.product(xs, ys)))
         for h in designated:
-            for c in map(sum, itertools.combinations(bits(g & ~h), r)):
+            for c in subsets(g & ~h, r):
                 verts.discard((h << n) | c)
                 verts.discard((c << n) | h)
         # copied without the removed pairs' dummy slots: with them, the search's
         # set differences rebuild the table early, at up to twice the size
         verts = set(verts) if designated else verts
     elif 2 * r <= n:  # else no r-set fits in the complement of another
-        for b1 in filter(pred, subset_masks(n, r)):
+        for b1 in filter(pred, subsets(g, r)):
             # b1's row: the bases among the r-subsets of its complement
-            row = filter(pred, map(sum, itertools.combinations(bits(g & ~b1), r)))
+            row = filter(pred, subsets(g & ~b1, r))
             verts.update(map((b1 << n).__or__, row))
             if len(verts) > limit:
                 break  # no later row can bring the count back under cap
@@ -797,37 +799,30 @@ def _collection_graph(m, s: Multiset, kind: str, cap: int) -> tuple[set, Callabl
     neighbours, candidates) for _connected, each vertex a tuple of
     k = |s| / r bases, sorted for the kind "white_multiset".
 
-    The collections are listed by exact cover from the bases inside the
-    union's support: the next member holds the least element still to
-    cover, and members with the same least element are taken in one
-    fixed order, so each multiset comes out once; the tuple kind adds
-    its distinct orderings.  A branch is dropped once an element has
-    more copies left than members are left, as a member holds it once.
-    Each step copies one mask per multiplicity level, so a union of k
-    members whose largest multiplicity is t is refused when k t exceeds
-    max(cap, 5,000,000).
+    The collections are listed by exact cover from what is left of the
+    union: the next member is the least element still to cover plus r - 1
+    other elements left, kept if it is a basis, and members with the same
+    least element come in ascending mask order, so each multiset comes
+    out once; the tuple kind adds its distinct orderings.  A branch is
+    dropped once an element has more copies left than members are left,
+    as a member holds it once.  Each step copies one mask per
+    multiplicity level, so a union of k members whose largest
+    multiplicity is t is refused when k t exceeds max(cap, WORK_FLOOR).
     """
     pred, _, r = basis_predicate(m)
-    counts = s.counter()
     k = s.total // r
     # at least one level, so that the empty union reads as covered
-    top = max(counts.values(), default=1)
-    if k * top > max(cap, 5_000_000):
+    top = max((c for _, c in s.counts), default=1)
+    if k * top > max(cap, WORK_FLOOR):
         raise TooLarge(f"a union of {k} members with multiplicity {top} is too large to cover")
     multiset = kind == "white_multiset"
     limit = max(cap, 0)
-    # e's row: the bases whose least element is e, the only ones that can
-    # hold e once no element below it is left to cover
-    by_low: dict[int, list[int]] = {}
-    for b in filter(pred, map(sum, itertools.combinations(bits(as_mask(counts)), r))):
-        by_low.setdefault(b & -b, []).append(b)
     cols: set[tuple[int, ...]] = set()
-    # depth first with an explicit stack, so any k fits: (what is left of
-    # the union, members so far, index of the last member in its row)
-    levels = tuple(as_mask(e for e, c in counts.items() if c > i) for i in range(top))
-    stack = [(levels, (), 0)]
+    # depth first with an explicit stack, so any k fits: (what is left, members so far)
+    levels = tuple(as_mask(e for e, c in s.counts if c > i) for i in range(top))
+    stack = [(levels, ())]
     while stack:
-        levels, chosen, last = stack.pop()
+        levels, chosen = stack.pop()
         left, rest = levels[0], k - len(chosen)
         if rest < top and levels[rest]:
             continue  # an element has more copies left than members: no cover
@@ -840,21 +835,20 @@ def _collection_graph(m, s: Multiset, kind: str, cap: int) -> tuple[set, Callabl
                 raise TooLarge(f"collection graph exceeds {cap} vertices")
             continue
         low = left & -left
-        row = by_low.get(low, ())
-        start = last if chosen and chosen[-1] & -chosen[-1] == low else 0
-        for idx, b in enumerate(row[start:], start):
-            if not b & ~left:
-                stack.append((_take(levels, b), (*chosen, b), idx))
+        least = chosen[-1] if chosen and chosen[-1] & -chosen[-1] == low else 0
+        for b in subsets(left ^ low, r - 1):
+            b |= low
+            if b >= least and pred(b):
+                stack.append((_take(levels, b), (*chosen, b)))
 
     def neighbours(col: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-        for i in range(k):
-            for j in range(i + 1, k):
-                bi, bj = col[i], col[j]
-                for x in bits(bi & ~bj):
-                    for y in bits(bj & ~bi):
-                        nxt = list(col)
-                        nxt[i], nxt[j] = bi ^ x ^ y, bj ^ x ^ y
-                        yield tuple(sorted(nxt)) if multiset else tuple(nxt)
+        for i, j in itertools.combinations(range(k), 2):
+            bi, bj = col[i], col[j]
+            for x in bits(bi & ~bj):
+                for y in bits(bj & ~bi):
+                    nxt = list(col)
+                    nxt[i], nxt[j] = bi ^ x ^ y, bj ^ x ^ y
+                    yield tuple(sorted(nxt)) if multiset else tuple(nxt)
 
     return cols, neighbours, neighbours
 
@@ -868,10 +862,11 @@ def graph_connected(
     """Exhaustive connectivity check; returns (connected, vertex count).
 
     kind is "bpg", "white_multiset", or "white_tuple"; the white kinds
-    need the multiset union s.  Once the arguments are checked, more
-    than max(cap, 5,000,000) candidate bases C(n, r) raise TooLarge, as
-    does enumerating more than cap vertices, a cap that bounds the
-    enumeration too.  An empty or single-vertex graph counts as connected.
+    need the multiset union s.  Once the arguments are checked, TooLarge
+    is raised past max(cap, WORK_FLOOR) candidate bases, the r-sets of the
+    ground set for the pair graph and of the union's support for the
+    others, and past cap vertices, a cap that bounds the enumeration too.
+    An empty or single-vertex graph counts as connected.
 
     Every vertex is enumerated before the search (see _pair_graph and
     _collection_graph), so adjacency is decided by membership in the
@@ -900,7 +895,7 @@ def graph_connected(
             return True, 1
         if s.total % r:
             raise PreconditionViolated("union size is not a multiple of the rank")
-    if math.comb(n, r) > max(cap, 5_000_000):
+    if math.comb(n if kind == "bpg" else len(s.counts), r) > max(cap, WORK_FLOOR):
         raise TooLarge("too many candidate bases to enumerate")
     graph = _pair_graph(m, cap) if kind == "bpg" else _collection_graph(m, s, kind, cap)
     return _connected(*graph)

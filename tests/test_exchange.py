@@ -88,6 +88,9 @@ def test_multiset_input_checks():
         Multiset([(0, "1")])
     with pytest.raises(PreconditionViolated, match="^multiplicity True is not an int$"):
         Multiset([(0, True)])
+    # nor is an element a bool, which the oracles would read as 1
+    with pytest.raises(ElementOutOfRange, match="^bad multiset element True$"):
+        Multiset([(True, 2), (0, 2)])
 
 
 def test_apply_white_move_validates():
@@ -516,6 +519,45 @@ def test_graph_connected_collections_frozen():
         graph_connected(P44, "white_multiset")
     with pytest.raises(PreconditionViolated):
         graph_connected(P44, "white_multiset", s=Multiset.from_elements([0]))
+
+
+@pytest.mark.parametrize(
+    "m,counts",
+    [(uniform(16, 8), (6435, 12870)), (graham_sloane(16, 8, 0), (5626, 11252))],
+    ids=["u16_8", "gs16_8"],
+)
+def test_graph_connected_lists_members_from_what_is_left(m, counts):
+    """k = 2 on the union of the complementary bases 0..7 and 8..15.
+
+    Each member is the least element left plus r - 1 elements left, so
+    listing costs one basis test per member tried.  Listing from a row of
+    bases per least element instead read 15.5 million row entries on
+    uniform(16, 8) and took 1.0-1.9 s per call.
+    """
+    s = Multiset.from_elements(range(16))
+    for kind, want in zip(("white_multiset", "white_tuple"), counts):
+        start = time.perf_counter()
+        assert graph_connected(m, kind, s=s) == (True, want)
+        assert time.perf_counter() - start < 0.5
+        _check_count_and_cap(m, kind, want, s=s)
+
+
+def test_graph_connected_sizes_collections_by_their_support():
+    """A collection graph only takes members from the union's support, so
+    its candidate bases are counted there, not over the ground set:
+    C(30, 8) = 5,852,925 is past the floor, C(16, 8) = 12,870 is not."""
+    s = Multiset.from_elements(range(16))
+    m = uniform(30, 8)
+    assert graph_connected(m, "white_multiset", s=s) == (True, 6435)
+    assert graph_connected(m, "white_tuple", s=s) == (True, 12870)
+    # C(40, 20) candidates in the support are still refused, before any is listed
+    start = time.perf_counter()
+    for kind in ("white_multiset", "white_tuple"):
+        with pytest.raises(TooLarge, match="^too many candidate bases to enumerate$"):
+            graph_connected(uniform(40, 20), kind, s=Multiset.from_elements(range(40)))
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(TooLarge, match="^too many candidate bases to enumerate$"):
+        graph_connected(m, "bpg")
 
 
 @pytest.mark.parametrize(
