@@ -26,7 +26,7 @@ import sys
 from itertools import combinations, filterfalse
 from math import comb, gcd
 
-from .bitset import iter_elements, subset_masks, subsets
+from .bitset import bits, subset_masks, subsets
 from .core import MAX_EXPLICIT_WORK, SparsePavingMatroid, check_rank, validate
 from .errors import InternalCheckError, RangeError, ResidueOutOfRange, TooLarge
 
@@ -218,7 +218,7 @@ def _greedy_by_shadows(pool: list[int], limit: int) -> list[int]:
     for s in pool:
         if len(taken) >= limit:
             break
-        keys = [s ^ (1 << e) for e in iter_elements(s)]
+        keys = [s ^ b for b in bits(s)]
         if any(k in seen for k in keys):
             continue
         seen.update(keys)

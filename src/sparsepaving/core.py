@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Iterable
 
-from .bitset import ElementSet, as_mask, format_set, iter_elements, subset_masks, swap
+from .bitset import ElementSet, as_mask, bits, format_set, iter_elements, subset_masks, swap
 from .errors import (
     DistanceViolation,
     ElementOutOfRange,
@@ -103,9 +103,54 @@ def check_rank(n: int, r: int) -> None:
         raise RankOutOfRange(f"rank {r} not in 0..{n}")
 
 
+# The argument gate: entry points check the sets, elements and bases
+# their callers pass with these, so each fault has one wording.
+
+
 def _check_subset(m_n: int, s: int, what: str = "set") -> None:
     if s < 0 or s >> m_n:
         raise ElementOutOfRange(f"{what} {format_set(s)} is not inside 0..{m_n - 1}")
+
+
+def _as_subset(n: int, s: ElementSet | Iterable[int], what: str = "set") -> int:
+    """s as a mask, refused unless it lies inside {0, .., n-1}."""
+    s = as_mask(s)  # which refuses negative masks
+    if s >> n:
+        _check_subset(n, s, what)
+    return s
+
+
+def _check_bases(m, sets: Iterable, what: str = "set") -> tuple[int, ...]:
+    """Each of sets as a mask, refused unless it is a basis of m.
+
+    One basis predicate serves every set: building it costs more than
+    checking one, and a collection walk passes k members.
+    """
+    pred, n, _ = basis_predicate(m)
+    masks = []
+    for s in sets:
+        s = as_mask(s)
+        if s >> n or not pred(s):
+            _check_subset(n, s, what)  # a range fault is named first
+            raise NotBases(f"{what} {format_set(s)} is not a basis")
+        masks.append(s)
+    return tuple(masks)
+
+
+def _check_element(n: int, e: int) -> None:
+    if not 0 <= e < n:
+        raise ElementOutOfRange(f"element {e} not in 0..{n - 1}")
+
+
+def _split_by(n: int, kind: str, e: int, sets: Iterable[int]) -> tuple:
+    """The minors' prelude: check kind and e, then (having e, avoiding e, labels)."""
+    if kind not in ("delete", "contract"):
+        raise PreconditionViolated(f"kind must be 'delete' or 'contract', got {kind!r}")
+    _check_element(n, e)
+    bit = 1 << e
+    having = [s for s in sets if s & bit]
+    avoiding = [s for s in sets if not s & bit]
+    return having, avoiding, tuple(x for x in range(n) if x != e)
 
 
 def validate(m: SparsePavingMatroid) -> None:
@@ -146,10 +191,7 @@ def _raise_close_pair(chset: tuple[int, ...]) -> None:
     """Name the first close pair of chset, in the order validate reports it."""
     first: dict[int, int] = {}
     for h in chset:
-        rest = h
-        while rest:
-            low = rest & -rest
-            rest ^= low
+        for low in bits(h):
             other = first.setdefault(h ^ low, h)
             if other != h:
                 raise DistanceViolation(
@@ -159,8 +201,7 @@ def _raise_close_pair(chset: tuple[int, ...]) -> None:
 
 
 def is_basis(m: SparsePavingMatroid, s: ElementSet) -> bool:
-    s = as_mask(s)
-    _check_subset(m.n, s)
+    s = _as_subset(m.n, s)
     return s.bit_count() == m.r and s not in m._index
 
 
@@ -181,8 +222,7 @@ def basis_predicate(m) -> tuple[Callable[[int], bool], int, int]:
 
 
 def rank_of(m: SparsePavingMatroid, s: ElementSet) -> int:
-    s = as_mask(s)
-    _check_subset(m.n, s)
+    s = _as_subset(m.n, s)
     k = s.bit_count()
     if k < m.r:
         return k
@@ -199,16 +239,14 @@ def closure_of(m: SparsePavingMatroid, s: ElementSet) -> int:
     2); designated dependent r-sets are closed; anything of full rank
     closes to the ground set.
     """
-    s = as_mask(s)
-    _check_subset(m.n, s)
+    s = _as_subset(m.n, s)
     k = s.bit_count()
     if k <= m.r - 2:
         return s
     if k == m.r - 1:
-        rest = m.ground & ~s
-        for e in iter_elements(rest):
-            if (s | (1 << e)) in m._index:
-                return s | (1 << e)
+        for y in bits(m.ground ^ s):
+            if s | y in m._index:
+                return s | y
         return s
     if k == m.r and s in m._index:
         return s
@@ -228,8 +266,7 @@ def uniform(n: int, r: int) -> SparsePavingMatroid:
 
 def relax(m: SparsePavingMatroid, h: ElementSet) -> SparsePavingMatroid:
     """Turn one designated dependent set back into a basis."""
-    h = as_mask(h)
-    _check_subset(m.n, h)
+    h = _as_subset(m.n, h)
     if h not in m._index:
         raise NotACircuitHyperplane(f"{format_set(h)} is not a designated set of m")
     return SparsePavingMatroid(m.n, m.r, tuple(k for k in m.chset if k != h))
@@ -251,14 +288,7 @@ def minor(
     the rank only moves in the degenerate directions (deleting an
     element present in every basis, contracting one present in none).
     """
-    if kind not in ("delete", "contract"):
-        raise PreconditionViolated(f"kind must be 'delete' or 'contract', got {kind!r}")
-    if not 0 <= e < m.n:
-        raise ElementOutOfRange(f"element {e} not in 0..{m.n - 1}")
-    bit = 1 << e
-    having = [h for h in m.chset if h & bit]
-    avoiding = [h for h in m.chset if not h & bit]
-    label_map = tuple(x for x in range(m.n) if x != e)
+    having, avoiding, label_map = _split_by(m.n, kind, e, m.chset)
     if kind == "delete" and len(avoiding) == comb(m.n - 1, m.r):
         # e sits in every basis: the deletion is uniform of rank r-1
         return SparsePavingMatroid(m.n - 1, m.r - 1, ()), label_map
@@ -285,14 +315,9 @@ def swap_witnesses(
     """
     if not isinstance(m, SparsePavingMatroid):
         raise TypeError(f"expected a SparsePavingMatroid, got {type(m).__name__}")
-    b1 = as_mask(b1)
-    b2 = as_mask(b2)
+    b1, b2 = _check_bases(m, (b1, b2))
     cand = as_mask(candidates)
-    for b in (b1, b2):
-        if not is_basis(m, b):
-            raise NotBases(f"{format_set(b)} is not a basis")
-    if not 0 <= x < m.n:
-        raise ElementOutOfRange(f"element {x} not in 0..{m.n - 1}")
+    _check_element(m.n, x)
     xb = 1 << x
     if not (b1 & xb) or (b2 & xb):
         raise PreconditionViolated(f"element {x} is not in b1 - b2")
@@ -359,8 +384,7 @@ def explicit_validate(em: ExplicitMatroid) -> None:
 
 
 def explicit_rank(em: ExplicitMatroid, s: ElementSet) -> int:
-    s = as_mask(s)
-    _check_subset(em.n, s)
+    s = _as_subset(em.n, s)
     return max((s & b).bit_count() for b in em.bases)
 
 
@@ -450,14 +474,7 @@ def _rank_levels(m, what: str) -> tuple[list[int], list[int]]:
 def explicit_minor(
     em: ExplicitMatroid, kind: str, e: int
 ) -> tuple[ExplicitMatroid, tuple[int, ...]]:
-    if kind not in ("delete", "contract"):
-        raise PreconditionViolated(f"kind must be 'delete' or 'contract', got {kind!r}")
-    if not 0 <= e < em.n:
-        raise ElementOutOfRange(f"element {e} not in 0..{em.n - 1}")
-    bit = 1 << e
-    label_map = tuple(x for x in range(em.n) if x != e)
-    avoiding = [b for b in em.bases if not b & bit]
-    having = [b for b in em.bases if b & bit]
+    having, avoiding, label_map = _split_by(em.n, kind, e, em.bases)
     # deleting an e in every basis is contracting it, and contracting an
     # e in no basis is deleting it
     if avoiding if kind == "delete" else not having:

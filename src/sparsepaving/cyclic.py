@@ -35,11 +35,11 @@ import math
 import random
 from fractions import Fraction
 
-from .bitset import ElementSet, as_mask, bits, elements, format_set
+from .bitset import ElementSet, as_mask, bits, elements, format_set, lowest_element
 from .core import (
     ExplicitMatroid,
     SparsePavingMatroid,
-    _check_subset,
+    _check_bases,
     _rank_levels,
     _size_families,
     basis_predicate,
@@ -50,7 +50,6 @@ from .core import (
 from .errors import (
     GroundSetMismatch,
     InternalCheckError,
-    NotBases,
     NotDisjoint,
     PreconditionViolated,
     TooLarge,
@@ -146,7 +145,7 @@ def check_density(m) -> tuple[bool, ElementSet | None]:
             bad |= sizes[k] & ~levels[-(-k * r // n)]
         if not bad:
             return True, None
-        return False, (bad & -bad).bit_length() - 1
+        return False, lowest_element(bad)
     raise TypeError(f"expected a matroid, got {type(m).__name__}")
 
 
@@ -270,12 +269,7 @@ def _swapped(seq: list, i: int, j: int) -> list:
 
 
 def _disjoint_bases(m, b1, b2) -> tuple[int, int]:
-    pred, n, _ = basis_predicate(m)
-    b1m, b2m = as_mask(b1), as_mask(b2)
-    for b in (b1m, b2m):
-        _check_subset(n, b)
-    if not pred(b1m) or not pred(b2m):
-        raise NotBases(f"{format_set(b1m)} / {format_set(b2m)} are not both bases")
+    b1m, b2m = _check_bases(m, (b1, b2), "block")
     if b1m & b2m:
         raise NotDisjoint(f"{format_set(b1m)} and {format_set(b2m)} share elements")
     return b1m, b2m

@@ -47,7 +47,7 @@ class NoBasis(ValidationError):
 
 
 class NotBases(ValidationError):
-    """A collection member is not a basis of the matroid."""
+    """A set that must be a basis of the matroid is not one."""
 
 
 class NotDisjoint(ValidationError):

@@ -37,13 +37,18 @@ from .bitset import (
     subsets,
     swap,
 )
-from .core import MAX_VERTICES, SparsePavingMatroid, basis_predicate
+from .core import (
+    MAX_VERTICES,
+    SparsePavingMatroid,
+    _as_subset,
+    _check_bases,
+    basis_predicate,
+)
 from .errors import (
     ElementOutOfRange,
     ExchangeViolation,
     InternalCheckError,
     NotAVertex,
-    NotBases,
     NotDisjoint,
     PreconditionViolated,
     TooLarge,
@@ -116,11 +121,10 @@ class Multiset:
 def bpg_vertex(m, a1: ElementSet, a2: ElementSet, a3: ElementSet) -> BasisPairVertex:
     """Validated vertex constructor for the pair graph of m."""
     pred, n, _ = basis_predicate(m)
-    a1, a2, a3 = as_mask(a1), as_mask(a2), as_mask(a3)
+    a1 = _as_subset(n, a1, "block")
+    a2 = _as_subset(n, a2, "block")
+    a3 = _as_subset(n, a3, "block")
     ground = (1 << n) - 1
-    for a in (a1, a2, a3):
-        if a & ~ground:
-            raise ElementOutOfRange(f"block {format_set(a)} leaves the ground set")
     if a1 & a2 or a1 & a3 or a2 & a3:
         raise NotDisjoint("vertex blocks must be pairwise disjoint")
     if a1 | a2 | a3 != ground:
@@ -493,20 +497,6 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
         return
 
 
-def _as_members(m, col: Sequence[ElementSet], what: str) -> tuple[int, ...]:
-    pred, n, _ = basis_predicate(m)
-    ground = (1 << n) - 1
-    members = tuple(as_mask(b) for b in col)
-    for b in members:
-        if b & ~ground:
-            raise ElementOutOfRange(
-                f"{what} member {format_set(b)} leaves the ground set"
-            )
-        if not pred(b):
-            raise NotBases(f"{what} member {format_set(b)} is not a basis")
-    return members
-
-
 def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list[Move]:
     """Moves turning the multiset src into the multiset dst.
 
@@ -530,8 +520,8 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     exact and at most every other bound, hence at most every other
     pair: the global minimum.
     """
-    s_members = tuple(sorted(_as_members(m, src, "src")))
-    d_members = tuple(sorted(_as_members(m, dst, "dst")))
+    s_members = tuple(sorted(_check_bases(m, src, "src member")))
+    d_members = tuple(sorted(_check_bases(m, dst, "dst member")))
     if len(s_members) != len(d_members):
         raise UnionMismatch("collections have different member counts")
     union = Counter(e for b in s_members for e in iter_elements(b))
@@ -603,8 +593,8 @@ def white2_path(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     final replay certifies every move.
     """
     pred, n, _ = basis_predicate(m)
-    src_t = _as_members(m, src, "src")
-    dst_t = _as_members(m, dst, "dst")
+    src_t = _check_bases(m, src, "src member")
+    dst_t = _check_bases(m, dst, "dst member")
 
     k = len(src_t)
     out: list[Move] = []

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Callable
 
-from .bitset import ElementSet, format_set, iter_elements, positions
+from .bitset import ElementSet, bits, format_set, positions
 from .core import (
     ExplicitMatroid,
     SparsePavingMatroid,
@@ -94,7 +94,7 @@ def _cyclic_flat_test(m) -> Callable[[int], bool]:
             if closure_of(m, f) != f:
                 return False
             rf = rank_of(m, f)
-            return all(rank_of(m, f & ~(1 << e)) == rf for e in iter_elements(f))
+            return all(rank_of(m, f ^ b) == rf for b in bits(f))
 
         return is_cyclic_flat
     if not isinstance(m, ExplicitMatroid):

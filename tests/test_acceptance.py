@@ -8,6 +8,7 @@ replays, never against the module under test alone.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 import subprocess
@@ -16,6 +17,7 @@ import time
 import zlib
 from fractions import Fraction
 from math import comb, isqrt
+from pathlib import Path
 
 import sparsepaving.cyclic as cyclic_mod
 from corpusdef import CORPUS, P44, bases_of, certify, replay_lands, scramble, with_max_n
@@ -48,6 +50,13 @@ from sparsepaving import (
 )
 from sparsepaving.bitset import elements
 from sparsepaving.exchange import check_bpg_walk
+
+# criterion 10's fixed commands live in tools/replay.py, which replays
+# them under other interpreters
+_REPLAY = Path(__file__).resolve().parent.parent / "tools" / "replay.py"
+_SPEC = importlib.util.spec_from_file_location("replay", _REPLAY)
+replay = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(replay)
 
 
 def _finish(num: int, label: str, t0: float, limit: float):
@@ -317,14 +326,8 @@ def test_criterion_10_round_trip_and_determinism(tmp_path):
         )
         return out.returncode, out.stdout
 
-    fixed = [
-        ["gen", "gs", "--n", "10", "--r", "4"],
-        ["gen", "random", "--n", "10", "--r", "4", "--target", "12", "--seed", "7"],
-        ["order", "cyclic", str(f)],
-        ["conj", "farber", str(f)],
-        ["flats", str(g)],
-        ["census", "--n", "12"],
-    ]
+    fixed = [[a.format(p44=f, gs=g) for a in c] for c in replay.CLI_COMMANDS]
+    assert len(fixed) == 6
     for args in fixed:
         code1, out1 = run(args)
         code2, out2 = run(args)

@@ -784,6 +784,22 @@ def test_cli_exit_codes(tmp_path):
             P44_TEXT,
             "--k 1 does not match the member lists",
         ),
+        # element 4 passes the set-spec cap; the library's gate words the fault
+        (
+            ["conj", "white", "{f}", "--k", "2", "--from", "0,1|2,4", "--to", "0,1|2,3"],
+            P44_TEXT,
+            "src member 2,4 is not inside 0..3",
+        ),
+        (
+            ["conj", "farber", "{f}", "--from", "0,1;2,4", "--to", "0,2;1,3"],
+            P44_TEXT,
+            "block 2,4 is not inside 0..3",
+        ),
+        (
+            ["order", "pair", "{f}", "--b1", "0,1", "--b2", "2,4"],
+            P44_TEXT,
+            "block 2,4 is not inside 0..3",
+        ),
     ],
     ids=[
         "empty-set-dash",
@@ -802,6 +818,9 @@ def test_cli_exit_codes(tmp_path):
         "from-without-to",
         "white-k-mismatch",
         "white2-k-mismatch",
+        "white-member-outside",
+        "farber-block-outside",
+        "order-pair-block-outside",
     ],
 )
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, text, err):

@@ -38,6 +38,7 @@ from sparsepaving import (
     SparsePavingMatroid,
     as_mask,
     basis_predicate,
+    bpg_vertex,
     check_density,
     closure_of,
     dual,
@@ -45,6 +46,8 @@ from sparsepaving import (
     explicit_minor,
     explicit_rank,
     explicit_validate,
+    gabow_cycle,
+    gabow_cycle_any,
     graham_sloane,
     is_basis,
     minor,
@@ -57,6 +60,8 @@ from sparsepaving import (
     to_explicit,
     uniform,
     validate,
+    white2_path,
+    white_moves,
 )
 from sparsepaving.bitset import format_set, lowest_element
 from sparsepaving.core import MAX_GROUND, _drop_element, _rank_attaining, check_ground
@@ -708,6 +713,112 @@ def test_swap_witnesses_loses_at_most_two():
         assert got & ~cand == 0
         assert got.bit_count() >= cand.bit_count() - 2
         checked += 1
+
+
+# -- the argument gate ---------------------------------------------------------------
+
+EXPLICIT_P44 = to_explicit(P44)  # bases 0,1  0,2  1,3  2,3 of n = 4
+
+# (entry point, call, fault, message): a set holding element 5, or a
+# non-basis, must be refused in the gate's one wording, whatever module
+# the entry point lives in
+GATE_CASES = [
+    ("is_basis", lambda: is_basis(P44, {0, 5}), ElementOutOfRange, "set 0,5 is not inside 0..3"),
+    ("rank_of", lambda: rank_of(P44, {0, 5}), ElementOutOfRange, "set 0,5 is not inside 0..3"),
+    ("closure_of", lambda: closure_of(P44, {5}), ElementOutOfRange, "set 5 is not inside 0..3"),
+    ("relax", lambda: relax(P44, {1, 5}), ElementOutOfRange, "set 1,5 is not inside 0..3"),
+    (
+        "explicit_rank",
+        lambda: explicit_rank(EXPLICIT_P44, {0, 5}),
+        ElementOutOfRange,
+        "set 0,5 is not inside 0..3",
+    ),
+    (
+        "swap_witnesses",
+        lambda: swap_witnesses(P44, {0, 5}, {2, 3}, 0, set()),
+        ElementOutOfRange,
+        "set 0,5 is not inside 0..3",
+    ),
+    (
+        "swap_witnesses",
+        lambda: swap_witnesses(P44, {0, 1}, {1, 2}, 0, set()),
+        NotBases,
+        "set 1,2 is not a basis",
+    ),
+    (
+        "bpg_vertex",
+        lambda: bpg_vertex(P44, {0, 1}, {2, 3}, {5}),
+        ElementOutOfRange,
+        "block 5 is not inside 0..3",
+    ),
+    (
+        "white_moves",
+        lambda: white_moves(P44, [{0, 1}, {2, 3}], [{0, 2}, {1, 3, 5}]),
+        ElementOutOfRange,
+        "dst member 1,3,5 is not inside 0..3",
+    ),
+    (
+        "white_moves",
+        lambda: white_moves(P44, [{0, 1}, {0, 3}], [{0, 1}, {0, 3}]),
+        NotBases,
+        "src member 0,3 is not a basis",
+    ),
+    (
+        "white2_path",
+        lambda: white2_path(EXPLICIT_P44, [{0, 5}, {2, 3}], [{0, 1}, {2, 3}]),
+        ElementOutOfRange,
+        "src member 0,5 is not inside 0..3",
+    ),
+    (
+        "white2_path",
+        lambda: white2_path(P44, [{0, 1}, {2, 3}], [{0, 3}, {1, 2}]),
+        NotBases,
+        "dst member 0,3 is not a basis",
+    ),
+    (
+        "gabow_cycle",
+        lambda: gabow_cycle(P44, {0, 1}, {2, 5}),
+        ElementOutOfRange,
+        "block 2,5 is not inside 0..3",
+    ),
+    (
+        "gabow_cycle",
+        lambda: gabow_cycle(P44, {0, 3}, {1, 2}),
+        NotBases,
+        "block 0,3 is not a basis",
+    ),
+    (
+        "gabow_cycle_any",
+        lambda: gabow_cycle_any(EXPLICIT_P44, {5}, {2}),
+        ElementOutOfRange,
+        "block 5 is not inside 0..3",
+    ),
+    (
+        "gabow_cycle_any",
+        lambda: gabow_cycle_any(P44, {0, 1}, {1, 2}),
+        NotBases,
+        "block 1,2 is not a basis",
+    ),
+    ("minor", lambda: minor(P44, "delete", 4), ElementOutOfRange, "element 4 not in 0..3"),
+    (
+        "explicit_minor",
+        lambda: explicit_minor(EXPLICIT_P44, "contract", -1),
+        ElementOutOfRange,
+        "element -1 not in 0..3",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call,fault,message",
+    [case[1:] for case in GATE_CASES],
+    ids=[f"{name}-{fault.__name__}" for name, _, fault, _ in GATE_CASES],
+)
+def test_argument_gate_words_each_fault_once(call, fault, message):
+    with pytest.raises(fault) as info:
+        call()
+    assert type(info.value) is fault
+    assert str(info.value) == message
 
 
 # -- explicit form -------------------------------------------------------------------

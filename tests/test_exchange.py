@@ -170,7 +170,7 @@ def test_bpg_vertex_validation():
     with pytest.raises(NotAVertex, match="^second block 2,3 is not a basis$"):
         bpg_vertex(SparsePavingMatroid(5, 2, [{2, 3}]), {0, 1}, {2, 3}, {4})
     # every block is range-checked before disjointness and cover
-    with pytest.raises(ElementOutOfRange, match="^block 1,5 leaves the ground set$"):
+    with pytest.raises(ElementOutOfRange, match="^block 1,5 is not inside 0..3$"):
         bpg_vertex(P44, {0, 1}, {2, 3}, {1, 5})
 
 
@@ -432,7 +432,7 @@ def test_white_moves_validation():
     with pytest.raises(UnionMismatch):
         white_moves(P44, [{0, 1}], [{0, 1}, {2, 3}])
     # every 2-set is a basis of U(4, 2), so only the ground check refuses this
-    with pytest.raises(ElementOutOfRange, match="src member 0,4 leaves the ground set"):
+    with pytest.raises(ElementOutOfRange, match="src member 0,4 is not inside 0..3"):
         white_moves(U24, [{0, 4}, {1, 2}], [{0, 1}, {2, 4}])
 
 
