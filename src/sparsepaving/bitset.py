@@ -3,6 +3,8 @@
 A subset is an int whose bit e is set iff element e is in the subset.
 Set equality is encoding equality, so masks work as dict keys and sort
 deterministically.  Python ints are unbounded, so nothing here caps n.
+The helpers that read a mask's elements refuse a negative mask, which
+would have infinitely many set bits.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ def as_mask(s: ElementSet | Iterable[int]) -> int:
 
 def iter_elements(mask: int) -> Iterator[int]:
     """Yield the elements of a mask in ascending order."""
+    if mask < 0:
+        raise ValueError("element-set masks are non-negative")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -43,11 +47,15 @@ def elements(mask: int) -> tuple[int, ...]:
 def lowest_element(mask: int) -> int:
     if not mask:
         raise ValueError("the empty set has no lowest element")
+    if mask < 0:
+        raise ValueError("element-set masks are non-negative")
     return (mask & -mask).bit_length() - 1
 
 
 def bits(mask: int) -> list[int]:
     """The one-element masks of mask, ascending."""
+    if mask < 0:
+        raise ValueError("element-set masks are non-negative")
     out = []
     while mask:
         low = mask & -mask
@@ -62,6 +70,8 @@ def positions(mask: int) -> list[int]:
     For the 2^n-bit family ints of the definition scans, where
     iter_elements would copy the whole int once per set bit.
     """
+    if mask < 0:
+        raise ValueError("element-set masks are non-negative")
     digits = bin(mask)[:1:-1]  # bit i at index i
     out = []
     i = digits.find("1")

@@ -28,16 +28,7 @@ from math import comb, gcd
 
 from .bitset import bits, subset_masks, subsets
 from .core import MAX_EXPLICIT_WORK, SparsePavingMatroid, check_rank, validate
-from .errors import InternalCheckError, RangeError, ResidueOutOfRange, TooLarge
-
-
-def _check_nr(n: int, r: int, cap: int | None = None) -> None:
-    """Range checks, and the cap on enumerating all C(n, r) subsets."""
-    if n < 1:
-        raise RangeError(f"ground size {n} must be at least 1")
-    check_rank(n, r)
-    if cap is not None and comb(n, r) > cap:
-        raise TooLarge(f"C({n}, {r}) r-subsets exceed the cap {cap}")
+from .errors import InternalCheckError, ResidueOutOfRange, TooLarge
 
 
 def graham_sloane(
@@ -53,7 +44,9 @@ def graham_sloane(
     before returning; the only way a class can fail validation is by
     designating every r-set, which needs binomial(n, r) = 1.
     """
-    _check_nr(n, r, cap)
+    check_rank(n, r, 1)
+    if comb(n, r) > cap:
+        raise TooLarge(f"C({n}, {r}) r-subsets exceed the cap {cap}")
     if c is None:
         c = gs_best_class(n, r)[0]
     if not 0 <= c < n:
@@ -120,7 +113,7 @@ def gs_class_sizes(n: int, r: int) -> list[int]:
     divide s, where u_d is t_d less the u_e of the proper multiples e of
     d that divide g; u is found from the largest divisor down, in integers.
     """
-    _check_nr(n, r)
+    check_rank(n, r, 1)
     g = gcd(n, r)
     u: dict[int, int] = {}
     for d in range(g, 0, -1):
@@ -157,7 +150,7 @@ def random_sparse_paving(
     (MAX_EXPLICIT_WORK by default) bounds C(n, r) * ceil(n / 64), checked
     before the pool is listed.
     """
-    _check_nr(n, r)
+    check_rank(n, r, 1)
     words = -(-n // 64)
     if comb(n, r) > cap // words:
         raise TooLarge(f"C({n}, {r}) {words}-word r-subsets exceed the cap {cap}")

@@ -89,26 +89,28 @@ MAX_SCAN_GROUND = 20  # largest n whose 2^n subsets a definition scan visits
 MAX_VERTICES = 1_000_000  # default cap on the vertices graph_connected enumerates
 
 
-def check_ground(n: int) -> None:
-    if n < 0:
-        raise RangeError(f"ground size {n} is negative")
+# The argument gate: entry points check the ground sizes, ranks, sets,
+# elements and bases their callers pass with these, so each fault has one
+# wording.
+
+
+def check_ground(n: int, least: int = 0) -> None:
+    """RangeError unless least <= n <= MAX_GROUND."""
+    if n < least:
+        raise RangeError(f"ground size {n} must be at least {least}")
     if n > MAX_GROUND:
         raise RangeError(f"ground size {n} exceeds the cap {MAX_GROUND}")
 
 
-def check_rank(n: int, r: int) -> None:
-    """check_ground(n), then RankOutOfRange unless 0 <= r <= n."""
-    check_ground(n)
-    if not 0 <= r <= n:
+def check_rank(n: int, r: int | None, least: int = 0) -> None:
+    """check_ground(n, least), then RankOutOfRange unless r is None or 0 <= r <= n."""
+    check_ground(n, least)
+    if r is not None and not 0 <= r <= n:
         raise RankOutOfRange(f"rank {r} not in 0..{n}")
 
 
-# The argument gate: entry points check the sets, elements and bases
-# their callers pass with these, so each fault has one wording.
-
-
 def _check_subset(m_n: int, s: int, what: str = "set") -> None:
-    if s < 0 or s >> m_n:
+    if s >> m_n:
         raise ElementOutOfRange(f"{what} {format_set(s)} is not inside 0..{m_n - 1}")
 
 
@@ -139,7 +141,18 @@ def _check_bases(m, sets: Iterable, what: str = "set") -> tuple[int, ...]:
 
 def _check_element(n: int, e: int) -> None:
     if not 0 <= e < n:
-        raise ElementOutOfRange(f"element {e} not in 0..{n - 1}")
+        raise ElementOutOfRange(f"element {e} is not inside 0..{n - 1}")
+
+
+def _check_family(n: int, r: int, sets: Iterable[int], what: str) -> None:
+    """The validators' prelude: the rank, then each set inside 0..n-1 and of size r."""
+    check_rank(n, r)
+    for s in sets:
+        _check_subset(n, s, what)
+        if s.bit_count() != r:
+            raise SizeMismatch(
+                f"{what} {format_set(s)} has size {s.bit_count()}, expected {r}"
+            )
 
 
 def _split_by(n: int, kind: str, e: int, sets: Iterable[int]) -> tuple:
@@ -165,13 +178,7 @@ def validate(m: SparsePavingMatroid) -> None:
     by a second pass that names the first set in chset order with an
     (r-1)-subset already seen and the first set that had it.
     """
-    check_rank(m.n, m.r)
-    for h in m.chset:
-        _check_subset(m.n, h, "designated set")
-        if h.bit_count() != m.r:
-            raise SizeMismatch(
-                f"designated set {format_set(h)} has size {h.bit_count()}, expected {m.r}"
-            )
+    _check_family(m.n, m.r, m.chset, "designated set")
     shadows: set[int] = set()
     add = shadows.add
     for h in m.chset:
@@ -316,7 +323,7 @@ def swap_witnesses(
     if not isinstance(m, SparsePavingMatroid):
         raise TypeError(f"expected a SparsePavingMatroid, got {type(m).__name__}")
     b1, b2 = _check_bases(m, (b1, b2))
-    cand = as_mask(candidates)
+    cand = _as_subset(m.n, candidates, "candidates")
     _check_element(m.n, x)
     xb = 1 << x
     if not (b1 & xb) or (b2 & xb):
@@ -347,15 +354,9 @@ def to_explicit(m: SparsePavingMatroid) -> ExplicitMatroid:
 
 def explicit_validate(em: ExplicitMatroid) -> None:
     """Check the basis family directly, including the exchange axiom."""
-    check_rank(em.n, em.r)
+    _check_family(em.n, em.r, em.bases, "basis")
     if not em.bases:
         raise EmptyBases("a matroid needs at least one basis")
-    for b in em.bases:
-        _check_subset(em.n, b, "basis")
-        if b.bit_count() != em.r:
-            raise SizeMismatch(
-                f"basis {format_set(b)} has size {b.bit_count()}, expected {em.r}"
-            )
     # For a basis a and x in a, reach is every y with a - x + y a basis;
     # the axiom asks each basis b without x to meet it.  Grouped by x,
     # that is one and-test per (a, x, b), not an exchange search each.

@@ -43,6 +43,7 @@ from .core import (
     _rank_levels,
     _size_families,
     basis_predicate,
+    check_ground,
     dual,
     explicit_rank,
     rank_of,
@@ -51,7 +52,6 @@ from .errors import (
     GroundSetMismatch,
     InternalCheckError,
     NotDisjoint,
-    PreconditionViolated,
     TooLarge,
     guaranteed,
 )
@@ -113,8 +113,7 @@ def average_ch_intervals(m: SparsePavingMatroid) -> Fraction:
     gives the closed form directly.  The value is below 2 whenever
     2r <= n, which is what guarantees a near-witness cycle exists.
     """
-    if m.n < 1:
-        raise PreconditionViolated("need at least one element")
+    check_ground(m.n, 1)
     num = len(m.chset) * math.factorial(m.r) * math.factorial(m.n - m.r)
     return Fraction(num, math.factorial(m.n - 1))
 

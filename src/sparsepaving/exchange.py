@@ -462,8 +462,7 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
                     bh, kind = v, k
                     if k == 0:
                         break
-            if bh is None:
-                raise InternalCheckError("single-swap chain exhausted every repair")
+            bh = guaranteed(bh, "single-swap chain exhausted every repair")
             if kind == 2:
                 x = lowest_element(bh & ~(1 << b) & ~b2)
                 tries = ((x, y) for y in iter_elements(b2 & ~bh))
@@ -876,9 +875,7 @@ def graph_connected(
     elif not isinstance(s, Multiset):
         raise PreconditionViolated("collection graphs need the multiset union")
     else:
-        for e, _ in s.counts:
-            if e >= n:
-                raise ElementOutOfRange(f"multiset element {e} outside the ground set")
+        _as_subset(n, (e for e, _ in s.counts), "multiset union")
         if r == 0:
             if s.total:
                 raise PreconditionViolated("rank zero admits only the empty union")

@@ -33,11 +33,11 @@ from .core import (
     SparsePavingMatroid,
     _rank_attaining,
     _rank_levels,
-    check_ground,
+    check_rank,
     closure_of,
     rank_of,
 )
-from .errors import InternalCheckError, PreconditionViolated, RangeError
+from .errors import InternalCheckError, RangeError
 from .construct import gs_best_class
 
 
@@ -150,11 +150,7 @@ class BoundsReport:
 
 
 def bounds(n: int, r: int | None = None) -> BoundsReport:
-    if n < 1:
-        raise PreconditionViolated(f"need n >= 1, got {n}")
-    check_ground(n)
-    if r is not None and not 0 <= r <= n:
-        raise PreconditionViolated(f"rank {r} not in 0..{n}")
+    check_rank(n, r, 1)
     lower = None, None, None
     if n >= 4:
         # ceil(2^{n-1} / n^{3/2}) without floats: the smallest q with

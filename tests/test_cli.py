@@ -555,7 +555,7 @@ def test_cli_explicit_minor_element_outside_exits_2(tmp_path, capsys):
     f = tmp_path / "p44b.txt"
     f.write_text(P44_BASES_TEXT)
     assert run_cli("minor", str(f), "--delete", "4") == (2, "")
-    assert capsys.readouterr().err == "error: element 4 not in 0..3\n"
+    assert capsys.readouterr().err == "error: element 4 is not inside 0..3\n"
 
 
 NON_MATROID_TEXT = "bases 1\nn 5\nr 2\nb 0 1\nb 1 2\nb 0 3\nb 1 3\nb 0 4\nb 2 4\nb 3 4\n"
@@ -800,6 +800,10 @@ def test_cli_exit_codes(tmp_path):
             P44_TEXT,
             "block 2,4 is not inside 0..3",
         ),
+        # ground sizes, ranks and elements are checked in core, one wording each
+        (["bounds", "--n", "0"], P44_TEXT, "ground size 0 must be at least 1"),
+        (["avg", "{f}"], "spm 1\nn 0\nr 0\n", "ground size 0 must be at least 1"),
+        (["minor", "{f}", "--delete", "9"], P44_TEXT, "element 9 is not inside 0..3"),
     ],
     ids=[
         "empty-set-dash",
@@ -821,6 +825,9 @@ def test_cli_exit_codes(tmp_path):
         "white-member-outside",
         "farber-block-outside",
         "order-pair-block-outside",
+        "bounds-empty-ground",
+        "avg-empty-ground",
+        "minor-element-outside",
     ],
 )
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, text, err):

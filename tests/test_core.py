@@ -1,10 +1,16 @@
 """Core representation: validity, rank, closure, duality, minors, swaps."""
 
+import ast
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 from collections import Counter
 from math import comb
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -21,6 +27,7 @@ from corpusdef import (
     sparse_paving_families,
     with_max_n,
 )
+import sparsepaving
 from sparsepaving import (
     DistanceViolation,
     ElementOutOfRange,
@@ -28,6 +35,7 @@ from sparsepaving import (
     ExchangeViolation,
     ExplicitMatroid,
     MatroidError,
+    Multiset,
     NoBasis,
     NotACircuitHyperplane,
     NotBases,
@@ -37,7 +45,9 @@ from sparsepaving import (
     SizeMismatch,
     SparsePavingMatroid,
     as_mask,
+    average_ch_intervals,
     basis_predicate,
+    bounds,
     bpg_vertex,
     check_density,
     closure_of,
@@ -49,6 +59,8 @@ from sparsepaving import (
     gabow_cycle,
     gabow_cycle_any,
     graham_sloane,
+    graph_connected,
+    gs_class_sizes,
     is_basis,
     minor,
     random_sparse_paving,
@@ -90,6 +102,51 @@ def test_bitset_input_checks():
     with pytest.raises(ValueError, match="^the empty set has no lowest element$"):
         lowest_element(0)
     assert lowest_element(mask(3, 5)) == 3
+
+
+NEGATIVE_MASK_CALLS = """
+from sparsepaving.bitset import (
+    bits, elements, format_set, iter_elements, lowest_element, positions, subsets,
+)
+calls = [
+    lambda: format_set(-1),
+    lambda: elements(-5),
+    lambda: list(iter_elements(-1)),
+    lambda: bits(-1),
+    lambda: list(subsets(-1, 2)),
+    lambda: lowest_element(-4),
+    lambda: positions(-1),
+]
+for call in calls:
+    try:
+        print(call())
+    except ValueError as e:
+        print(e)
+"""
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_bit_helpers_refuse_negative_masks():
+    """A negative int has infinitely many set bits: walking them never ends,
+    and bits(-1) grows its list until memory runs out.  So the calls run in
+    a child process, under a 1 GiB address-space limit and a time limit.
+    """
+    src = str(Path(sparsepaving.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", NEGATIVE_MASK_CALLS],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+        preexec_fn=_limit_address_space,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "element-set masks are non-negative\n" * 7
 
 
 # -- validation ----------------------------------------------------------------
@@ -538,9 +595,9 @@ def test_explicit_minor_errors():
         PreconditionViolated, match="^kind must be 'delete' or 'contract', got 'truncate'$"
     ):
         explicit_minor(em, "truncate", 0)
-    with pytest.raises(ElementOutOfRange, match=r"^element 4 not in 0\.\.3$"):
+    with pytest.raises(ElementOutOfRange, match=r"^element 4 is not inside 0\.\.3$"):
         explicit_minor(em, "delete", 4)
-    with pytest.raises(ElementOutOfRange, match=r"^element -1 not in 0\.\.3$"):
+    with pytest.raises(ElementOutOfRange, match=r"^element -1 is not inside 0\.\.3$"):
         explicit_minor(em, "contract", -1)
 
 
@@ -561,7 +618,7 @@ def minor_four_way(m, kind, e):
     if kind not in ("delete", "contract"):
         raise PreconditionViolated(f"kind must be 'delete' or 'contract', got {kind!r}")
     if not 0 <= e < m.n:
-        raise ElementOutOfRange(f"element {e} not in 0..{m.n - 1}")
+        raise ElementOutOfRange(f"element {e} is not inside 0..{m.n - 1}")
     bit = 1 << e
     having = [h for h in m.chset if h & bit]
     avoiding = [h for h in m.chset if not h & bit]
@@ -590,7 +647,7 @@ def explicit_minor_four_way(em, kind, e):
     if kind not in ("delete", "contract"):
         raise PreconditionViolated(f"kind must be 'delete' or 'contract', got {kind!r}")
     if not 0 <= e < em.n:
-        raise ElementOutOfRange(f"element {e} not in 0..{em.n - 1}")
+        raise ElementOutOfRange(f"element {e} is not inside 0..{em.n - 1}")
     bit = 1 << e
     label_map = tuple(x for x in range(em.n) if x != e)
     if kind == "delete":
@@ -799,12 +856,96 @@ GATE_CASES = [
         NotBases,
         "block 1,2 is not a basis",
     ),
-    ("minor", lambda: minor(P44, "delete", 4), ElementOutOfRange, "element 4 not in 0..3"),
+    ("minor", lambda: minor(P44, "delete", 4), ElementOutOfRange, "element 4 is not inside 0..3"),
     (
         "explicit_minor",
         lambda: explicit_minor(EXPLICIT_P44, "contract", -1),
         ElementOutOfRange,
-        "element -1 not in 0..3",
+        "element -1 is not inside 0..3",
+    ),
+    (
+        "minor.contract",
+        lambda: minor(P44, "contract", 9),
+        ElementOutOfRange,
+        "element 9 is not inside 0..3",
+    ),
+    (
+        "swap_witnesses.x",
+        lambda: swap_witnesses(P44, {0, 1}, {2, 3}, 9, {2}),
+        ElementOutOfRange,
+        "element 9 is not inside 0..3",
+    ),
+    (
+        "swap_witnesses.candidates",
+        lambda: swap_witnesses(P44, {0, 1}, {2, 3}, 0, {2, 5}),
+        ElementOutOfRange,
+        "candidates 2,5 is not inside 0..3",
+    ),
+    (
+        "graph_connected",
+        lambda: graph_connected(P44, "white_multiset", s=Multiset.from_elements([0, 5])),
+        ElementOutOfRange,
+        "multiset union 0,5 is not inside 0..3",
+    ),
+    # ground sizes and ranks: the constructions, bounds and avg need an element
+    ("graham_sloane", lambda: graham_sloane(0, 0), RangeError, "ground size 0 must be at least 1"),
+    (
+        "random_sparse_paving",
+        lambda: random_sparse_paving(0, 0, seed=0),
+        RangeError,
+        "ground size 0 must be at least 1",
+    ),
+    (
+        "gs_class_sizes",
+        lambda: gs_class_sizes(0, 0),
+        RangeError,
+        "ground size 0 must be at least 1",
+    ),
+    ("bounds", lambda: bounds(0), RangeError, "ground size 0 must be at least 1"),
+    ("bounds", lambda: bounds(5, 7), RankOutOfRange, "rank 7 not in 0..5"),
+    (
+        "average_ch_intervals",
+        lambda: average_ch_intervals(uniform(0, 0)),
+        RangeError,
+        "ground size 0 must be at least 1",
+    ),
+    ("uniform", lambda: uniform(-1, 0), RangeError, "ground size -1 must be at least 0"),
+    ("uniform", lambda: uniform(4, 5), RankOutOfRange, "rank 5 not in 0..4"),
+    (
+        "validate",
+        lambda: validate(SparsePavingMatroid(-1, 0, [])),
+        RangeError,
+        "ground size -1 must be at least 0",
+    ),
+    (
+        "validate",
+        lambda: validate(SparsePavingMatroid(4, 2, [{0, 5}])),
+        ElementOutOfRange,
+        "designated set 0,5 is not inside 0..3",
+    ),
+    (
+        "validate",
+        lambda: validate(SparsePavingMatroid(4, 2, [{0, 1, 2}])),
+        SizeMismatch,
+        "designated set 0,1,2 has size 3, expected 2",
+    ),
+    (
+        "explicit_validate",
+        lambda: explicit_validate(ExplicitMatroid(-1, 0, [])),
+        RangeError,
+        "ground size -1 must be at least 0",
+    ),
+    (
+        "explicit_validate",
+        lambda: explicit_validate(ExplicitMatroid(4, 2, [{0, 5}])),
+        ElementOutOfRange,
+        "basis 0,5 is not inside 0..3",
+    ),
+    (
+        "explicit_validate",
+        lambda: explicit_validate(ExplicitMatroid(4, 2, [{0, 1}, {2}])),
+        SizeMismatch,
+        "basis 2 has size 1, expected 2",
     ),
 ]
 
@@ -819,6 +960,52 @@ def test_argument_gate_words_each_fault_once(call, fault, message):
         call()
     assert type(info.value) is fault
     assert str(info.value) == message
+
+
+GATE_FAULTS = {"RangeError", "RankOutOfRange", "ElementOutOfRange"}
+
+
+def _raised_in(path: Path) -> list[tuple[str, str]]:
+    """(enclosing def or class path, exception name) per `raise Name(...)` in path."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}{child.name}.")
+                continue
+            if (
+                isinstance(child, ast.Raise)
+                and isinstance(child.exc, ast.Call)
+                and isinstance(child.exc.func, ast.Name)
+            ):
+                out.append((scope.rstrip("."), child.exc.func.id))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "")
+    return out
+
+
+def test_ground_rank_and_element_faults_are_raised_in_core_only():
+    """A ground size, rank or element fault raised outside core is a second wording.
+
+    Two stay outside on purpose: zn_census's own 4..24 range, and
+    Multiset's check that each element is a non-negative int, made before
+    any ground set is known.
+    """
+    src = Path(sparsepaving.__file__).parent
+    assert GATE_FAULTS <= {exc for _, exc in _raised_in(src / "core.py")}
+    outside = [
+        (path.name, where, exc)
+        for path in sorted(src.glob("*.py"))
+        if path.name != "core.py"
+        for where, exc in _raised_in(path)
+        if exc in GATE_FAULTS
+    ]
+    assert outside == [
+        ("exchange.py", "Multiset.__init__", "ElementOutOfRange"),
+        ("flats.py", "zn_census", "RangeError"),
+    ]
 
 
 # -- explicit form -------------------------------------------------------------------

@@ -30,7 +30,7 @@ from sparsepaving import (
     InternalCheckError,
     NotBases,
     NotDisjoint,
-    PreconditionViolated,
+    RangeError,
     SparsePavingMatroid,
     TooLarge,
     as_mask,
@@ -113,7 +113,7 @@ def test_average_frozen():
     assert average_ch_intervals(P44) == Fraction(4, 3)
     assert average_ch_intervals(U24) == 0
     assert average_ch_intervals(SparsePavingMatroid(5, 2, [{0, 1}])) == Fraction(1, 2)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(RangeError, match="^ground size 0 must be at least 1$"):
         average_ch_intervals(uniform(0, 0))
 
 

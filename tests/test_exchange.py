@@ -588,11 +588,11 @@ def test_graph_connected_collections_count_against_certify(k, family):
 
 
 def test_graph_connected_collection_input_checks():
-    outside = "^multiset element {} outside the ground set$"
-    with pytest.raises(ElementOutOfRange, match=outside.format(4)):
+    outside = "^multiset union {} is not inside 0..{}$"
+    with pytest.raises(ElementOutOfRange, match=outside.format("0,4", 3)):
         graph_connected(P44, "white_multiset", s=Multiset.from_elements([0, 4]))
     # the element check comes before the rank-zero check
-    with pytest.raises(ElementOutOfRange, match=outside.format(3)):
+    with pytest.raises(ElementOutOfRange, match=outside.format(3, 2)):
         graph_connected(uniform(3, 0), "white_tuple", s=Multiset.from_elements([3]))
     with pytest.raises(PreconditionViolated, match="^rank zero admits only the empty union$"):
         graph_connected(uniform(3, 0), "white_tuple", s=Multiset.from_elements([1]))
@@ -602,7 +602,7 @@ def test_graph_connected_collection_input_checks():
     big = uniform(40, 20)
     with pytest.raises(PreconditionViolated, match="^collection graphs need the multiset union$"):
         graph_connected(big, "white_multiset")
-    with pytest.raises(ElementOutOfRange, match=outside.format(40)):
+    with pytest.raises(ElementOutOfRange, match=outside.format("0,40", 39)):
         graph_connected(big, "white_tuple", s=Multiset.from_elements([0, 40]))
     with pytest.raises(PreconditionViolated, match="^union size is not a multiple of the rank$"):
         graph_connected(big, "white_multiset", s=Multiset.from_elements([0]))

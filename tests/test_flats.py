@@ -14,8 +14,8 @@ from sparsepaving import (
     ElementOutOfRange,
     ExplicitMatroid,
     InternalCheckError,
-    PreconditionViolated,
     RangeError,
+    RankOutOfRange,
     SparsePavingMatroid,
     TooLarge,
     bounds,
@@ -304,9 +304,9 @@ def test_bounds_order_for_supported_range():
 
 
 def test_bounds_errors():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(RangeError, match="^ground size 0 must be at least 1$"):
         bounds(0)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(RankOutOfRange, match=r"^rank 6 not in 0\.\.5$"):
         bounds(5, 6)
     with pytest.raises(RangeError):
         bounds(MAX_GROUND + 1)

@@ -11,8 +11,14 @@ below 1 means the head checkout is faster.
 
 Both sides of a pair run seconds apart in the same process, so a slow
 stretch of a shared host hits both, where whole bench/run.py runs of
-one workload can move by a fifth from run to run.  The figures are
-minima over in-process calls, not the benchmark's end-to-end metrics.
+one workload can move by a fifth from run to run.  The ratios still
+move: five A/A runs of one commit against a second copy of itself read
+0.938-1.028 per kind (walks workload, nine rounds each, 2-CPU shared
+x86-64 host).  So compare two `git archive` copies, never a working
+tree, which read 3-5% high against a copy of the same files; and
+before calling a 3-5% move, alternate several A/A and A/B runs and
+read the A/B ratios against the A/A spread.  The figures are minima
+over in-process calls, not the benchmark's end-to-end metrics.
 The outputs of the two sides are compared by their rendered form
 (Op.render) on the warm-up call; any mismatch is printed, and the exit
 code is then 1.
