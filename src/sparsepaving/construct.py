@@ -6,6 +6,12 @@ differ in exactly one element, so their sums land in different classes;
 every class is therefore a valid designated-set family, and the largest
 class has at least binomial(n, r) / n members.
 
+So a built class is certified by its residues, not by validate
+(check_class): each set has r elements inside 0..n-1 and sum c mod n,
+and there are as many as Graham and Sloane's divisor sum gives class c.
+Those sets are then exactly class c, separated by the theorem above,
+and a basis is left unless the class has all binomial(n, r) r-sets.
+
 A class is built without visiting the other n - 1: the ground set is
 split in half, and the j-subsets of the low half, bucketed by sum mod
 n, are joined with the (r - j)-subsets of the high half whose sums
@@ -26,9 +32,9 @@ import sys
 from itertools import combinations, filterfalse
 from math import comb, gcd
 
-from .bitset import bits, subset_masks, subsets
+from .bitset import bits, format_set, iter_elements, subset_masks, subsets
 from .core import MAX_EXPLICIT_WORK, SparsePavingMatroid, check_rank, validate
-from .errors import InternalCheckError, ResidueOutOfRange, TooLarge
+from .errors import InternalCheckError, NoBasis, ResidueOutOfRange, TooLarge
 
 
 def graham_sloane(
@@ -39,10 +45,11 @@ def graham_sloane(
     c defaults to a largest class (gs_best_class), picked only after the
     cap check.  Only class c is enumerated, by splitting the ground set
     in half (see _class_masks), so memory stays O(class size) and the
-    work stays within the C(n, r) that the cap bounds.  The class must
-    have the size gs_class_sizes gives it, and the result is validated
-    before returning; the only way a class can fail validation is by
-    designating every r-set, which needs binomial(n, r) = 1.
+    work stays within the C(n, r) that the cap bounds.  The result is
+    certified by check_class, not by validate: a family that is exactly
+    class c is separated by Graham and Sloane's theorem, so the only
+    way it can fail to be sparse paving is by designating every r-set,
+    which needs binomial(n, r) = 1 and raises NoBasis.
     """
     check_rank(n, r, 1)
     if comb(n, r) > cap:
@@ -51,13 +58,72 @@ def graham_sloane(
         c = gs_best_class(n, r)[0]
     if not 0 <= c < n:
         raise ResidueOutOfRange(f"residue {c} not in 0..{n - 1}")
-    masks = _class_masks(0, n, r, c, n)
-    size = gs_class_sizes(n, r)[c]
-    if len(masks) != size:
-        raise InternalCheckError(f"class {c} has {len(masks)} r-sets, not {size}")
-    m = SparsePavingMatroid(n, r, masks)
-    validate(m)
+    m = SparsePavingMatroid(n, r, _class_masks(0, n, r, c, n))
+    check_class(m, c)
     return m
+
+
+def check_class(m: SparsePavingMatroid, c: int) -> None:
+    """Certify that m designates exactly residue class c of its (n, r).
+
+    Every set must have r elements, all inside 0..n-1, and element sum
+    c mod n, and the sets must number gs_class_sizes(n, r)[c]: then they
+    are all of class c, so separated, and InternalCheckError names the
+    first fault otherwise.  The count is taken after the constructor's
+    dedup, so a repeated set is caught too.  A class of all C(n, r)
+    r-sets leaves no basis: NoBasis.  The sums come from _residues,
+    which reads the labels alone, not _class_masks' buckets.
+    """
+    n, r, chset = m.n, m.r, m.chset
+    # chset ascends, so its last mask is the largest
+    if chset and chset[-1] >> n or set(map(int.bit_count, chset)) - {r}:
+        h = next(h for h in chset if h >> n or h.bit_count() != r)
+        raise InternalCheckError(
+            f"class {c} set {format_set(h)} is not {r} elements of 0..{n - 1}"
+        )
+    sums = _residues(n, r, chset)
+    if set(sums) - {c}:
+        s, h = next((s, h) for s, h in zip(sums, chset) if s != c)
+        raise InternalCheckError(f"class {c} set {format_set(h)} sums to {s} mod {n}")
+    size = gs_class_sizes(n, r)[c]
+    if len(chset) != size:
+        raise InternalCheckError(f"class {c} has {len(chset)} r-sets, not {size}")
+    if size >= comb(n, r):
+        raise NoBasis(f"all {size} r-subsets are designated dependent")
+
+
+def _residues(n: int, r: int, sets: tuple[int, ...]) -> list[int]:
+    """Each set's element sum mod n, for r-subsets of 0..n-1.
+
+    Look the low and high halves of each mask up in two tables of
+    subset sums when the larger table has at most twice as many entries
+    as the sets hold elements: filling an entry costs about a sixth of
+    summing an element, and the tables stay within a small multiple of
+    the family's size.  Otherwise sum the elements, or for 2r > n the
+    fewer elements of the complement.  Measured near the crossover,
+    tables against element sums: (30, 5) 1.5 against 2.9 ms, (34, 5)
+    6.1 against 6.5 ms, (30, 4) 1.2 against 0.5 ms.
+    """
+    k = n // 2
+    if 1 << (n - k) <= 2 * len(sets) * min(r, n - r):
+        low, high, lows = _sum_table(0, k), _sum_table(k, n), (1 << k) - 1
+        return [(low[h & lows] + high[h >> k]) % n for h in sets]
+    if 2 * r > n:
+        ground, total = (1 << n) - 1, n * (n - 1) // 2
+        return [(total - sum(iter_elements(ground ^ h))) % n for h in sets]
+    return [sum(iter_elements(h)) % n for h in sets]
+
+
+def _sum_table(lo: int, hi: int) -> list[int]:
+    """table[b]: the element sum of the subset of lo..hi-1 whose mask is b << lo.
+
+    Filled one element at a time: the subsets holding e are those
+    without it, shifted up by e's bit, with e added to their sums.
+    """
+    table = [0]
+    for e in range(lo, hi):
+        table += [s + e for s in table]
+    return table
 
 
 def _class_masks(lo: int, hi: int, r: int, c: int, n: int) -> list[int]:

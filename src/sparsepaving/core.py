@@ -111,15 +111,28 @@ def check_rank(n: int, r: int | None, least: int = 0) -> None:
 
 def _check_subset(m_n: int, s: int, what: str = "set") -> None:
     if s >> m_n:
-        raise ElementOutOfRange(f"{what} {format_set(s)} is not inside 0..{m_n - 1}")
+        raise _outside(m_n, iter_elements(s), what)
+
+
+def _outside(n: int, elements: Iterable[int], what: str) -> ElementOutOfRange:
+    return ElementOutOfRange(f"{what} {','.join(map(str, elements))} is not inside 0..{n - 1}")
 
 
 def _as_subset(n: int, s: ElementSet | Iterable[int], what: str = "set") -> int:
-    """s as a mask, refused unless it lies inside {0, .., n-1}."""
-    s = as_mask(s)  # which refuses negative masks
-    if s >> n:
-        _check_subset(n, s, what)
-    return s
+    """s as a mask, refused unless it lies inside {0, .., n-1}.
+
+    An iterable's elements are compared with n before any is shifted, so
+    a huge element is refused without building a mask as wide as it.
+    """
+    if isinstance(s, int):
+        if s < 0 or s >> n:
+            _check_subset(n, as_mask(s), what)  # as_mask refuses a negative mask
+        return s
+    s = tuple(s)
+    if any(isinstance(e, int) and e >= n for e in s):
+        as_mask(e for e in s if not isinstance(e, int) or e < n)  # names a bad type first
+        raise _outside(n, sorted({int(e) for e in s}), what)
+    return as_mask(s)
 
 
 def _check_bases(m, sets: Iterable, what: str = "set") -> tuple[int, ...]:
@@ -131,9 +144,8 @@ def _check_bases(m, sets: Iterable, what: str = "set") -> tuple[int, ...]:
     pred, n, _ = basis_predicate(m)
     masks = []
     for s in sets:
-        s = as_mask(s)
-        if s >> n or not pred(s):
-            _check_subset(n, s, what)  # a range fault is named first
+        s = _as_subset(n, s, what)  # a range fault is named first
+        if not pred(s):
             raise NotBases(f"{what} {format_set(s)} is not a basis")
         masks.append(s)
     return tuple(masks)

@@ -1052,6 +1052,13 @@ def _drop_last_line(text):
     return text[: text.rindex("\n", 0, -1) + 1]
 
 
+def _first_set_to_another_class(out):
+    # _class_masks recurses through the patched name, so only the call
+    # that returns the whole class of (9, 4), 14 sets, is changed: its
+    # first set 0,4,6,8 becomes 0,4,6,7, of residue 8
+    return [out[0] ^ 0b110000000, *out[1:]] if len(out) == 14 else out
+
+
 def _last_element_out_of_range(text):
     head, _, last = text[:-1].rpartition(" ")
     n = int(text.split("\n")[1].split()[1])
@@ -1223,6 +1230,14 @@ def _last_element_out_of_range(text):
             None,
             "output does not re-read: line 4: expected 4 elements, got 3",
         ),
+        # a residue class enumerated with one set of another residue
+        (
+            "construct._class_masks",
+            _first_set_to_another_class,
+            ["gen", "gs", "--n", "9", "--r", "4"],
+            None,
+            "class 0 set 0,4,6,7 sums to 8 mod 9",
+        ),
     ],
     ids=[
         "order-cyclic",
@@ -1246,6 +1261,7 @@ def _last_element_out_of_range(text):
         "emit-dropped-line",
         "emit-out-of-range",
         "emit-label-table",
+        "gen-gs-wrong-residue",
     ],
 )
 def test_cli_failed_certificate_exits_3(

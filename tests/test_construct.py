@@ -28,7 +28,7 @@ from sparsepaving import (
     subset_masks,
     validate,
 )
-from sparsepaving.bitset import iter_elements
+from sparsepaving.bitset import iter_elements, swap
 from sparsepaving.flats import zn_census
 
 
@@ -109,6 +109,56 @@ def test_graham_sloane_checks_the_class_size(monkeypatch):
     monkeypatch.setattr(construct, "_class_masks", one_short)
     with pytest.raises(InternalCheckError, match="^class 0 has 13 r-sets, not 14$"):
         graham_sloane(9, 4, 0)
+
+
+# class 0 of (9, 4) as _class_masks lists it starts with 0,4,6,8 then 0,5,6,7
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        # 0,4,6,7 sums to 17: another class, and the count is unchanged
+        (lambda out: [swap(out[0], 8, 7), *out[1:]], "class 0 set 0,4,6,7 sums to 8 mod 9"),
+        # the constructor drops the repeat, so the family is one short
+        (lambda out: [out[1], *out[1:]], "class 0 has 13 r-sets, not 14"),
+        (lambda out: [out[0] | 0b10, *out[1:]], "class 0 set 0,1,4,6,8 is not 4 elements of 0..8"),
+        (
+            lambda out: [swap(out[0], 8, 9), *out[1:]],
+            "class 0 set 0,4,6,9 is not 4 elements of 0..8",
+        ),
+    ],
+    ids=["wrong-residue", "duplicate", "wrong-size", "out-of-range"],
+)
+def test_graham_sloane_certifies_the_class(monkeypatch, fault, message):
+    """Each fault in the enumerated class fails check_class, which replaced validate."""
+    class_masks = construct._class_masks
+
+    def faulty(lo, hi, r, c, n):
+        out = class_masks(lo, hi, r, c, n)
+        return fault(out) if (lo, hi) == (0, n) else out
+
+    monkeypatch.setattr(construct, "_class_masks", faulty)
+    with pytest.raises(InternalCheckError) as err:
+        graham_sloane(9, 4, 0)
+    assert str(err.value) == message
+
+
+def test_graham_sloane_runs_no_validate(monkeypatch):
+    def refuse(m):
+        raise AssertionError("validate called")
+
+    monkeypatch.setattr(construct, "validate", refuse)
+    assert graham_sloane(4, 2, 3) == P44
+    assert len(graham_sloane(22, 7, 3).chset) == gs_class_sizes(22, 7)[3]
+
+
+def test_residues_match_a_plain_sum_on_both_paths():
+    """Sum tables ((9, 4) to (28, 5)) and element sums (the rest, (40, 36) by complement)."""
+    for n, r, c in [(9, 4, 0), (22, 7, 3), (28, 5, 2), (5, 1, 4), (30, 4, 1), (40, 36, 7)]:
+        sets = tuple(construct._class_masks(0, n, r, c, n))
+        plain = [sum(e for e in range(n) if h >> e & 1) % n for h in sets]
+        assert construct._residues(n, r, sets) == plain == [c] * len(sets), (n, r, c)
+        flipped = tuple(h ^ 0b11 for h in sets)  # elements 0 and 1 traded or toggled
+        plain = [sum(e for e in range(n) if h >> e & 1) % n for h in flipped]
+        assert construct._residues(n, r, flipped) == plain, (n, r, c)
 
 
 def test_classes_partition_all_subsets():
@@ -266,8 +316,9 @@ def test_graham_sloane_near_full_rank_is_fast():
 def test_graham_sloane_large_ground_memory():
     """The buckets stay near the class size: peak within 5x the class's masks.
 
-    The peak, validate's hash of (r-1)-subsets included, is about 3.4x
-    the bytes of the 2,048 masks the class holds.
+    The peak, reached while _class_masks joins its buckets, is about
+    3.4x the bytes of the 2,048 masks the class holds; the residue check
+    that follows peaks near 0.4x.
     """
     m = graham_sloane(4096, 2, 5)  # warm caches, so only the build is traced
     held = sys.getsizeof(m.chset) + sum(map(sys.getsizeof, m.chset))

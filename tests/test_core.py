@@ -129,24 +129,82 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_bit_helpers_refuse_negative_masks():
-    """A negative int has infinitely many set bits: walking them never ends,
-    and bits(-1) grows its list until memory runs out.  So the calls run in
-    a child process, under a 1 GiB address-space limit and a time limit.
-    """
+def _run_limited(code: str) -> subprocess.CompletedProcess:
+    """Run code in a child process under a 1 GiB address-space limit and a 10 s timeout."""
     src = str(Path(sparsepaving.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", NEGATIVE_MASK_CALLS],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=env,
         timeout=10,
         preexec_fn=_limit_address_space,
     )
+
+
+def test_bit_helpers_refuse_negative_masks():
+    """A negative int has infinitely many set bits: walking them never ends,
+    and bits(-1) grows its list until memory runs out.  So the calls run in
+    a child process, under a 1 GiB address-space limit and a time limit.
+    """
+    out = _run_limited(NEGATIVE_MASK_CALLS)
     assert (out.returncode, out.stderr) == (0, "")
     assert out.stdout == "element-set masks are non-negative\n" * 7
+
+
+# (entry, call, message): each call passes element 10**10 as an iterable,
+# which as_mask would turn into a 1.25 GB mask before the range check
+WIDE_ELEMENT_CALLS = [
+    ("is_basis", "is_basis(uniform(4, 2), {0, W})", "set 0,W is not inside 0..3"),
+    ("rank_of", "rank_of(uniform(4, 2), [W, 0])", "set 0,W is not inside 0..3"),
+    (
+        "bpg_vertex",
+        "bpg_vertex(uniform(4, 2), [0, W], [1, 2], [3])",
+        "block 0,W is not inside 0..3",
+    ),
+    (
+        "white_moves",
+        "white_moves(uniform(4, 2), [[0, 1], [2, W]], [[0, 2], [1, 3]])",
+        "src member 2,W is not inside 0..3",
+    ),
+    (
+        "graph_connected",
+        'graph_connected(uniform(4, 2), "white_multiset", Multiset.from_elements([0, W]))',
+        "multiset union 0,W is not inside 0..3",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [row[1:] for row in WIDE_ELEMENT_CALLS],
+    ids=[row[0] for row in WIDE_ELEMENT_CALLS],
+)
+def test_wide_elements_are_refused_before_any_mask(call, message):
+    """In a limited child, so that a mask as wide as the element fails as
+    MemoryError or a timeout.
+    """
+    out = _run_limited(
+        "from sparsepaving import ElementOutOfRange, Multiset, bpg_vertex, graph_connected, "
+        "is_basis, rank_of, uniform, white_moves\n"
+        "W = 10**10\n"
+        "try:\n"
+        f"    {call}\n"
+        "except ElementOutOfRange as e:\n"
+        "    print(e)\n"
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == message.replace("W", str(10**10)) + "\n"
+
+
+def test_a_bad_element_is_named_before_a_wide_one():
+    for bad in ("1", -1, 0.5):
+        with pytest.raises(ValueError, match="^elements are non-negative integers$"):
+            is_basis(uniform(4, 2), [10**6, bad])
+    with pytest.raises(ElementOutOfRange, match="^set 0,1,1000000 is not inside 0..3$"):
+        rank_of(uniform(4, 2), (10**6, True, 0, 10**6))
 
 
 # -- validation ----------------------------------------------------------------
