@@ -43,7 +43,7 @@ class SparsePavingMatroid:
     def __init__(self, n: int, r: int, chset: Iterable[ElementSet] = ()) -> None:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "r", int(r))
-        canon = tuple(sorted({as_mask(h) for h in chset}))
+        canon = tuple(sorted(_member_masks(self.n, chset, "designated set")))
         object.__setattr__(self, "chset", canon)
         object.__setattr__(self, "_index", frozenset(canon))
 
@@ -69,7 +69,7 @@ class ExplicitMatroid:
     def __init__(self, n: int, r: int, bases: Iterable[ElementSet]) -> None:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "r", int(r))
-        object.__setattr__(self, "bases", frozenset(as_mask(b) for b in bases))
+        object.__setattr__(self, "bases", frozenset(_member_masks(self.n, bases, "basis")))
 
     @property
     def ground(self) -> int:
@@ -128,11 +128,35 @@ def _as_subset(n: int, s: ElementSet | Iterable[int], what: str = "set") -> int:
         if s < 0 or s >> n:
             _check_subset(n, as_mask(s), what)  # as_mask refuses a negative mask
         return s
+    return _elements_below(n, s, what, n)
+
+
+def _elements_below(n: int, s: Iterable[int], what: str, limit: int) -> int:
+    """The mask of the elements s, refused as outside 0..n-1 if one reaches limit.
+
+    The elements are compared with limit before any is shifted.
+    """
     s = tuple(s)
-    if any(isinstance(e, int) and e >= n for e in s):
-        as_mask(e for e in s if not isinstance(e, int) or e < n)  # names a bad type first
+    if any(isinstance(e, int) and e >= limit for e in s):
+        as_mask(e for e in s if not isinstance(e, int) or e < limit)  # names a bad type first
         raise _outside(n, sorted({int(e) for e in s}), what)
     return as_mask(s)
+
+
+def _member_masks(n: int, sets: Iterable, what: str) -> set[int]:
+    """A constructor's members as masks.
+
+    An int mask is taken as as_mask takes it.  An iterable is refused
+    before any shift only if an element reaches max(n, MAX_GROUND); a
+    smaller range fault is left to validate, which orders its checks.
+    """
+    limit = max(n, MAX_GROUND)
+    return {
+        _elements_below(n, s, what, limit) if not isinstance(s, int)
+        else s if s >= 0
+        else as_mask(s)  # refuses the negative mask
+        for s in sets
+    }
 
 
 def _check_bases(m, sets: Iterable, what: str = "set") -> tuple[int, ...]:

@@ -19,6 +19,7 @@ because it would contradict those guarantees.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
@@ -289,7 +290,7 @@ def bpg_path(m, u: BasisPairVertex, v: BasisPairVertex) -> list[BasisPairVertex]
 # -- collection moves ---------------------------------------------------------
 
 
-def _apply_positions(m, members: list[int], move: Move) -> None:
+def _apply_positions(pred: Callable[[int], bool], members: list[int], move: Move) -> None:
     i, j, x, y = move
     if not (0 <= i < j < len(members)):
         raise ExchangeViolation(f"move indices ({i}, {j}) out of range")
@@ -299,7 +300,6 @@ def _apply_positions(m, members: list[int], move: Move) -> None:
         raise ExchangeViolation(f"element {x} is not in member {i} only")
     if not bj & yb or bi & yb:
         raise ExchangeViolation(f"element {y} is not in member {j} only")
-    pred, _, _ = basis_predicate(m)
     nbi, nbj = swap(bi, x, y), swap(bj, y, x)
     if not pred(nbi) or not pred(nbj):
         raise ExchangeViolation(f"move {i}:{j}:{x}:{y} does not map bases to bases")
@@ -309,14 +309,14 @@ def _apply_positions(m, members: list[int], move: Move) -> None:
 def apply_white_move(m, state: Sequence[ElementSet], move: Move) -> tuple[int, ...]:
     """Apply one move to a multiset state in canonical (sorted) order."""
     members = sorted(as_mask(b) for b in state)
-    _apply_positions(m, members, move)
+    _apply_positions(basis_predicate(m)[0], members, move)
     return tuple(sorted(members))
 
 
 def apply_tuple_move(m, state: Sequence[ElementSet], move: Move) -> tuple[int, ...]:
     """Apply one move to an ordered state; positions are literal."""
     members = [as_mask(b) for b in state]
-    _apply_positions(m, members, move)
+    _apply_positions(basis_predicate(m)[0], members, move)
     return tuple(members)
 
 
@@ -332,13 +332,14 @@ def check_moves(m, src, dst, moves: Sequence[Move], ordered: bool) -> None:
     bound = 4 * len(src) * m.r
     if len(moves) > bound:
         raise InternalCheckError(f"{len(moves)} moves exceed 4kr = {bound}")
+    pred = basis_predicate(m)[0]
     cur = [as_mask(b) for b in src]
     want = [as_mask(b) for b in dst]
     if not ordered:
         cur.sort()
         want.sort()
     for mv in moves:
-        _apply_positions(m, cur, mv)
+        _apply_positions(pred, cur, mv)
         if not ordered:
             cur.sort()
     if cur != want:
@@ -358,34 +359,45 @@ class _Side:
     """One endpoint's evolving multiset, with its move log.
 
     undo[t] reverses moves[t] on the state that move left.  act counts
-    the members not yet matched with the other side; touched collects
-    the values whose act count changed since the caller last cleared it.
+    the members not yet matched with the other side.  arrived collects
+    the values whose act count rose from 0 and left those whose count
+    fell to 0, since the caller last cleared them; a value may sit in
+    both.  A side serves one walk on one matroid, so push builds the
+    basis predicate on its first move and keeps it.
     """
 
     def __init__(self, members: tuple[int, ...]):
         self.state = members
         self.act = Counter(members)
-        self.touched: set[int] = set()
+        self.arrived: set[int] = set()
+        self.left: set[int] = set()
         self.moves: list[Move] = []
         self.undo: list[Move] = []
+        self.pred: Callable[[int], bool] | None = None
 
     def _count(self, v: int, delta: int) -> None:
-        c = self.act[v] + delta
+        # get and pop skip Counter's __missing__ and __delitem__
+        act = self.act
+        c = act.get(v, 0) + delta
         if c:
-            self.act[v] = c
+            if c == delta:  # rose from 0
+                self.arrived.add(v)
+            act[v] = c
         else:
-            del self.act[v]
-        self.touched.add(v)
+            act.pop(v)
+            self.left.add(v)
 
     def match(self, v: int) -> None:
         self._count(v, -1)
 
     def push(self, m, vi: int, vj: int, x: int, y: int) -> tuple[int, int]:
         """Exchange x of member vi for y of member vj; returns their new values."""
+        if self.pred is None:
+            self.pred = basis_predicate(m)[0]
         nvi, nvj = swap(vi, x, y), swap(vj, y, x)
         mv = _mk_move(self.state, vi, vj, x, y)
         members = list(self.state)
-        _apply_positions(m, members, mv)
+        _apply_positions(self.pred, members, mv)
         self._count(vi, -1)
         self._count(vj, -1)
         self._count(members[mv.i], 1)
@@ -509,15 +521,24 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     smallest dst member.  Equal members are matched and leave the
     search; otherwise one of the two is advanced toward the other.
     The bound table best holds one (distance, src, dst) tuple per
-    unmatched src value, whose order is that tie-break, so memory is
-    O(k) for k members.  best[a] is a lower bound on the nearest pair
-    of the src value a: a dst value that appears lowers it where it is
-    nearer, and one that leaves changes nothing, so the bound is exact
-    while its dst member is still unmatched.  Each round takes the least
-    bound; one whose dst member has left is rescanned against the
-    unmatched dst values and the round retries.  So the bound taken is
-    exact and at most every other bound, hence at most every other
-    pair: the global minimum.
+    unmatched src value, whose order is that tie-break.  best[a] is a
+    lower bound on the nearest pair of the src value a: it was the
+    exact nearest pair over every dst value present when it was set,
+    and each dst value that arrived since lowered it where nearer.  A
+    dst value that only gains a copy, or leaves, changes nothing, so
+    only arrivals touch the table: a dst arrival lowers bounds, a src
+    value that leaves drops its bound, and a src arrival gets a fresh
+    nearest scan.  The bound is exact while its dst member is still
+    unmatched.  Each round takes the least bound; one whose dst member
+    has left is rescanned against the unmatched dst values and the
+    round retries.  So the bound taken is exact and at most every other
+    bound, hence at most every other pair: the global minimum.
+
+    The least bound comes from a min-heap that gets each bound as it is
+    set or lowered.  A top that no longer equals its table entry is
+    outdated and discarded, which is not a round.  The heap is rebuilt
+    from the table once it holds more than twice as many entries, so
+    memory stays O(k) for k members.
     """
     s_members = tuple(sorted(_check_bases(m, src, "src member")))
     d_members = tuple(sorted(_check_bases(m, dst, "dst member")))
@@ -535,18 +556,28 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
         return min(((a ^ b).bit_count(), a, b) for b in targets)
 
     best = {a: nearest(a) for a in side_s.act}
+    heap = list(best.values())
+    heapq.heapify(heap)
     # a round matches (k times), advances (each makes some of the at most
     # 4kr moves) or rescans a stale bound: at most k in a row, since only
     # the other two make a bound stale
     k = len(s_members)
     rounds = (k + 4 * k * m.r) * (k + 1)
     while best:
+        if len(heap) > 2 * len(best):
+            heap = list(best.values())
+            heapq.heapify(heap)
+        top = heap[0]
+        dist, a_val, b_val = top
+        if best.get(a_val) != top:  # outdated: lowered or dropped since
+            heapq.heappop(heap)
+            continue
         rounds -= 1
         if rounds < 0:
             raise InternalCheckError("collection walk overran its round bound")
-        dist, a_val, b_val = min(best.values())
         if b_val not in targets:  # stale: its dst member has left
-            best[a_val] = nearest(a_val)
+            best[a_val] = bound = nearest(a_val)
+            heapq.heappush(heap, bound)
             continue
         if dist == 0:
             side_s.match(a_val)
@@ -562,19 +593,24 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
                 _advance(m, a_val, b_val, side_d)
             else:
                 _advance(m, b_val, a_val, side_s)
-        for a in side_s.touched:
+        for a in side_s.left:
             if a not in side_s.act:
-                best.pop(a, None)
-            elif a not in best:
-                best[a] = nearest(a)
-        side_s.touched.clear()
-        for b in side_d.touched:
+                best.pop(a, None)  # None: it arrived and left this round
+        for a in side_s.arrived:
+            if a in side_s.act and a not in best:
+                best[a] = bound = nearest(a)
+                heapq.heappush(heap, bound)
+        for b in side_d.arrived:
             if b in targets:
                 for a, bound in best.items():
-                    cand = ((a ^ b).bit_count(), a, b)
-                    if cand < bound:
-                        best[a] = cand
-        side_d.touched.clear()
+                    d = (a ^ b).bit_count()
+                    # most bounds are nearer: the tuple is built only on a tie or a win
+                    if d <= bound[0] and (d, a, b) < bound:
+                        best[a] = cand = (d, a, b)
+                        heapq.heappush(heap, cand)
+        for side in (side_s, side_d):
+            side.arrived.clear()
+            side.left.clear()
 
     result = side_s.moves + side_d.undo[::-1]
     check_moves(m, s_members, d_members, result, ordered=False)

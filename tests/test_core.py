@@ -174,6 +174,12 @@ WIDE_ELEMENT_CALLS = [
         'graph_connected(uniform(4, 2), "white_multiset", Multiset.from_elements([0, W]))',
         "multiset union 0,W is not inside 0..3",
     ),
+    (
+        "SparsePavingMatroid",
+        "SparsePavingMatroid(4, 2, [{0, W}])",
+        "designated set 0,W is not inside 0..3",
+    ),
+    ("ExplicitMatroid", "ExplicitMatroid(4, 2, [{0, W}])", "basis 0,W is not inside 0..3"),
 ]
 
 
@@ -187,8 +193,9 @@ def test_wide_elements_are_refused_before_any_mask(call, message):
     MemoryError or a timeout.
     """
     out = _run_limited(
-        "from sparsepaving import ElementOutOfRange, Multiset, bpg_vertex, graph_connected, "
-        "is_basis, rank_of, uniform, white_moves\n"
+        "from sparsepaving import ElementOutOfRange, ExplicitMatroid, Multiset, "
+        "SparsePavingMatroid, bpg_vertex, graph_connected, is_basis, rank_of, uniform, "
+        "white_moves\n"
         "W = 10**10\n"
         "try:\n"
         f"    {call}\n"

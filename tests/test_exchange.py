@@ -1452,12 +1452,14 @@ def test_white_moves_fails_fast_when_advance_makes_no_move(monkeypatch):
 
 
 def test_white_moves_memory_stays_linear_in_k():
-    """The bound table holds one entry per unmatched src value, so memory is O(k).
+    """The bound table holds one entry per unmatched src value, and the heap
+    is rebuilt from it once it holds more than twice as many, so memory is O(k).
 
-    A k = 256 walk on gs22_8 peaks at about 0.21 MiB under tracemalloc
-    (0.30 MiB at k = 512, which takes 2 s traced on a 2-vCPU x86-64
+    A k = 256 walk on gs22_8 peaks at about 0.20 MiB under tracemalloc
+    (0.34 MiB at k = 512, which takes about 1 s traced on a 2-vCPU x86-64
     host).  A never-pruned queue that gains a new entry per live src
-    value every round peaks at about 3.6 MiB.
+    value every round peaks at about 3.6 MiB; the heap gains one only
+    when a bound is set or lowered.
     """
     m = gs_best(22, 8)
     src, dst = _frozen_instance(m, 256, "memory k=256")
