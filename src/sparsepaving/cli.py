@@ -1,12 +1,13 @@
 """Command line front end (installed as `spm`).
 
 Every subcommand is deterministic for a fixed argv, input files, and
-seed.  Anything the tool prints as a result is re-verified first by the
-checker that sits next to the algorithm that built it (window bases,
-block order, density witness, walk steps, move replay, flat
-definition, bound ceiling), never trusted straight from the search, and
-every matroid it writes is re-read and validated; a failed check exits
-with code 3.
+seed.  A result is re-verified before it is printed, by the checker next
+to the algorithm that built it (window bases, block order, density
+witness, walk steps, move replay, flat definition, bound ceiling), and
+every matroid written is re-read and validated; a failed check exits 3.
+Not certified: the `connected` and `oracle connected` lines, printed as
+graph_connected returns them; the `census` rows; the completeness of
+`flats`, which only a second cyclic_flats_of run confirms; and `avg`.
 """
 
 from __future__ import annotations

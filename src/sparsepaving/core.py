@@ -159,13 +159,8 @@ def _member_masks(n: int, sets: Iterable, what: str) -> set[int]:
     }
 
 
-def _check_bases(m, sets: Iterable, what: str = "set") -> tuple[int, ...]:
-    """Each of sets as a mask, refused unless it is a basis of m.
-
-    One basis predicate serves every set: building it costs more than
-    checking one, and a collection walk passes k members.
-    """
-    pred, n, _ = basis_predicate(m)
+def _check_bases(pred, n: int, sets: Iterable, what: str = "set") -> tuple[int, ...]:
+    """Each of sets as a mask, refused unless it lies in 0..n-1 and is a basis by pred."""
     masks = []
     for s in sets:
         s = _as_subset(n, s, what)  # a range fault is named first
@@ -358,18 +353,18 @@ def swap_witnesses(
     """
     if not isinstance(m, SparsePavingMatroid):
         raise TypeError(f"expected a SparsePavingMatroid, got {type(m).__name__}")
-    b1, b2 = _check_bases(m, (b1, b2))
-    cand = _as_subset(m.n, candidates, "candidates")
-    _check_element(m.n, x)
+    pred, n, _ = basis_predicate(m)
+    b1, b2 = _check_bases(pred, n, (b1, b2))
+    cand = _as_subset(n, candidates, "candidates")
+    _check_element(n, x)
     xb = 1 << x
     if not (b1 & xb) or (b2 & xb):
         raise PreconditionViolated(f"element {x} is not in b1 - b2")
     if cand & ~(b2 & ~b1):
         raise PreconditionViolated("candidates must be a subset of b2 - b1")
     out = 0
-    idx = m._index
     for y in iter_elements(cand):
-        if swap(b1, x, y) not in idx and swap(b2, y, x) not in idx:
+        if pred(swap(b1, x, y)) and pred(swap(b2, y, x)):
             out |= 1 << y
     return out
 

@@ -176,7 +176,7 @@ def _rank_two_order(m: SparsePavingMatroid) -> tuple[int, ...]:
     return (*firsts, *free, *seconds)
 
 
-def _near_witness_cycle(m: SparsePavingMatroid, seed: int) -> tuple[int, ...]:
+def _near_witness_cycle(pred, n: int, r: int, seed: int) -> tuple[int, ...]:
     """A cycle with at most one dependent window, by seeded sampling.
 
     Needs 2r <= n and r >= 3.  Each window of a uniform cycle is a
@@ -188,7 +188,6 @@ def _near_witness_cycle(m: SparsePavingMatroid, seed: int) -> tuple[int, ...]:
     probability at most e^(-128n / (n+2)) <= e^(-96), as n >= 6.
     Running out means the sampler is broken.
     """
-    pred, n, r = basis_predicate(m)
     rng = random.Random(seed)
     work = list(range(n))
     for _ in range(64 * n):
@@ -198,8 +197,7 @@ def _near_witness_cycle(m: SparsePavingMatroid, seed: int) -> tuple[int, ...]:
     raise InternalCheckError("sampling cap hit while looking for a near-witness cycle")
 
 
-def _repair_single_window(m: SparsePavingMatroid, cand: tuple[int, ...]) -> tuple[int, ...]:
-    pred, n, r = basis_predicate(m)
+def _repair_single_window(pred, n: int, r: int, cand: tuple[int, ...]) -> tuple[int, ...]:
     bad = _dependent_windows(pred, n, r, cand)
     if not bad:
         return cand
@@ -222,7 +220,7 @@ def find_cyclic_order(m: SparsePavingMatroid, seed: int = 0):
     ok, _ = check_density(m)
     if not ok:
         return None
-    n, r = m.n, m.r
+    pred, n, r = basis_predicate(m)
     if not m.chset:
         return tuple(range(n))
     if 2 * r > n:
@@ -233,7 +231,7 @@ def find_cyclic_order(m: SparsePavingMatroid, seed: int = 0):
     else:
         # density with a dependent set present forces r >= 3 here, and
         # 2r <= n then forces n - r >= 3
-        out = _repair_single_window(m, _near_witness_cycle(m, seed))
+        out = _repair_single_window(pred, n, r, _near_witness_cycle(pred, n, r, seed))
     check_cyclic_order(m, out)
     return out
 
@@ -252,11 +250,10 @@ def check_cyclic_order(m, order) -> None:
 # -- two contiguous blocks from a disjoint basis pair -------------------------
 
 
-def _problem_positions(m, b: list, c: list) -> list[int] | None:
+def _problem_positions(pred, r: int, b: list, c: list) -> list[int] | None:
     # None if a window starting in the first block fails, else the failing
     # windows starting in the second block.  None of them is the block
     # itself, at r: it is the basis _disjoint_bases checked, in some order
-    pred, _, r = basis_predicate(m)
     bad = _dependent_windows(pred, 2 * r, r, b + c)
     return None if bad and bad[0] < r else [p - r for p in bad]
 
@@ -267,8 +264,8 @@ def _swapped(seq: list, i: int, j: int) -> list:
     return t
 
 
-def _disjoint_bases(m, b1, b2) -> tuple[int, int]:
-    b1m, b2m = _check_bases(m, (b1, b2), "block")
+def _disjoint_bases(pred, n: int, b1, b2) -> tuple[int, int]:
+    b1m, b2m = _check_bases(pred, n, (b1, b2), "block")
     if b1m & b2m:
         raise NotDisjoint(f"{format_set(b1m)} and {format_set(b2m)} share elements")
     return b1m, b2m
@@ -294,10 +291,11 @@ def gabow_cycle(m: SparsePavingMatroid, b1, b2) -> tuple[int, ...]:
     Requires the two bases to partition the ground set, so n = 2r;
     gabow_cycle_any drops that requirement.
     """
-    b1m, b2m = _disjoint_bases(m, b1, b2)
+    pred, n, r = basis_predicate(m)
+    b1m, b2m = _disjoint_bases(pred, n, b1, b2)
     if b1m | b2m != m.ground:
         raise GroundSetMismatch("bases do not cover the ground set; use gabow_cycle_any")
-    return _block_cycle(m, b1m, b2m)
+    return _block_cycle(m, pred, r, b1m, b2m)
 
 
 def gabow_cycle_any(m: SparsePavingMatroid, b1, b2) -> tuple[int, ...]:
@@ -306,16 +304,16 @@ def gabow_cycle_any(m: SparsePavingMatroid, b1, b2) -> tuple[int, ...]:
     b1 | b2 contains the basis b1, so the restriction's bases are the
     bases of m inside it, and no minor is built.
     """
-    return _block_cycle(m, *_disjoint_bases(m, b1, b2))
+    pred, n, r = basis_predicate(m)
+    return _block_cycle(m, pred, r, *_disjoint_bases(pred, n, b1, b2))
 
 
-def _block_cycle(m, b1m: int, b2m: int) -> tuple[int, ...]:
-    """b1m's elements, then b2m's, ordered so every r-window is a basis.
+def _block_cycle(m, pred, r: int, b1m: int, b2m: int) -> tuple[int, ...]:
+    """b1m's elements, then b2m's, ordered so every r-window passes m's predicate pred.
 
     Each repair after the greedy pass permutes at most three entries and
     strictly reduces the number of bad windows, so at most r - 1 run.
     """
-    pred, _, r = basis_predicate(m)
     b = list(elements(b1m))
     c: list[int] = []
     unused = list(elements(b2m))
@@ -328,7 +326,7 @@ def _block_cycle(m, b1m: int, b2m: int) -> tuple[int, ...]:
         unused.remove(pick)
         suffix |= 1 << pick
 
-    probs = _problem_positions(m, b, c)
+    probs = _problem_positions(pred, r, b, c)
     while probs:
         i = probs[0]  # 1 <= i <= r - 1
         trials = [(b, _swapped(c, i - 1, i)), (_swapped(b, i - 1, i), c)]
@@ -339,7 +337,7 @@ def _block_cycle(m, b1m: int, b2m: int) -> tuple[int, ...]:
         fewer = (
             (nb, nc, np_)
             for nb, nc in trials
-            if (np_ := _problem_positions(m, nb, nc)) is not None and len(np_) < len(probs)
+            if (np_ := _problem_positions(pred, r, nb, nc)) is not None and len(np_) < len(probs)
         )
         b, c, probs = guaranteed(next(fewer, None), "no repair reduced the bad window count")
 

@@ -122,6 +122,10 @@ class Multiset:
 def bpg_vertex(m, a1: ElementSet, a2: ElementSet, a3: ElementSet) -> BasisPairVertex:
     """Validated vertex constructor for the pair graph of m."""
     pred, n, _ = basis_predicate(m)
+    return _vertex(pred, n, a1, a2, a3)
+
+
+def _vertex(pred, n: int, a1: ElementSet, a2: ElementSet, a3: ElementSet) -> BasisPairVertex:
     a1 = _as_subset(n, a1, "block")
     a2 = _as_subset(n, a2, "block")
     a3 = _as_subset(n, a3, "block")
@@ -152,11 +156,12 @@ def check_bpg_walk(m, path: Sequence[BasisPairVertex], u, v) -> None:
     in at most 4n steps."""
     if not path or path[0] != u or path[-1] != v:
         raise InternalCheckError("walk endpoints are off")
-    if len(path) - 1 > 4 * m.n:
-        raise InternalCheckError(f"walk of {len(path) - 1} steps exceeds 4n = {4 * m.n}")
+    pred, n, _ = basis_predicate(m)
+    if len(path) - 1 > 4 * n:
+        raise InternalCheckError(f"walk of {len(path) - 1} steps exceeds 4n = {4 * n}")
     try:
         for w in path:
-            bpg_vertex(m, w.a1, w.a2, w.a3)
+            _vertex(pred, n, w.a1, w.a2, w.a3)
     except ValidationError as e:
         raise InternalCheckError(f"walk leaves the pair graph: {e}") from e
     for a, b in zip(path, path[1:]):
@@ -248,8 +253,8 @@ def bpg_path(m, u: BasisPairVertex, v: BasisPairVertex) -> list[BasisPairVertex]
     disjoint bases are walked onto the target pair.
     """
     pred, n, _ = basis_predicate(m)
-    u = bpg_vertex(m, u.a1, u.a2, u.a3)
-    v = bpg_vertex(m, v.a1, v.a2, v.a3)
+    u = _vertex(pred, n, u.a1, u.a2, u.a3)
+    v = _vertex(pred, n, v.a1, v.a2, v.a3)
     path = [u]
     pair, cur3 = [u.a1, u.a2], u.a3
 
@@ -307,16 +312,18 @@ def _apply_positions(pred: Callable[[int], bool], members: list[int], move: Move
 
 
 def apply_white_move(m, state: Sequence[ElementSet], move: Move) -> tuple[int, ...]:
-    """Apply one move to a multiset state in canonical (sorted) order."""
-    members = sorted(as_mask(b) for b in state)
-    _apply_positions(basis_predicate(m)[0], members, move)
+    """Apply one move to a multiset state of bases of m, in canonical (sorted) order."""
+    pred, n, _ = basis_predicate(m)
+    members = sorted(_check_bases(pred, n, state, "member"))
+    _apply_positions(pred, members, move)
     return tuple(sorted(members))
 
 
 def apply_tuple_move(m, state: Sequence[ElementSet], move: Move) -> tuple[int, ...]:
-    """Apply one move to an ordered state; positions are literal."""
-    members = [as_mask(b) for b in state]
-    _apply_positions(basis_predicate(m)[0], members, move)
+    """Apply one move to an ordered state of bases of m; positions are literal."""
+    pred, n, _ = basis_predicate(m)
+    members = list(_check_bases(pred, n, state, "member"))
+    _apply_positions(pred, members, move)
     return tuple(members)
 
 
@@ -362,18 +369,18 @@ class _Side:
     the members not yet matched with the other side.  arrived collects
     the values whose act count rose from 0 and left those whose count
     fell to 0, since the caller last cleared them; a value may sit in
-    both.  A side serves one walk on one matroid, so push builds the
-    basis predicate on its first move and keeps it.
+    both.  pred is the basis predicate of the walk's matroid, which push
+    checks every move with.
     """
 
-    def __init__(self, members: tuple[int, ...]):
+    def __init__(self, members: tuple[int, ...], pred: Callable[[int], bool]):
         self.state = members
         self.act = Counter(members)
         self.arrived: set[int] = set()
         self.left: set[int] = set()
         self.moves: list[Move] = []
         self.undo: list[Move] = []
-        self.pred: Callable[[int], bool] | None = None
+        self.pred = pred
 
     def _count(self, v: int, delta: int) -> None:
         # get and pop skip Counter's __missing__ and __delitem__
@@ -390,10 +397,8 @@ class _Side:
     def match(self, v: int) -> None:
         self._count(v, -1)
 
-    def push(self, m, vi: int, vj: int, x: int, y: int) -> tuple[int, int]:
+    def push(self, vi: int, vj: int, x: int, y: int) -> tuple[int, int]:
         """Exchange x of member vi for y of member vj; returns their new values."""
-        if self.pred is None:
-            self.pred = basis_predicate(m)[0]
         nvi, nvj = swap(vi, x, y), swap(vj, y, x)
         mv = _mk_move(self.state, vi, vj, x, y)
         members = list(self.state)
@@ -417,7 +422,7 @@ def _pick_helper(act: Counter, amb: int, bma: int) -> int:
     return min(v for v in act if (v & amb).bit_count() > (v & bma).bit_count())
 
 
-def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
+def _advance(a1_mask: int, b1: int, side: _Side) -> None:
     """One improvement round: bring the member b1 of `side` nearer a1_mask.
 
     The helper member b2 holds more of a1 - b1 than of b1 - a1: p
@@ -441,7 +446,7 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
     next pass, and the other two end with the direct swap against the
     new helper.
     """
-    pred, n, r = basis_predicate(m)
+    pred = side.pred
     amb = a1_mask & ~b1
     bma = b1 & ~a1_mask
     half = amb.bit_count()
@@ -457,7 +462,7 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
             xs, ys = elements(bma & ~b2)[: 1 + square], elements(mine)
         hit = _exchange(pred, b1, b2, itertools.product(xs, ys))
         if hit is not None:
-            side.push(m, b1, b2, *hit)
+            side.push(b1, b2, *hit)
             return
         if half == 1:
             b, a = xs[0], ys[0]
@@ -482,14 +487,14 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
                 y = a if kind else lowest_element(rest & ~bh)
                 tries = ((z, y) for z in iter_elements(bh & ~b2))
             z, y = guaranteed(_exchange(pred, bh, b2, tries), "symmetric exchange witness missing")
-            nb2, _ = side.push(m, b2, bh, y, z)
+            nb2, _ = side.push(b2, bh, y, z)
             if kind == 1:
                 # The interferer bh took a for some z; z is not b, as
                 # b2 - a + b failed above, so bh stops interfering and b2
                 # does not start.  b1 never moves, so the interferers drop
                 # by exactly one per pass.
                 continue
-            side.push(m, b1, nb2, b, a)
+            side.push(b1, nb2, b, a)
             return
         if half >= 3 and not square:
             raise InternalCheckError("pruned exchange failed")
@@ -503,8 +508,8 @@ def _advance(m, a1_mask: int, b1: int, side: _Side) -> None:
             esc = (z for z in iter_elements(outside) if pred(swap(b2, z, b)))
             z = guaranteed(next(esc, None), "no escape element beside the anchor")
             first, then = (b, z), (lowest_element(bma & ~b2 & ~(1 << b)), a)
-        nb1, nb2 = side.push(m, b1, b2, *first)
-        side.push(m, nb1, nb2, *then)
+        nb1, nb2 = side.push(b1, b2, *first)
+        side.push(nb1, nb2, *then)
         return
 
 
@@ -540,16 +545,17 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     from the table once it holds more than twice as many entries, so
     memory stays O(k) for k members.
     """
-    s_members = tuple(sorted(_check_bases(m, src, "src member")))
-    d_members = tuple(sorted(_check_bases(m, dst, "dst member")))
+    pred, n, r = basis_predicate(m)
+    s_members = tuple(sorted(_check_bases(pred, n, src, "src member")))
+    d_members = tuple(sorted(_check_bases(pred, n, dst, "dst member")))
     if len(s_members) != len(d_members):
         raise UnionMismatch("collections have different member counts")
     union = Counter(e for b in s_members for e in iter_elements(b))
     if union != Counter(e for b in d_members for e in iter_elements(b)):
         raise UnionMismatch("collections have different multiset unions")
 
-    side_s = _Side(s_members)
-    side_d = _Side(d_members)
+    side_s = _Side(s_members, pred)
+    side_d = _Side(d_members, pred)
     targets = side_d.act
 
     def nearest(a: int) -> tuple[int, int, int]:
@@ -562,7 +568,7 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     # 4kr moves) or rescans a stale bound: at most k in a row, since only
     # the other two make a bound stale
     k = len(s_members)
-    rounds = (k + 4 * k * m.r) * (k + 1)
+    rounds = (k + 4 * k * r) * (k + 1)
     while best:
         if len(heap) > 2 * len(best):
             heap = list(best.values())
@@ -590,9 +596,9 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
             ma = sum(union[e] for e in iter_elements(a_val & ~b_val))
             mb = sum(union[e] for e in iter_elements(b_val & ~a_val))
             if ma >= mb:
-                _advance(m, a_val, b_val, side_d)
+                _advance(a_val, b_val, side_d)
             else:
-                _advance(m, b_val, a_val, side_s)
+                _advance(b_val, a_val, side_s)
         for a in side_s.left:
             if a not in side_s.act:
                 best.pop(a, None)  # None: it arrived and left this round
@@ -628,8 +634,8 @@ def white2_path(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     final replay certifies every move.
     """
     pred, n, _ = basis_predicate(m)
-    src_t = _check_bases(m, src, "src member")
-    dst_t = _check_bases(m, dst, "dst member")
+    src_t = _check_bases(pred, n, src, "src member")
+    dst_t = _check_bases(pred, n, dst, "dst member")
 
     k = len(src_t)
     out: list[Move] = []
@@ -668,7 +674,7 @@ def _take(levels: tuple[int, ...], b: int) -> tuple[int, ...]:
     return tuple((lv & ~b) | (up & b) for lv, up in zip(levels, levels[1:] + (0,)))
 
 
-def _pair_graph(m, cap: int) -> tuple[set[int], Callable, Callable]:
+def _pair_graph(m, pred, n: int, r: int, cap: int) -> tuple[set[int], Callable, Callable]:
     """The pair graph of m as (vertices, neighbours, candidates) for
     _connected, with the vertex (a1, a2, a3) as the int (a1 << n) | a2.
 
@@ -703,7 +709,6 @@ def _pair_graph(m, cap: int) -> tuple[set[int], Callable, Callable]:
     stay disjoint, so it comes from the leftover block; p does the same
     for a2.  Every swap is one of these, so a sweep tries every swap too.
     """
-    pred, n, r = basis_predicate(m)
     g = (1 << n) - 1
     units = bits(g)
     limit = max(cap, 0)  # a negative cap still admits an empty graph
@@ -819,7 +824,7 @@ def _connected(
     return not unseen, count
 
 
-def _collection_graph(m, s: Multiset, kind: str, cap: int) -> tuple[set, Callable, Callable]:
+def _collection_graph(pred, r: int, s, kind: str, cap: int) -> tuple[set, Callable, Callable]:
     """The collection graph of kind on the union s as (vertices,
     neighbours, candidates) for _connected, each vertex a tuple of
     k = |s| / r bases, sorted for the kind "white_multiset".
@@ -834,7 +839,6 @@ def _collection_graph(m, s: Multiset, kind: str, cap: int) -> tuple[set, Callabl
     multiplicity level, so a union of k members whose largest
     multiplicity is t is refused when k t exceeds max(cap, WORK_FLOOR).
     """
-    pred, _, r = basis_predicate(m)
     k = s.total // r
     # at least one level, so that the empty union reads as covered
     top = max((c for _, c in s.counts), default=1)
@@ -902,7 +906,7 @@ def graph_connected(
     _connected) tries every swap out of each vertex it pops or sweeps,
     and stops when every vertex has been reached or none is left to reach.
     """
-    _, n, r = basis_predicate(m)
+    pred, n, r = basis_predicate(m)
     if kind == "bpg":
         if s is not None:
             raise PreconditionViolated("the pair graph takes no multiset")
@@ -920,5 +924,6 @@ def graph_connected(
             raise PreconditionViolated("union size is not a multiple of the rank")
     if math.comb(n if kind == "bpg" else len(s.counts), r) > max(cap, WORK_FLOOR):
         raise TooLarge("too many candidate bases to enumerate")
-    graph = _pair_graph(m, cap) if kind == "bpg" else _collection_graph(m, s, kind, cap)
-    return _connected(*graph)
+    if kind == "bpg":
+        return _connected(*_pair_graph(m, pred, n, r, cap))
+    return _connected(*_collection_graph(pred, r, s, kind, cap))

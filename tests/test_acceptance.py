@@ -251,8 +251,8 @@ def test_criterion_08_disjoint_pair_cycles():
     recorded: list[int] = []
     original = cyclic_mod._problem_positions
 
-    def spy(m, b, c):
-        out = original(m, b, c)
+    def spy(pred, r, b, c):
+        out = original(pred, r, b, c)
         recorded.append(len(out or ()))
         return out
 

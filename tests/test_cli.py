@@ -1388,6 +1388,48 @@ def test_sources_import_nothing_unused():
     assert found == []
 
 
+def _own_scope(fn: ast.AST):
+    """The nodes of fn's body, without those of the functions, lambdas and classes inside it."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_sources_store_no_dead_local():
+    # a name a function binds (an assignment, a loop or with target, a
+    # walrus) must be read by it or by a function nested in it; _ is
+    # the name for a value left unread, and a global or nonlocal name
+    # belongs to another scope
+    sources = sorted(Path(sparsepaving.__file__).parent.glob("*.py"))
+    assert sources
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = {
+                node.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            stored = {}
+            for node in _own_scope(fn):
+                if isinstance(node, (ast.Global, ast.Nonlocal)):
+                    read.update(node.names)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+            found += [
+                f"{path.name}:{line} {fn.name} {name}"
+                for name, line in stored.items()
+                if name != "_" and name not in read
+            ]
+    assert found == []
+
+
 def test_cli_byte_determinism_across_commands(p44_file):
     for argv in (
         ["order", "cyclic", p44_file],

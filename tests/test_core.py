@@ -180,6 +180,16 @@ WIDE_ELEMENT_CALLS = [
         "designated set 0,W is not inside 0..3",
     ),
     ("ExplicitMatroid", "ExplicitMatroid(4, 2, [{0, W}])", "basis 0,W is not inside 0..3"),
+    (
+        "apply_white_move",
+        "apply_white_move(uniform(4, 2), [[0, 1], [2, W]], Move(0, 1, 1, W))",
+        "member 2,W is not inside 0..3",
+    ),
+    (
+        "apply_tuple_move",
+        "apply_tuple_move(uniform(4, 2), [[0, 1], [2, W]], Move(0, 1, 1, W))",
+        "member 2,W is not inside 0..3",
+    ),
 ]
 
 
@@ -193,9 +203,9 @@ def test_wide_elements_are_refused_before_any_mask(call, message):
     MemoryError or a timeout.
     """
     out = _run_limited(
-        "from sparsepaving import ElementOutOfRange, ExplicitMatroid, Multiset, "
-        "SparsePavingMatroid, bpg_vertex, graph_connected, is_basis, rank_of, uniform, "
-        "white_moves\n"
+        "from sparsepaving import ElementOutOfRange, ExplicitMatroid, Move, Multiset, "
+        "SparsePavingMatroid, apply_tuple_move, apply_white_move, bpg_vertex, "
+        "graph_connected, is_basis, rank_of, uniform, white_moves\n"
         "W = 10**10\n"
         "try:\n"
         f"    {call}\n"

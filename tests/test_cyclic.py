@@ -318,7 +318,7 @@ def test_sampler_exhaustion_raises(monkeypatch):
     with pytest.raises(
         InternalCheckError, match="^sampling cap hit while looking for a near-witness cycle$"
     ):
-        cyclic._near_witness_cycle(m, 0)
+        cyclic._near_witness_cycle(pred, n, r, 0)
 
 
 def test_repair_patterns_all_exercised():
@@ -335,11 +335,11 @@ def test_repair_patterns_all_exercised():
             continue
         pred, n, r = basis_predicate(m)
         for seed in range(40):
-            cand = cyclic._near_witness_cycle(m, seed)
+            cand = cyclic._near_witness_cycle(pred, n, r, seed)
             bad = cyclic._dependent_windows(pred, n, r, cand)
             if len(bad) != 1:
                 continue
-            fixed = cyclic._repair_single_window(m, cand)
+            fixed = cyclic._repair_single_window(pred, n, r, cand)
             assert ch_interval_count(m, fixed) == 0
             repaired += 1
             rot = tuple(cand[(bad[0] - 3 + i) % n] for i in range(n))
@@ -527,7 +527,7 @@ def block_cycle_by_end(m, b1m, b2m):
         unused.remove(pick)
         suffix |= 1 << pick
 
-    probs = _problem_positions(m, b, c)
+    probs = _problem_positions(pred, r, b, c)
     while probs:
         i = probs[0]
         if i <= r - 2:
@@ -543,7 +543,7 @@ def block_cycle_by_end(m, b1m, b2m):
         fewer = (
             (nb, nc, np_)
             for nb, nc in trials
-            if (np_ := _problem_positions(m, nb, nc)) is not None and len(np_) < len(probs)
+            if (np_ := _problem_positions(pred, r, nb, nc)) is not None and len(np_) < len(probs)
         )
         b, c, probs = guaranteed(next(fewer, None), "no repair reduced the bad window count")
 
@@ -566,7 +566,7 @@ def test_block_cycle_matches_the_reference():
         for _ in range(draws if pairs and r else 0):
             a, b = rng.choice(pairs)
             want = call_outcome(block_cycle_by_end, m, a, b)
-            assert call_outcome(cyclic._block_cycle, m, a, b) == want, (m, a, b)
+            assert call_outcome(cyclic._block_cycle, m, pred, r, a, b) == want, (m, a, b)
             raised += isinstance(want[0], type)
     assert raised > 10
 

@@ -45,6 +45,8 @@ from sparsepaving import (
     as_mask,
     bpg_path,
     bpg_vertex,
+    find_cyclic_order,
+    gabow_cycle_any,
     graham_sloane,
     graph_connected,
     is_basis,
@@ -59,6 +61,8 @@ from sparsepaving.bitset import elements, iter_elements, lowest_element, swap
 from sparsepaving.core import MAX_VERTICES, basis_predicate
 from sparsepaving.errors import guaranteed
 from sparsepaving.exchange import _exchange, check_bpg_walk
+import sparsepaving.core as core
+import sparsepaving.cyclic as cyclic
 import sparsepaving.exchange as exchange
 from test_guards import _family
 
@@ -147,6 +151,35 @@ BAD_MOVES = [
 def test_bad_moves_are_refused(apply, move, msg):
     with pytest.raises(ExchangeViolation, match=f"^{msg}$"):
         apply(U24, (mask(0, 1), mask(0, 2)), move)
+
+
+# every member of the state, moved or not, must be a basis of m inside its ground set
+BAD_STATES = [
+    (
+        uniform(4, 2),
+        [{0, 1}, {2, 9}],
+        Move(0, 1, 1, 9),
+        ElementOutOfRange,
+        "member 2,9 is not inside 0..3",
+    ),
+    (
+        SparsePavingMatroid(4, 2, [{0, 1}, {2, 3}]),
+        [{0, 1}, {2, 3}],
+        Move(0, 1, 1, 2),
+        NotBases,
+        "member 0,1 is not a basis",
+    ),
+    (P44, [{0, 1}, {0, 3}, {2, 3}], Move(0, 2, 1, 2), NotBases, "member 0,3 is not a basis"),
+]
+
+
+@pytest.mark.parametrize(
+    "m,state,move,fault,msg", BAD_STATES, ids=["outside", "non-basis", "unmoved-non-basis"]
+)
+@pytest.mark.parametrize("apply", [apply_white_move, apply_tuple_move], ids=["white", "tuple"])
+def test_apply_move_refuses_a_state_that_is_not_bases(apply, m, state, move, fault, msg):
+    with pytest.raises(fault, match=f"^{msg}$"):
+        apply(m, state, move)
 
 
 def test_apply_tuple_move_keeps_positions():
@@ -818,10 +851,11 @@ def _set_family_cases():
 def _listed_graphs(mm, unions):
     """(kind, union, (vertices, neighbours, candidates)) for the pair
     graph and both collection graphs per union, as the listers return them."""
-    yield "bpg", None, exchange._pair_graph(mm, MAX_VERTICES)
+    pred, n, r = basis_predicate(mm)
+    yield "bpg", None, exchange._pair_graph(mm, pred, n, r, MAX_VERTICES)
     for s in unions:
         for kind in ("white_multiset", "white_tuple"):
-            yield kind, s, exchange._collection_graph(mm, s, kind, MAX_VERTICES)
+            yield kind, s, exchange._collection_graph(pred, r, s, kind, MAX_VERTICES)
 
 
 def _oracle_outcomes(mm, unions):
@@ -947,7 +981,8 @@ def test_connected_builds_a_quarter_of_the_reference_neighbour_lists():
     """A pin on work that does not depend on the host: the pair graph of
     gs12_5c10 (13,964 vertices) builds 356 full neighbour lists and
     sweeps 6,795 vertices, where the stack-only search builds 3,431."""
-    verts, neighbours, candidates = exchange._pair_graph(graham_sloane(12, 5, 10), MAX_VERTICES)
+    m = graham_sloane(12, 5, 10)
+    verts, neighbours, candidates = exchange._pair_graph(m, *basis_predicate(m), MAX_VERTICES)
     calls = Counter()
 
     def counting(kind, f):
@@ -1060,8 +1095,8 @@ def test_advance_branches(label, m, members, target, expect):
     tgt = as_mask(target)
     b1 = as_mask(members[0])
     start = tuple(sorted(as_mask(s) for s in members))
-    side = exchange._Side(start)
-    exchange._advance(m, tgt, b1, side)
+    side = exchange._Side(start, basis_predicate(m)[0])
+    exchange._advance(tgt, b1, side)
     assert side.moves == expect
 
     # independent replay of the logged moves
@@ -1093,9 +1128,9 @@ def test_advance_two_member_side_exhausts_the_chain():
     a matroid).
     """
     m = ExplicitMatroid(4, 2, [0b0011, 0b1100, 0b0101])
-    side = exchange._Side((0b0011, 0b1100))
+    side = exchange._Side((0b0011, 0b1100), basis_predicate(m)[0])
     with pytest.raises(InternalCheckError, match="^single-swap chain exhausted every repair$"):
-        exchange._advance(m, 0b0101, 0b0011, side)
+        exchange._advance(0b0101, 0b0011, side)
 
 
 def anchor_by_corner(pred, b1, x, a1, a2):
@@ -1104,21 +1139,21 @@ def anchor_by_corner(pred, b1, x, a1, a2):
     return guaranteed(next(corners, None), "blocked square lost its anchor")
 
 
-def advance_by_case(m, a1_mask, b1, side):
+def advance_by_case(a1_mask, b1, side):
     """_advance as it was, case by case, kept as the reference.
 
     The half >= 2 blocks and the half = 1 single-swap chain are the
     forms before each was folded into one exchange search per round.
     The chain returns the name of the repair that ended it.
     """
-    pred, n, r = basis_predicate(m)
+    pred = side.pred
     amb = a1_mask & ~b1
     bma = b1 & ~a1_mask
     half = amb.bit_count()
     assert half >= 1
 
     if half == 1:
-        return single_swap_chain(m, pred, amb, bma, b1, side)
+        return single_swap_chain(pred, amb, bma, b1, side)
     if half >= 3:
         b2 = exchange._pick_helper(side.act, amb, bma)
         p = (b2 & amb).bit_count()
@@ -1142,10 +1177,10 @@ def advance_by_case(m, a1_mask, b1, side):
                 spare = b2 & ~(a1_mask | b1)
                 if not spare:
                     raise InternalCheckError("anchored case needs an outside element")
-                nb1, nb2 = side.push(m, b1, b2, b1c, lowest_element(spare))
-                side.push(m, nb1, nb2, b2c, a1c)
+                nb1, nb2 = side.push(b1, b2, b1c, lowest_element(spare))
+                side.push(nb1, nb2, b2c, a1c)
                 return
-        side.push(m, b1, b2, *hit)
+        side.push(b1, b2, *hit)
         return
 
     b2 = exchange._pick_helper(side.act, amb, bma)
@@ -1156,30 +1191,30 @@ def advance_by_case(m, a1_mask, b1, side):
         a = lowest_element(b2 & amb)
         hit = _exchange(pred, b1, b2, ((b1c, a), (b2c, a)))
         if hit is not None:
-            side.push(m, b1, b2, *hit)
+            side.push(b1, b2, *hit)
             return
         if pred(swap(b1, b1c, a)):
             b1c, b2c = b2c, b1c
         esc = (z for z in iter_elements(b2 & ~a1_mask) if pred(swap(b2, z, b1c)))
         z = guaranteed(next(esc, None), "no escape element beside the anchor")
-        nb1, nb2 = side.push(m, b1, b2, b1c, z)
-        side.push(m, nb1, nb2, b2c, a)
+        nb1, nb2 = side.push(b1, b2, b1c, z)
+        side.push(nb1, nb2, b2c, a)
         return
     if q0 != (1 << b1c):
         b1c, b2c = b2c, b1c
     hit = _exchange(pred, b1, b2, ((b2c, a1c), (b2c, a2c)))
     if hit is not None:
-        side.push(m, b1, b2, *hit)
+        side.push(b1, b2, *hit)
         return
     if pred(swap(b1, b2c, a1c)):
         a1c, a2c = a2c, a1c
     esc = (x for x in iter_elements(a1_mask & b1 & ~b2) if pred(swap(b2, a1c, x)))
     x = guaranteed(next(esc, None), "no shared element escapes the anchor")
-    nb1, nb2 = side.push(m, b1, b2, x, a1c)
-    side.push(m, nb1, nb2, b2c, a2c)
+    nb1, nb2 = side.push(b1, b2, x, a1c)
+    side.push(nb1, nb2, b2c, a2c)
 
 
-def single_swap_chain(m, pred, amb, bma, b1, side):
+def single_swap_chain(pred, amb, bma, b1, side):
     """The half = 1 case of advance_by_case: three ordered scans, three searches."""
     a1c = lowest_element(amb)
     b1c = lowest_element(bma)
@@ -1187,7 +1222,7 @@ def single_swap_chain(m, pred, amb, bma, b1, side):
         b2 = exchange._pick_helper(side.act, amb, bma)
         x_mask = b2 & ~(1 << a1c)
         if pred(x_mask | (1 << b1c)):
-            side.push(m, b1, b2, b1c, a1c)
+            side.push(b1, b2, b1c, a1c)
             return "direct"
         others = side.act.copy()
         others[b1] -= 1
@@ -1200,21 +1235,21 @@ def single_swap_chain(m, pred, amb, bma, b1, side):
             y = lowest_element(x_mask & ~bh)
             hit = _exchange(pred, bh, b2, ((z, y) for z in iter_elements(bh & ~b2)))
             z, _ = guaranteed(hit, "symmetric exchange witness missing")
-            nb2, _ = side.push(m, b2, bh, y, z)
-            side.push(m, b1, nb2, b1c, a1c)
+            nb2, _ = side.push(b2, bh, y, z)
+            side.push(b1, nb2, b1c, a1c)
             return "pre-swap"
         bh = next((v for v in ordered if (v >> b1c) & 1 and not (v >> a1c) & 1), None)
         if bh is not None:
             hit = _exchange(pred, b2, bh, ((a1c, z) for z in iter_elements(bh & ~b2)))
-            side.push(m, b2, bh, *guaranteed(hit, "interferer fix found no exchange"))
+            side.push(b2, bh, *guaranteed(hit, "interferer fix found no exchange"))
             continue
         for bh in ordered:
             if (bh >> b1c) & 1 and (bh >> a1c) & 1 and (b2 ^ bh).bit_count() >= 4:
                 x = lowest_element(bh & ~(1 << b1c) & ~b2)
                 hit = _exchange(pred, bh, b2, ((x, y) for y in iter_elements(b2 & ~bh)))
                 _, y = guaranteed(hit, "no exchange with a member far from the helper")
-                nb2, _ = side.push(m, b2, bh, y, x)
-                side.push(m, b1, nb2, b1c, a1c)
+                nb2, _ = side.push(b2, bh, y, x)
+                side.push(b1, nb2, b1c, a1c)
                 return "far"
         raise InternalCheckError("single-swap chain exhausted every repair")
 
@@ -1258,8 +1293,8 @@ def test_advance_matches_the_case_by_case_reference():
     """
 
     def outcome(advance, m, a1, b1, start):
-        side = exchange._Side(start)
-        got = call_outcome(advance, m, a1, b1, side)
+        side = exchange._Side(start, basis_predicate(m)[0])
+        got = call_outcome(advance, a1, b1, side)
         if isinstance(got, tuple):  # the class and message raised
             kind, msg = got
             return (kind, "symmetric exchange witness missing" if msg in FOLDED_GUARDS else msg), msg
@@ -1409,8 +1444,9 @@ def white_moves_all_pairs(m, src, dst):
     bound table.  Returns the move list and the number of moves made on
     the src side.
     """
-    side_s = exchange._Side(tuple(sorted(as_mask(b) for b in src)))
-    side_d = exchange._Side(tuple(sorted(as_mask(b) for b in dst)))
+    pred = basis_predicate(m)[0]
+    side_s = exchange._Side(tuple(sorted(as_mask(b) for b in src)), pred)
+    side_d = exchange._Side(tuple(sorted(as_mask(b) for b in dst)), pred)
     union = Counter(e for b in side_s.state for e in elements(b))
     while side_s.act:
         dist, a, b = min(((a ^ b).bit_count(), a, b) for a in side_s.act for b in side_d.act)
@@ -1421,9 +1457,9 @@ def white_moves_all_pairs(m, src, dst):
         elif sum(union[e] for e in elements(a & ~b)) >= sum(
             union[e] for e in elements(b & ~a)
         ):
-            exchange._advance(m, a, b, side_d)
+            exchange._advance(a, b, side_d)
         else:
-            exchange._advance(m, b, a, side_s)
+            exchange._advance(b, a, side_s)
     return side_s.moves + side_d.undo[::-1], len(side_s.moves)
 
 
@@ -1444,7 +1480,7 @@ def test_white_moves_matches_the_all_pairs_rule():
 
 def test_white_moves_fails_fast_when_advance_makes_no_move(monkeypatch):
     """A round that changes nothing fails the round bound instead of spinning."""
-    monkeypatch.setattr(exchange, "_advance", lambda m, a1_mask, b1, side: None)
+    monkeypatch.setattr(exchange, "_advance", lambda a1_mask, b1, side: None)
     start = time.perf_counter()
     with pytest.raises(InternalCheckError, match="^collection walk overran its round bound$"):
         white_moves(U24, [{0, 1}, {2, 3}], [{0, 2}, {1, 3}])
@@ -1649,3 +1685,79 @@ def test_pair_walk_of_overlapping_members_matches_the_contraction():
     # 4,508 direct walks, the 2 detours, and 17 and 3 raises of the two guards
     assert seen["detour"] == 2 and seen["direct"] > 4000, seen
     assert seen["blocked exchange square in rank two"] and seen["blocked square lost its anchor"]
+
+
+# -- one basis predicate per public call ----------------------------------------------
+
+
+def _build_counter(monkeypatch) -> list:
+    """basis_predicate, wherever core, exchange and cyclic look it up, logging each build."""
+    builds = []
+    real = core.basis_predicate
+
+    def counting(m):
+        builds.append(m)
+        return real(m)
+
+    for mod in (core, exchange, cyclic):
+        monkeypatch.setattr(mod, "basis_predicate", counting)
+    return builds
+
+
+def _builds_walk(fn, k):
+    m = gs_best(12, 5)
+    src, dst = _frozen_instance(m, k, f"builds k={k}")
+    return lambda: fn(m, src, dst)
+
+
+def _builds_bpg(far):
+    """One swap from u, or seven steps with every block moved."""
+    m = gs_best(12, 5)
+    u = bpg_vertex(m, mask(0, 1, 2, 3, 5), mask(6, 7, 8, 9, 10), mask(4, 11))
+    if far:
+        v = bpg_vertex(m, mask(6, 7, 8, 9, 10), mask(2, 3, 4, 5, 11), mask(0, 1))
+    else:
+        v = bpg_vertex(m, mask(1, 2, 3, 4, 5), mask(6, 7, 8, 9, 10), mask(0, 11))
+    return lambda: bpg_path(m, u, v)
+
+
+def _builds_gabow(n, r, b1, b2):
+    m = gs_best(n, r)
+    return lambda: gabow_cycle_any(m, mask(*b1), mask(*b2))
+
+
+def _builds_order(n, r):
+    m = gs_best(n, r)
+    return lambda: find_cyclic_order(m)
+
+
+# (kind, small, large): each builds its input and returns the call; the
+# second gabow pair tries two repairs and the first none
+BUILD_CASES = [
+    ("white_moves", lambda: _builds_walk(white_moves, 2), lambda: _builds_walk(white_moves, 64)),
+    ("white2_path", lambda: _builds_walk(white2_path, 2), lambda: _builds_walk(white2_path, 64)),
+    ("bpg_path", lambda: _builds_bpg(False), lambda: _builds_bpg(True)),
+    (
+        "gabow_cycle_any",
+        lambda: _builds_gabow(8, 3, (1, 3, 7), (2, 4, 6)),
+        lambda: _builds_gabow(18, 8, (1, 6, 7, 8, 9, 12, 15, 17), (0, 2, 4, 5, 10, 11, 13, 16)),
+    ),
+    ("find_cyclic_order", lambda: _builds_order(10, 4), lambda: _builds_order(24, 5)),
+]
+
+
+@pytest.mark.parametrize(
+    "small,large", [c[1:] for c in BUILD_CASES], ids=[c[0] for c in BUILD_CASES]
+)
+def test_one_predicate_build_per_public_call(monkeypatch, small, large):
+    """The helpers take the caller's predicate, so the build count does not
+    grow with the input: a small and a large one build it equally often,
+    once per public call, nested public calls included.  The inputs are
+    built before the counting starts."""
+    small_call, large_call = small(), large()
+    builds = _build_counter(monkeypatch)
+    small_call()
+    from_small = len(builds)
+    builds.clear()
+    large_call()
+    assert len(builds) == from_small

@@ -40,6 +40,7 @@ from sparsepaving import (
     white_moves,
 )
 from sparsepaving.bitset import elements, subset_masks, swap
+from sparsepaving.core import basis_predicate
 from sparsepaving.cyclic import check_block_cycle
 from sparsepaving.exchange import _advance, _Side, check_bpg_walk, check_moves
 
@@ -189,9 +190,9 @@ def advance_fuzz(draws=ADVANCE_DRAWS, seed=0) -> Counter:
         else:
             continue
         start = tuple(sorted(members))
-        side = _Side(start)
+        side = _Side(start, basis_predicate(m)[0])
         try:
-            _advance(m, a1, b1, side)
+            _advance(a1, b1, side)
         except MatroidError as e:
             seen[type(e).__name__, str(e)] += 1
         else:
