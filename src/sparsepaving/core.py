@@ -118,27 +118,21 @@ def _outside(n: int, elements: Iterable[int], what: str) -> ElementOutOfRange:
     return ElementOutOfRange(f"{what} {','.join(map(str, elements))} is not inside 0..{n - 1}")
 
 
-def _as_subset(n: int, s: ElementSet | Iterable[int], what: str = "set") -> int:
+def _as_subset(n: int, s: ElementSet | Iterable[int], what: str = "set", limit: int = 0) -> int:
     """s as a mask, refused unless it lies inside {0, .., n-1}.
 
     An iterable's elements are compared with n before any is shifted, so
-    a huge element is refused without building a mask as wide as it.
+    a huge element is refused without building a mask as wide as it.  A
+    limit above n refuses an iterable only once an element reaches it.
     """
     if isinstance(s, int):
         if s < 0 or s >> n:
             _check_subset(n, as_mask(s), what)  # as_mask refuses a negative mask
         return s
-    return _elements_below(n, s, what, n)
-
-
-def _elements_below(n: int, s: Iterable[int], what: str, limit: int) -> int:
-    """The mask of the elements s, refused as outside 0..n-1 if one reaches limit.
-
-    The elements are compared with limit before any is shifted.
-    """
     s = tuple(s)
-    if any(isinstance(e, int) and e >= limit for e in s):
-        as_mask(e for e in s if not isinstance(e, int) or e < limit)  # names a bad type first
+    # no generator here reads a local, so an int call makes no closure cell
+    if max((e for e in s if isinstance(e, int)), default=-1) >= max(n, limit):
+        as_mask(e if not isinstance(e, int) or e < 0 else 0 for e in s)  # names a bad type first
         raise _outside(n, sorted({int(e) for e in s}), what)
     return as_mask(s)
 
@@ -150,11 +144,8 @@ def _member_masks(n: int, sets: Iterable, what: str) -> set[int]:
     before any shift only if an element reaches max(n, MAX_GROUND); a
     smaller range fault is left to validate, which orders its checks.
     """
-    limit = max(n, MAX_GROUND)
     return {
-        _elements_below(n, s, what, limit) if not isinstance(s, int)
-        else s if s >= 0
-        else as_mask(s)  # refuses the negative mask
+        s if isinstance(s, int) and s >= 0 else _as_subset(n, s, what, MAX_GROUND)
         for s in sets
     }
 

@@ -39,6 +39,7 @@ from .bitset import ElementSet, as_mask, bits, elements, format_set, lowest_elem
 from .core import (
     ExplicitMatroid,
     SparsePavingMatroid,
+    _as_subset,
     _check_bases,
     _rank_levels,
     _size_families,
@@ -277,9 +278,13 @@ def check_block_cycle(m, cyc, b1: int, b2: int) -> None:
     cyc must list the elements of b1, then those of b2, and every
     window of r cyclically consecutive entries must be a basis of m.
     The blocks need not cover the ground set, as with gabow_cycle_any.
+    b1 and b2 go through the argument gate, and an entry of cyc past the
+    ground set fails the certificate before any mask is built from it.
     """
-    pred, _, r = basis_predicate(m)
-    if len(cyc) != 2 * r or as_mask(cyc[:r]) != b1 or as_mask(cyc[r:]) != b2:
+    pred, n, r = basis_predicate(m)
+    b1, b2 = _as_subset(n, b1, "block"), _as_subset(n, b2, "block")
+    wide = cyc and max(cyc) >= n
+    if len(cyc) != 2 * r or wide or as_mask(cyc[:r]) != b1 or as_mask(cyc[r:]) != b2:
         raise InternalCheckError(f"cycle {cyc} does not list the blocks in order")
     if _dependent_windows(pred, 2 * r, r, cyc):
         raise InternalCheckError(f"cycle {cyc} has a dependent window")

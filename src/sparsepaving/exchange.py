@@ -295,61 +295,60 @@ def bpg_path(m, u: BasisPairVertex, v: BasisPairVertex) -> list[BasisPairVertex]
 # -- collection moves ---------------------------------------------------------
 
 
-def _apply_positions(pred: Callable[[int], bool], members: list[int], move: Move) -> None:
-    i, j, x, y = move
-    if not (0 <= i < j < len(members)):
-        raise ExchangeViolation(f"move indices ({i}, {j}) out of range")
-    bi, bj = members[i], members[j]
-    xb, yb = 1 << x, 1 << y
-    if not bi & xb or bj & xb:
-        raise ExchangeViolation(f"element {x} is not in member {i} only")
-    if not bj & yb or bi & yb:
-        raise ExchangeViolation(f"element {y} is not in member {j} only")
-    nbi, nbj = swap(bi, x, y), swap(bj, y, x)
-    if not pred(nbi) or not pred(nbj):
-        raise ExchangeViolation(f"move {i}:{j}:{x}:{y} does not map bases to bases")
-    members[i], members[j] = nbi, nbj
+def _replay(pred, members: Sequence[int], moves: Iterable[Move], ordered: bool) -> list[int]:
+    """members after each move in turn, each checked to map bases to bases by pred.
+
+    ordered takes positions literally; otherwise they index the sorted
+    multiset, so members come sorted and are sorted again after each move.
+    """
+    cur = list(members)
+    for i, j, x, y in moves:
+        if not (0 <= i < j < len(cur)):
+            raise ExchangeViolation(f"move indices ({i}, {j}) out of range")
+        bi, bj = cur[i], cur[j]
+        # a right shift tests a huge element without building a mask as wide as it
+        if not ((bi & ~bj) >> x) & 1:
+            raise ExchangeViolation(f"element {x} is not in member {i} only")
+        if not ((bj & ~bi) >> y) & 1:
+            raise ExchangeViolation(f"element {y} is not in member {j} only")
+        cur[i], cur[j] = swap(bi, x, y), swap(bj, y, x)
+        if not pred(cur[i]) or not pred(cur[j]):
+            raise ExchangeViolation(f"move {i}:{j}:{x}:{y} does not map bases to bases")
+        if not ordered:
+            cur.sort()
+    return cur
 
 
 def apply_white_move(m, state: Sequence[ElementSet], move: Move) -> tuple[int, ...]:
     """Apply one move to a multiset state of bases of m, in canonical (sorted) order."""
     pred, n, _ = basis_predicate(m)
-    members = sorted(_check_bases(pred, n, state, "member"))
-    _apply_positions(pred, members, move)
-    return tuple(sorted(members))
+    return tuple(_replay(pred, sorted(_check_bases(pred, n, state, "member")), [move], False))
 
 
 def apply_tuple_move(m, state: Sequence[ElementSet], move: Move) -> tuple[int, ...]:
     """Apply one move to an ordered state of bases of m; positions are literal."""
     pred, n, _ = basis_predicate(m)
-    members = list(_check_bases(pred, n, state, "member"))
-    _apply_positions(pred, members, move)
-    return tuple(members)
+    return tuple(_replay(pred, _check_bases(pred, n, state, "member"), [move], True))
 
 
 def check_moves(m, src, dst, moves: Sequence[Move], ordered: bool) -> None:
     """Replay moves from src; raise InternalCheckError unless they reach dst
     in at most 4kr moves, k = len(src).
 
-    ordered replays on literal positions, as apply_tuple_move does;
+    src and dst go through the argument gate as collections of bases of
+    m.  ordered replays on literal positions, as apply_tuple_move does;
     otherwise positions index the sorted multiset, as in
     apply_white_move.  A move that breaks a basis raises
     ExchangeViolation.
     """
-    bound = 4 * len(src) * m.r
+    pred, n, r = basis_predicate(m)
+    cur = _check_bases(pred, n, src, "src member")
+    want = _check_bases(pred, n, dst, "dst member")
+    bound = 4 * len(cur) * r
     if len(moves) > bound:
         raise InternalCheckError(f"{len(moves)} moves exceed 4kr = {bound}")
-    pred = basis_predicate(m)[0]
-    cur = [as_mask(b) for b in src]
-    want = [as_mask(b) for b in dst]
-    if not ordered:
-        cur.sort()
-        want.sort()
-    for mv in moves:
-        _apply_positions(pred, cur, mv)
-        if not ordered:
-            cur.sort()
-    if cur != want:
+    arrange = list if ordered else sorted
+    if _replay(pred, arrange(cur), moves, ordered) != arrange(want):
         raise InternalCheckError("replayed moves do not reach the target")
 
 
@@ -366,18 +365,17 @@ class _Side:
     """One endpoint's evolving multiset, with its move log.
 
     undo[t] reverses moves[t] on the state that move left.  act counts
-    the members not yet matched with the other side.  arrived collects
-    the values whose act count rose from 0 and left those whose count
-    fell to 0, since the caller last cleared them; a value may sit in
-    both.  pred is the basis predicate of the walk's matroid, which push
-    checks every move with.
+    the members not yet matched with the other side.  changed collects
+    the values whose act count rose from 0 or fell to 0 since the caller
+    last cleared it; whether such a value is now present or gone is read
+    from act.  pred is the basis predicate of the walk's matroid, which
+    push checks every move with.
     """
 
     def __init__(self, members: tuple[int, ...], pred: Callable[[int], bool]):
         self.state = members
         self.act = Counter(members)
-        self.arrived: set[int] = set()
-        self.left: set[int] = set()
+        self.changed: set[int] = set()
         self.moves: list[Move] = []
         self.undo: list[Move] = []
         self.pred = pred
@@ -386,13 +384,12 @@ class _Side:
         # get and pop skip Counter's __missing__ and __delitem__
         act = self.act
         c = act.get(v, 0) + delta
+        if c == delta or not c:  # rose from 0 or fell to 0
+            self.changed.add(v)
         if c:
-            if c == delta:  # rose from 0
-                self.arrived.add(v)
             act[v] = c
         else:
             act.pop(v)
-            self.left.add(v)
 
     def match(self, v: int) -> None:
         self._count(v, -1)
@@ -401,13 +398,11 @@ class _Side:
         """Exchange x of member vi for y of member vj; returns their new values."""
         nvi, nvj = swap(vi, x, y), swap(vj, y, x)
         mv = _mk_move(self.state, vi, vj, x, y)
-        members = list(self.state)
-        _apply_positions(self.pred, members, mv)
+        self.state = tuple(_replay(self.pred, self.state, [mv], False))
         self._count(vi, -1)
         self._count(vj, -1)
-        self._count(members[mv.i], 1)
-        self._count(members[mv.j], 1)
-        self.state = tuple(sorted(members))
+        self._count(nvi, 1)
+        self._count(nvj, 1)
         self.moves.append(mv)
         self.undo.append(_mk_move(self.state, nvi, nvj, y, x))
         return nvi, nvj
@@ -530,14 +525,16 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     lower bound on the nearest pair of the src value a: it was the
     exact nearest pair over every dst value present when it was set,
     and each dst value that arrived since lowered it where nearer.  A
-    dst value that only gains a copy, or leaves, changes nothing, so
-    only arrivals touch the table: a dst arrival lowers bounds, a src
-    value that leaves drops its bound, and a src arrival gets a fresh
-    nearest scan.  The bound is exact while its dst member is still
-    unmatched.  Each round takes the least bound; one whose dst member
-    has left is rescanned against the unmatched dst values and the
-    round retries.  So the bound taken is exact and at most every other
-    bound, hence at most every other pair: the global minimum.
+    dst value that only gains a copy, or leaves, changes nothing.  Each
+    side's changed set names the values that arrived or left in the
+    round, judged by their state at its end: a dst value present lowers
+    bounds, a src value gone drops its bound, and a src value present
+    with none gets a fresh nearest scan.  The bound is exact while its
+    dst member is still unmatched.  Each round takes the least bound;
+    one whose dst member has left is rescanned against the unmatched dst
+    values and the round retries.  So the bound taken is exact and at
+    most every other bound, hence at most every other pair: the global
+    minimum.
 
     The least bound comes from a min-heap that gets each bound as it is
     set or lowered.  A top that no longer equals its table entry is
@@ -550,8 +547,8 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     d_members = tuple(sorted(_check_bases(pred, n, dst, "dst member")))
     if len(s_members) != len(d_members):
         raise UnionMismatch("collections have different member counts")
-    union = Counter(e for b in s_members for e in iter_elements(b))
-    if union != Counter(e for b in d_members for e in iter_elements(b)):
+    union = Counter(itertools.chain.from_iterable(map(iter_elements, s_members)))
+    if union != Counter(itertools.chain.from_iterable(map(iter_elements, d_members))):
         raise UnionMismatch("collections have different multiset unions")
 
     side_s = _Side(s_members, pred)
@@ -599,14 +596,13 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
                 _advance(a_val, b_val, side_d)
             else:
                 _advance(b_val, a_val, side_s)
-        for a in side_s.left:
+        for a in side_s.changed:
             if a not in side_s.act:
                 best.pop(a, None)  # None: it arrived and left this round
-        for a in side_s.arrived:
-            if a in side_s.act and a not in best:
+            elif a not in best:
                 best[a] = bound = nearest(a)
                 heapq.heappush(heap, bound)
-        for b in side_d.arrived:
+        for b in side_d.changed:
             if b in targets:
                 for a, bound in best.items():
                     d = (a ^ b).bit_count()
@@ -614,9 +610,8 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
                     if d <= bound[0] and (d, a, b) < bound:
                         best[a] = cand = (d, a, b)
                         heapq.heappush(heap, cand)
-        for side in (side_s, side_d):
-            side.arrived.clear()
-            side.left.clear()
+        side_s.changed.clear()
+        side_d.changed.clear()
 
     result = side_s.moves + side_d.undo[::-1]
     check_moves(m, s_members, d_members, result, ordered=False)

@@ -190,6 +190,16 @@ WIDE_ELEMENT_CALLS = [
         "apply_tuple_move(uniform(4, 2), [[0, 1], [2, W]], Move(0, 1, 1, W))",
         "member 2,W is not inside 0..3",
     ),
+    (
+        "check_moves",
+        "check_moves(uniform(4, 2), [[0, 1], [2, 3]], [[0, 1], [2, W]], [], False)",
+        "dst member 2,W is not inside 0..3",
+    ),
+    (
+        "check_block_cycle",
+        "check_block_cycle(uniform(4, 2), (0, W, 2, 3), {0, W}, {2, 3})",
+        "block 0,W is not inside 0..3",
+    ),
 ]
 
 
@@ -206,6 +216,8 @@ def test_wide_elements_are_refused_before_any_mask(call, message):
         "from sparsepaving import ElementOutOfRange, ExplicitMatroid, Move, Multiset, "
         "SparsePavingMatroid, apply_tuple_move, apply_white_move, bpg_vertex, "
         "graph_connected, is_basis, rank_of, uniform, white_moves\n"
+        "from sparsepaving.cyclic import check_block_cycle\n"
+        "from sparsepaving.exchange import check_moves\n"
         "W = 10**10\n"
         "try:\n"
         f"    {call}\n"
@@ -214,6 +226,34 @@ def test_wide_elements_are_refused_before_any_mask(call, message):
     )
     assert (out.returncode, out.stderr) == (0, "")
     assert out.stdout == message.replace("W", str(10**10)) + "\n"
+
+
+def test_a_wide_move_element_is_refused_before_any_mask():
+    """A move's elements are tested against the members they name before any
+    mask is built from them; in a limited child, as above.
+    """
+    out = _run_limited(
+        "from sparsepaving import ExchangeViolation, Move, apply_tuple_move, "
+        "apply_white_move, uniform\n"
+        "from sparsepaving.exchange import check_moves\n"
+        "W, m, st = 10**10, uniform(4, 2), [[0, 1], [2, 3]]\n"
+        "for call in (\n"
+        "    lambda: apply_white_move(m, st, Move(0, 1, W, 2)),\n"
+        "    lambda: apply_tuple_move(m, st, Move(0, 1, 1, W)),\n"
+        "    lambda: check_moves(m, st, st, [Move(0, 1, W, 2)], True),\n"
+        "):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ExchangeViolation as e:\n"
+        "        print(e)\n"
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    w = 10**10
+    assert out.stdout == (
+        f"element {w} is not in member 0 only\n"
+        f"element {w} is not in member 1 only\n"
+        f"element {w} is not in member 0 only\n"
+    )
 
 
 def test_a_bad_element_is_named_before_a_wide_one():

@@ -423,6 +423,38 @@ def test_check_block_cycle_rejects_corruptions():
     assert rejected > 500
 
 
+# the blocks are arguments and go through the gate; a bad cycle is a failed certificate
+BAD_BLOCK_CYCLES = [
+    ((0, 9, 2, 3), {0, 9}, {2, 3}, ElementOutOfRange, "block 0,9 is not inside 0..3"),
+    ((0, 1, 2, 9), {0, 1}, {2, 9}, ElementOutOfRange, "block 2,9 is not inside 0..3"),
+    (
+        (0, 1, 2, 9),
+        {0, 1},
+        {2, 3},
+        InternalCheckError,
+        r"cycle \(0, 1, 2, 9\) does not list the blocks in order",
+    ),
+    (
+        (0, 9, 2, 3),
+        {0, 1},
+        {2, 3},
+        InternalCheckError,
+        r"cycle \(0, 9, 2, 3\) does not list the blocks in order",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cyc,b1,b2,fault,msg",
+    BAD_BLOCK_CYCLES,
+    ids=["block-outside", "second-block-outside", "entry-outside", "first-half-entry-outside"],
+)
+def test_check_block_cycle_gates_its_blocks(cyc, b1, b2, fault, msg):
+    for form in (lambda m: m, to_explicit):
+        with pytest.raises(fault, match=f"^{msg}$"):
+            cyclic.check_block_cycle(form(uniform(4, 2)), cyc, b1, b2)
+
+
 def test_gabow_cycle_any_restricts_and_relabels():
     rng = random.Random(0)
     checked = 0

@@ -176,9 +176,21 @@ BAD_STATES = [
 @pytest.mark.parametrize(
     "m,state,move,fault,msg", BAD_STATES, ids=["outside", "non-basis", "unmoved-non-basis"]
 )
-@pytest.mark.parametrize("apply", [apply_white_move, apply_tuple_move], ids=["white", "tuple"])
-def test_apply_move_refuses_a_state_that_is_not_bases(apply, m, state, move, fault, msg):
-    with pytest.raises(fault, match=f"^{msg}$"):
+@pytest.mark.parametrize(
+    "apply,side",
+    [
+        (apply_white_move, ""),
+        (apply_tuple_move, ""),
+        # the certificate gates the bad state as src, and as dst after an empty src
+        (lambda m, st, mv: exchange.check_moves(m, st, [], [mv], ordered=False), "src "),
+        (lambda m, st, mv: exchange.check_moves(m, st, [], [mv], ordered=True), "src "),
+        (lambda m, st, mv: exchange.check_moves(m, [], st, [mv], ordered=False), "dst "),
+        (lambda m, st, mv: exchange.check_moves(m, [], st, [mv], ordered=True), "dst "),
+    ],
+    ids=["white", "tuple", "check-src", "check-src-ordered", "check-dst", "check-dst-ordered"],
+)
+def test_apply_move_refuses_a_state_that_is_not_bases(apply, side, m, state, move, fault, msg):
+    with pytest.raises(fault, match=f"^{side}{msg}$"):
         apply(m, state, move)
 
 
