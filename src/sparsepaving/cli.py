@@ -330,6 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
     vertices = cap("--cap-vertices", MAX_VERTICES, "graph enumeration cap")
     infile = parent("file")
     output = parent("-o", "--output")
+    size = parent("--n", type=int, required=True)
+    rank = parent("--r", type=int, required=True)
 
     top = argparse.ArgumentParser(prog="spm", description=__doc__)
     sub = top.add_subparsers(dest="cmd", required=True)
@@ -340,14 +342,10 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     gen = sub.add_parser("gen").add_subparsers(dest="kind", required=True)
-    made = (explicit, output)
+    made = (explicit, output, size, rank)
     g = leaf(gen, "gs", _cmd_gen_gs, made, help="residue-class construction")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--r", type=int, required=True)
     g.add_argument("--class", dest="residue", type=int, default=None)
     g = leaf(gen, "random", _cmd_gen_random, made, help="seeded greedy construction")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--r", type=int, required=True)
     g.add_argument("--target", type=_non_negative, required=True)
     g.add_argument("--seed", type=int, required=True)
 
@@ -383,11 +381,9 @@ def _build_parser() -> argparse.ArgumentParser:
     leaf(sub, "flats", _cmd_flats, (explicit, infile))
     leaf(sub, "avg", _cmd_avg, help="mean dependent-window count, exact")
 
-    p = leaf(sub, "bounds", _cmd_bounds, ())
-    p.add_argument("--n", type=int, required=True)
+    p = leaf(sub, "bounds", _cmd_bounds, (size,))
     p.add_argument("--r", type=int, default=None)
-    p = leaf(sub, "census", _cmd_census, ())
-    p.add_argument("--n", type=int, required=True)
+    leaf(sub, "census", _cmd_census, (size,))
 
     return top
 

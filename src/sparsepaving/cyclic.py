@@ -32,12 +32,12 @@ exactly when it is one of M: windows are tested in m's own labels.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 
 from .bitset import ElementSet, as_mask, bits, elements, format_set, lowest_element
 from .core import (
-    ExplicitMatroid,
     SparsePavingMatroid,
     _as_subset,
     _check_bases,
@@ -71,14 +71,10 @@ _REPAIR_PATTERNS = (
 
 
 def _checked_order(n: int, order) -> tuple[int, ...]:
+    # operator.index raises TypeError on an entry that is not an int, before any window rolls
     out = tuple(order)
-    if len(out) != n:
-        raise GroundSetMismatch(f"order has {len(out)} entries, ground set has {n}")
-    seen = 0
-    for e in out:
-        if not isinstance(e, int) or not 0 <= e < n or (seen >> e) & 1:
-            raise GroundSetMismatch(f"order {out} does not cover 0..{n - 1} exactly once")
-        seen |= 1 << e
+    if sorted(map(operator.index, out)) != list(range(n)):
+        raise GroundSetMismatch(f"order {out} does not cover 0..{n - 1} exactly once")
     return out
 
 
@@ -134,19 +130,17 @@ def check_density(m) -> tuple[bool, ElementSet | None]:
         if not m.chset or m.n * (m.r - 1) >= m.r * m.r:
             return True, None
         return False, m.chset[0]
-    if isinstance(m, ExplicitMatroid):
-        n, r = m.n, m.r
-        _, levels = _rank_levels(m, "explicit density scan")
-        sizes = _size_families(n, n)
-        # a k-set breaks the bound iff its rank is below k*r/n, that is,
-        # iff it lies outside R_j for the least j with j*n >= k*r
-        bad = 0
-        for k in range(1, n + 1):
-            bad |= sizes[k] & ~levels[-(-k * r // n)]
-        if not bad:
-            return True, None
-        return False, lowest_element(bad)
-    raise TypeError(f"expected a matroid, got {type(m).__name__}")
+    _, levels = _rank_levels(m, "explicit density scan")  # refuses a non-matroid
+    n, r = m.n, m.r
+    sizes = _size_families(n, n)
+    # a k-set breaks the bound iff its rank is below k*r/n, that is,
+    # iff it lies outside R_j for the least j with j*n >= k*r
+    bad = 0
+    for k in range(1, n + 1):
+        bad |= sizes[k] & ~levels[-(-k * r // n)]
+    if not bad:
+        return True, None
+    return False, lowest_element(bad)
 
 
 def check_density_witness(m, w: ElementSet) -> None:
@@ -279,13 +273,17 @@ def check_block_cycle(m, cyc, b1: int, b2: int) -> None:
     window of r cyclically consecutive entries must be a basis of m.
     The blocks need not cover the ground set, as with gabow_cycle_any.
     b1 and b2 go through the argument gate, and an entry of cyc past the
-    ground set fails the certificate before any mask is built from it.
+    ground set fails the certificate before any mask is built from it,
+    as does a negative or non-int entry.
     """
     pred, n, r = basis_predicate(m)
     b1, b2 = _as_subset(n, b1, "block"), _as_subset(n, b2, "block")
-    wide = cyc and max(cyc) >= n
-    if len(cyc) != 2 * r or wide or as_mask(cyc[:r]) != b1 or as_mask(cyc[r:]) != b2:
-        raise InternalCheckError(f"cycle {cyc} does not list the blocks in order")
+    try:  # a non-int or negative entry raises TypeError in max or ValueError in as_mask
+        wide = cyc and max(cyc) >= n
+        if len(cyc) != 2 * r or wide or as_mask(cyc[:r]) != b1 or as_mask(cyc[r:]) != b2:
+            raise ValueError
+    except (TypeError, ValueError) as e:
+        raise InternalCheckError(f"cycle {cyc} does not list the blocks in order") from e
     if _dependent_windows(pred, 2 * r, r, cyc):
         raise InternalCheckError(f"cycle {cyc} has a dependent window")
 

@@ -307,9 +307,9 @@ def _replay(pred, members: Sequence[int], moves: Iterable[Move], ordered: bool) 
             raise ExchangeViolation(f"move indices ({i}, {j}) out of range")
         bi, bj = cur[i], cur[j]
         # a right shift tests a huge element without building a mask as wide as it
-        if not ((bi & ~bj) >> x) & 1:
+        if x < 0 or not ((bi & ~bj) >> x) & 1:
             raise ExchangeViolation(f"element {x} is not in member {i} only")
-        if not ((bj & ~bi) >> y) & 1:
+        if y < 0 or not ((bj & ~bi) >> y) & 1:
             raise ExchangeViolation(f"element {y} is not in member {j} only")
         cur[i], cur[j] = swap(bi, x, y), swap(bj, y, x)
         if not pred(cur[i]) or not pred(cur[j]):

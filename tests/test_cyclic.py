@@ -94,6 +94,13 @@ def test_ch_interval_count_rejects_non_orders():
         ch_interval_count(P44, (0, 1, 2))
     with pytest.raises(GroundSetMismatch):
         ch_interval_count(P44, (0, 1, 2, 4))
+    # an entry that is not an int is a wrong type, and a failed certificate
+    for entry in (1.0, "x"):
+        with pytest.raises(TypeError):
+            ch_interval_count(P44, (0, 1, 2, entry))
+        with pytest.raises(InternalCheckError, match="is not an order of the ground set$"):
+            cyclic.check_cyclic_order(P44, (0, 1, 2, entry))
+    assert ch_interval_count(P44, (0, True, 2, 3)) == ch_interval_count(P44, (0, 1, 2, 3))
 
 
 def test_ch_interval_count_explicit_matches_sparse():
@@ -384,6 +391,12 @@ def test_gabow_cycle_takes_the_explicit_form():
             assert gabow_cycle(em, b1, b2) == gabow_cycle(m, b1, b2), name
 
 
+def test_gabow_cycle_any_at_rank_zero():
+    # the empty cycle of two empty blocks passes its certificate, n = 0 too
+    for m in (uniform(0, 0), uniform(3, 0)):
+        assert gabow_cycle_any(m, 0, 0) == ()
+
+
 def test_gabow_cycle_exhaustive_small():
     checked = 0
     for _, m in CORPUS:
@@ -441,13 +454,34 @@ BAD_BLOCK_CYCLES = [
         InternalCheckError,
         r"cycle \(0, 9, 2, 3\) does not list the blocks in order",
     ),
+    (
+        (0, -1, 2, 3),
+        {0, 1},
+        {2, 3},
+        InternalCheckError,
+        r"cycle \(0, -1, 2, 3\) does not list the blocks in order",
+    ),
+    (
+        (0, "x", 2, 3),
+        {0, 1},
+        {2, 3},
+        InternalCheckError,
+        r"cycle \(0, 'x', 2, 3\) does not list the blocks in order",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "cyc,b1,b2,fault,msg",
     BAD_BLOCK_CYCLES,
-    ids=["block-outside", "second-block-outside", "entry-outside", "first-half-entry-outside"],
+    ids=[
+        "block-outside",
+        "second-block-outside",
+        "entry-outside",
+        "first-half-entry-outside",
+        "entry-negative",
+        "entry-not-int",
+    ],
 )
 def test_check_block_cycle_gates_its_blocks(cyc, b1, b2, fault, msg):
     for form in (lambda m: m, to_explicit):

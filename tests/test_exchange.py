@@ -121,6 +121,8 @@ BAD_MOVES = [
     (Move(-1, 1, 1, 2), r"move indices \(-1, 1\) out of range"),
     (Move(1, 0, 2, 1), r"move indices \(1, 0\) out of range"),
     (Move(1, 1, 2, 1), r"move indices \(1, 1\) out of range"),
+    (Move(0, 1, -1, 2), "element -1 is not in member 0 only"),
+    (Move(0, 1, 1, -1), "element -1 is not in member 1 only"),
 ]
 
 
@@ -136,6 +138,8 @@ BAD_MOVES = [
         "index-negative",
         "i>j",
         "i=j",
+        "x-negative",
+        "y-negative",
     ],
 )
 @pytest.mark.parametrize(

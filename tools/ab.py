@@ -14,10 +14,14 @@ stretch of a shared host hits both, where whole bench/run.py runs of
 one workload can move by a fifth from run to run.  The ratios still
 move: five A/A runs of one commit against a second copy of itself read
 0.938-1.028 per kind (walks workload, nine rounds each, 2-CPU shared
-x86-64 host).  So compare two `git archive` copies, never a working
-tree, which read 3-5% high against a copy of the same files; and
-before calling a 3-5% move, alternate several A/A and A/B runs and
-read the A/B ratios against the A/A spread.  The figures are minima
+x86-64 host).  Nor does an A/A pair centre on 1: an interleaved timer
+over four copies of one package read one copy 1.8-2.4% slower than
+another in every run.  So compare two `git archive` copies, never a
+working tree, which read 3-5% high against a copy of the same files;
+run each A/A pair both ways, the parent copy once as base and once as
+head, alternating with the A/B runs; and read the A/B ratios against
+the spread of all those A/A runs.  A per-kind move inside that spread
+is unresolved, neither a gain nor a loss.  The figures are minima
 over in-process calls, not the benchmark's end-to-end metrics.
 The outputs of the two sides are compared by their rendered form
 (Op.render) on the warm-up call; any mismatch is printed, and the exit
