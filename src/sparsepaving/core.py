@@ -121,18 +121,21 @@ def _outside(n: int, elements: Iterable[int], what: str) -> ElementOutOfRange:
 def _as_subset(n: int, s: ElementSet | Iterable[int], what: str = "set", limit: int = 0) -> int:
     """s as a mask, refused unless it lies inside {0, .., n-1}.
 
-    An iterable's elements are compared with n before any is shifted, so
-    a huge element is refused without building a mask as wide as it.  A
-    limit above n refuses an iterable only once an element reaches it.
+    An iterable's elements are compared with 0 and n before any is
+    shifted, so a huge element is refused without building a mask as
+    wide as it, and a negative one with the same error.  A limit above n
+    refuses an iterable only once an element reaches it; a negative
+    element is refused whatever the limit.
     """
     if isinstance(s, int):
         if s < 0 or s >> n:
             _check_subset(n, as_mask(s), what)  # as_mask refuses a negative mask
         return s
     s = tuple(s)
-    # no generator here reads a local, so an int call makes no closure cell
-    if max((e for e in s if isinstance(e, int)), default=-1) >= max(n, limit):
-        as_mask(e if not isinstance(e, int) or e < 0 else 0 for e in s)  # names a bad type first
+    # no comprehension here reads a local, so an int call makes no closure cell
+    ints = [e for e in s if isinstance(e, int)]
+    if ints and (min(ints) < 0 or max(ints) >= max(n, limit)):
+        as_mask(e if not isinstance(e, int) else 0 for e in s)  # names a bad type first
         raise _outside(n, sorted({int(e) for e in s}), what)
     return as_mask(s)
 
@@ -141,8 +144,9 @@ def _member_masks(n: int, sets: Iterable, what: str) -> set[int]:
     """A constructor's members as masks.
 
     An int mask is taken as as_mask takes it.  An iterable is refused
-    before any shift only if an element reaches max(n, MAX_GROUND); a
-    smaller range fault is left to validate, which orders its checks.
+    before any shift only if an element is negative or reaches
+    max(n, MAX_GROUND); a smaller range fault is left to validate, which
+    orders its checks.
     """
     return {
         s if isinstance(s, int) and s >= 0 else _as_subset(n, s, what, MAX_GROUND)

@@ -380,7 +380,7 @@ def brute_force_order(m):
     """
     pred, n, r = basis_predicate(m)
     if n > 9:
-        raise TooLarge(f"{math.factorial(max(n - 1, 0))} cycles is past the oracle guard")
+        raise TooLarge(f"n = {n} is past the oracle guard of 9")
     w = min(r, n - r)
     if w == 0:
         # every window is the one r-subset, a basis of any valid matroid

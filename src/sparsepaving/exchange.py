@@ -522,19 +522,22 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     search; otherwise one of the two is advanced toward the other.
     The bound table best holds one (distance, src, dst) tuple per
     unmatched src value, whose order is that tie-break.  best[a] is a
-    lower bound on the nearest pair of the src value a: it was the
-    exact nearest pair over every dst value present when it was set,
-    and each dst value that arrived since lowered it where nearer.  A
-    dst value that only gains a copy, or leaves, changes nothing.  Each
-    side's changed set names the values that arrived or left in the
-    round, judged by their state at its end: a dst value present lowers
-    bounds, a src value gone drops its bound, and a src value present
-    with none gets a fresh nearest scan.  The bound is exact while its
-    dst member is still unmatched.  Each round takes the least bound;
-    one whose dst member has left is rescanned against the unmatched dst
-    values and the round retries.  So the bound taken is exact and at
-    most every other bound, hence at most every other pair: the global
-    minimum.
+    lower bound on the nearest pair of the src value a.  It starts as
+    (0, a, a) when a is an unmatched dst value, and else as (2, a, -1):
+    distinct r-sets differ in at least two elements, and no dst value
+    is below -1.  A nearest scan over the unmatched dst values makes it
+    exact, and each dst value that arrives later lowers it where nearer;
+    one that only gains a copy, or leaves, changes nothing.  Each side's
+    changed set names the values that arrived or left in the round,
+    judged by their state at its end: a dst value present lowers bounds,
+    a src value gone drops its bound, and a src value present with none
+    gets its starting bound.  A bound whose dst member is unmatched
+    names a pair, so it is exact.  Each round takes the least bound; one
+    whose dst member is not unmatched (it left, or is the -1 of a
+    starting bound) is rescanned and the round retries.  So the bound
+    taken is exact and at most every other bound, hence at most every
+    other pair: the global minimum.  A value is scanned only when its
+    bound is the least.
 
     The least bound comes from a min-heap that gets each bound as it is
     set or lowered.  A top that no longer equals its table entry is
@@ -558,12 +561,16 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
     def nearest(a: int) -> tuple[int, int, int]:
         return min(((a ^ b).bit_count(), a, b) for b in targets)
 
-    best = {a: nearest(a) for a in side_s.act}
+    def start(a: int) -> tuple[int, int, int]:
+        return (0, a, a) if a in targets else (2, a, -1)
+
+    best = {a: start(a) for a in side_s.act}
     heap = list(best.values())
     heapq.heapify(heap)
     # a round matches (k times), advances (each makes some of the at most
-    # 4kr moves) or rescans a stale bound: at most k in a row, since only
-    # the other two make a bound stale
+    # 4kr moves) or rescans a stale bound, a starting bound included: at
+    # most k in a row, since a rescan is exact until one of the other two
+    # moves its dst member
     k = len(s_members)
     rounds = (k + 4 * k * r) * (k + 1)
     while best:
@@ -578,9 +585,9 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
         rounds -= 1
         if rounds < 0:
             raise InternalCheckError("collection walk overran its round bound")
-        if b_val not in targets:  # stale: its dst member has left
+        if b_val not in targets:  # stale: its dst member has left, or is -1
             best[a_val] = bound = nearest(a_val)
-            heapq.heappush(heap, bound)
+            heapq.heapreplace(heap, bound)  # the top is this entry, now outdated
             continue
         if dist == 0:
             side_s.match(a_val)
@@ -600,7 +607,7 @@ def white_moves(m, src: Sequence[ElementSet], dst: Sequence[ElementSet]) -> list
             if a not in side_s.act:
                 best.pop(a, None)  # None: it arrived and left this round
             elif a not in best:
-                best[a] = bound = nearest(a)
+                best[a] = bound = start(a)
                 heapq.heappush(heap, bound)
         for b in side_d.changed:
             if b in targets:

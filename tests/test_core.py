@@ -257,11 +257,43 @@ def test_a_wide_move_element_is_refused_before_any_mask():
 
 
 def test_a_bad_element_is_named_before_a_wide_one():
-    for bad in ("1", -1, 0.5):
+    for bad in ("1", 0.5):
         with pytest.raises(ValueError, match="^elements are non-negative integers$"):
             is_basis(uniform(4, 2), [10**6, bad])
+        with pytest.raises(ValueError, match="^elements are non-negative integers$"):
+            is_basis(uniform(4, 2), [-1, bad])
+    # a negative element is a range fault, named with the wide one
+    with pytest.raises(ElementOutOfRange, match="^set -1,1000000 is not inside 0..3$"):
+        is_basis(uniform(4, 2), [10**6, -1])
     with pytest.raises(ElementOutOfRange, match="^set 0,1,1000000 is not inside 0..3$"):
         rank_of(uniform(4, 2), (10**6, True, 0, 10**6))
+
+
+def test_negative_elements_are_range_faults():
+    """The argument gate refuses a negative element as it refuses a wide one,
+    with ElementOutOfRange in the gate's wording, not as_mask's ValueError.
+    """
+    m = uniform(4, 2)
+    calls = {
+        "set -1,2 is not inside 0..3": [
+            lambda: is_basis(m, {-1, 2}),
+            lambda: rank_of(m, [2, -1]),
+            lambda: relax(SparsePavingMatroid(4, 2, [{0, 1}]), {-1, 2}),
+        ],
+        "designated set -1,2 is not inside 0..3": [lambda: SparsePavingMatroid(4, 2, [{-1, 2}])],
+        "basis -1,2 is not inside 0..3": [lambda: ExplicitMatroid(4, 2, [{-1, 2}])],
+        "block -1,2 is not inside 0..3": [
+            lambda: gabow_cycle_any(m, {-1, 2}, {0, 1}),
+            lambda: bpg_vertex(m, [-1, 2], [0, 1], [3]),
+        ],
+        "src member -1,2 is not inside 0..3": [
+            lambda: white_moves(m, [[0, 1], [-1, 2]], [[0, 2], [1, 3]]),
+            lambda: white2_path(m, [[0, 1], [-1, 2]], [[0, 2], [1, 3]]),
+        ],
+    }
+    for message, fns in calls.items():
+        for fn in fns:
+            assert call_outcome(fn) == (ElementOutOfRange, message)
 
 
 # -- validation ----------------------------------------------------------------
@@ -324,7 +356,13 @@ CONSTRUCTOR_CASES = {
         lambda: [{0, 1}, -2],
         (ValueError, "element-set masks are non-negative"),
     ),
-    "negative-element": (lambda: [[0, -1]], (ValueError, "elements are non-negative integers")),
+    "negative-element": (
+        lambda: [[0, -1]],
+        {
+            SparsePavingMatroid: (ElementOutOfRange, "designated set -1,0 is not inside 0..3"),
+            ExplicitMatroid: (ElementOutOfRange, "basis -1,0 is not inside 0..3"),
+        },
+    ),
     "bad-element-before-negative-int": (
         lambda: [[0, "1"], -1],
         (ValueError, "elements are non-negative integers"),
@@ -347,8 +385,12 @@ def test_constructors_take_masks_and_element_iterables(items, want):
         bases = ExplicitMatroid(4, 2, items()).bases
         return tuple(sorted(((b, type(b)) for b in bases), key=lambda p: p[0]))
 
-    assert call_outcome(spm_masks) == want
-    assert call_outcome(explicit_masks) == want
+    # a dict gives each constructor its own outcome: they name a member differently
+    wants = want if isinstance(want, dict) else dict.fromkeys(
+        (SparsePavingMatroid, ExplicitMatroid), want
+    )
+    assert call_outcome(spm_masks) == wants[SparsePavingMatroid]
+    assert call_outcome(explicit_masks) == wants[ExplicitMatroid]
 
 
 def test_validate_rejects_close_pair():

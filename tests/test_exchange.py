@@ -1494,6 +1494,23 @@ def test_white_moves_matches_the_all_pairs_rule():
     assert repeated >= 100 and src_side >= 100, (repeated, src_side)
 
 
+def test_white_moves_matches_the_all_pairs_rule_on_repeated_members():
+    """Many members on 7 to 9 elements, so values repeat heavily.
+
+    Some src values then leave before their starting bound reaches the
+    top of the heap (in six of these eight walks), and
+    some dst values arrive equal to a src value that holds only its
+    starting bound (in four).
+    """
+    pool = [m for _, m in with_max_n(9, min_rank=1) if m.n >= 7]
+    ks = (96, 128, 256)
+    for i in range(8):
+        m = pool[i % len(pool)]
+        src, dst = _frozen_instance(m, ks[i % len(ks)], f"repeated {i}")
+        assert len(set(src)) < 2 * len(src) // 3, i  # a third or more are repeats
+        assert white_moves(m, src, dst) == white_moves_all_pairs(m, src, dst)[0], i
+
+
 def test_white_moves_fails_fast_when_advance_makes_no_move(monkeypatch):
     """A round that changes nothing fails the round bound instead of spinning."""
     monkeypatch.setattr(exchange, "_advance", lambda a1_mask, b1, side: None)

@@ -7,7 +7,11 @@ once per side to warm up.  Each round then times every operation on
 both sides back to back, alternating which side goes first, and keeps
 each operation's fastest time per side.  Prints, per operation kind and
 in total, the sums of those minima and the ratio head / base; a ratio
-below 1 means the head checkout is faster.
+below 1 means the head checkout is faster.  Then it lists the ten
+operations with the largest base minimum, each with its index in the
+operation list, its kind, its spec (cut to 40 characters), both minima
+and their ratio: a kind total can hide that a change moves its large
+operations and leaves the ones that set a workload's latency tail.
 
 Both sides of a pair run seconds apart in the same process, so a slow
 stretch of a shared host hits both, where whole bench/run.py runs of
@@ -123,6 +127,14 @@ def main(argv=None) -> int:
         print(f"{kind:<32} {n:>4} {b * 1e3:>10.2f} {h * 1e3:>10.2f} {h / b:>9.3f}")
     n, b, h = total
     print(f"{'total':<32} {n:>4} {b * 1e3:>10.2f} {h * 1e3:>10.2f} {h / b:>9.3f}")
+
+    slowest = sorted(range(len(base_ops)), key=lambda i: best["base"][i], reverse=True)[:10]
+    print(f"# the {len(slowest)} slowest operations by base minimum, ms")
+    print(f"{'op':>4} {'kind':<24} {'spec':<40} {'base':>8} {'head':>8} {'head/base':>9}")
+    for i in slowest:
+        op, b, h = base_ops[i], best["base"][i], best["head"][i]
+        spec = op.spec if len(op.spec) <= 40 else op.spec[:37] + "..."
+        print(f"{i:>4} {op.kind:<24} {spec:<40} {b * 1e3:>8.2f} {h * 1e3:>8.2f} {h / b:>9.3f}")
     return 1 if mismatched else 0
 
 
