@@ -17,7 +17,13 @@ ElementSet = int
 
 
 def as_mask(s: ElementSet | Iterable[int]) -> int:
-    """Coerce an int mask, or any iterable of elements, to a mask."""
+    """Coerce an int mask, or any iterable of elements, to a mask.
+
+    A primitive that takes no cap: an element e builds a mask of e + 1
+    bits, so as_mask({10**10}) runs out of memory.  Entry points that
+    take sets from their callers pass them through core's argument gate,
+    which compares each element with the ground size first.
+    """
     if isinstance(s, int):
         if s < 0:
             raise ValueError("element-set masks are non-negative")
@@ -92,7 +98,14 @@ def subsets(mask: int, k: int) -> Iterator[int]:
 
 
 def subset_masks(n: int, r: int) -> Iterator[int]:
-    """All r-element subsets of {0, .., n-1} as masks, in lexicographic order."""
+    """All r-element subsets of {0, .., n-1} as masks, in lexicographic order.
+
+    A primitive that takes no cap: it yields all C(n, r) masks, and
+    splits the n-element mask into n one-bit masks before the first, so
+    subset_masks(10**9, 2) runs out of memory.  Callers bound n and
+    C(n, r) themselves, as to_explicit and random_sparse_paving do with
+    MAX_EXPLICIT_WORK.
+    """
     if r < 0:
         return iter(())
     return subsets((1 << n) - 1, r)

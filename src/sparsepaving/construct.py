@@ -6,11 +6,14 @@ differ in exactly one element, so their sums land in different classes;
 every class is therefore a valid designated-set family, and the largest
 class has at least binomial(n, r) / n members.
 
-So a built class is certified by its residues, not by validate
-(check_class): each set has r elements inside 0..n-1 and sum c mod n,
-and there are as many as Graham and Sloane's divisor sum gives class c.
-Those sets are then exactly class c, separated by the theorem above,
-and a basis is left unless the class has all binomial(n, r) r-sets.
+So a built class is certified by its residues (check_class): each set
+has r elements inside 0..n-1 and sum c mod n, and there are as many as
+Graham and Sloane's divisor sum gives class c.  Those sets are then
+exactly class c, separated by the theorem above, and a basis is left
+unless the class has all binomial(n, r) r-sets.  core.validate makes
+the same argument for any family whose sets share one sum mod n, so a
+class read back from a file, a subfamily of one and a dual (whose sums
+are all the complement's) are separated without its shadow pass.
 
 A class is built without visiting the other n - 1: the ground set is
 split in half, and the j-subsets of the low half, bucketed by sum mod
@@ -32,8 +35,8 @@ import sys
 from itertools import combinations, filterfalse
 from math import comb, gcd
 
-from .bitset import bits, format_set, iter_elements, subset_masks, subsets
-from .core import MAX_EXPLICIT_WORK, SparsePavingMatroid, check_rank, validate
+from .bitset import bits, format_set, subset_masks, subsets
+from .core import MAX_EXPLICIT_WORK, SparsePavingMatroid, _residues, check_rank, validate
 from .errors import InternalCheckError, NoBasis, ResidueOutOfRange, TooLarge
 
 
@@ -90,40 +93,6 @@ def check_class(m: SparsePavingMatroid, c: int) -> None:
         raise InternalCheckError(f"class {c} has {len(chset)} r-sets, not {size}")
     if size >= comb(n, r):
         raise NoBasis(f"all {size} r-subsets are designated dependent")
-
-
-def _residues(n: int, r: int, sets: tuple[int, ...]) -> list[int]:
-    """Each set's element sum mod n, for r-subsets of 0..n-1.
-
-    Look the low and high halves of each mask up in two tables of
-    subset sums when the larger table has at most twice as many entries
-    as the sets hold elements: filling an entry costs about a sixth of
-    summing an element, and the tables stay within a small multiple of
-    the family's size.  Otherwise sum the elements, or for 2r > n the
-    fewer elements of the complement.  Measured near the crossover,
-    tables against element sums: (30, 5) 1.5 against 2.9 ms, (34, 5)
-    6.1 against 6.5 ms, (30, 4) 1.2 against 0.5 ms.
-    """
-    k = n // 2
-    if 1 << (n - k) <= 2 * len(sets) * min(r, n - r):
-        low, high, lows = _sum_table(0, k), _sum_table(k, n), (1 << k) - 1
-        return [(low[h & lows] + high[h >> k]) % n for h in sets]
-    if 2 * r > n:
-        ground, total = (1 << n) - 1, n * (n - 1) // 2
-        return [(total - sum(iter_elements(ground ^ h))) % n for h in sets]
-    return [sum(iter_elements(h)) % n for h in sets]
-
-
-def _sum_table(lo: int, hi: int) -> list[int]:
-    """table[b]: the element sum of the subset of lo..hi-1 whose mask is b << lo.
-
-    Filled one element at a time: the subsets holding e are those
-    without it, shifted up by e's bit, with e added to their sums.
-    """
-    table = [0]
-    for e in range(lo, hi):
-        table += [s + e for s in table]
-    return table
 
 
 def _class_masks(lo: int, hi: int, r: int, c: int, n: int) -> list[int]:

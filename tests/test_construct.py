@@ -150,17 +150,6 @@ def test_graham_sloane_runs_no_validate(monkeypatch):
     assert len(graham_sloane(22, 7, 3).chset) == gs_class_sizes(22, 7)[3]
 
 
-def test_residues_match_a_plain_sum_on_both_paths():
-    """Sum tables ((9, 4) to (28, 5)) and element sums (the rest, (40, 36) by complement)."""
-    for n, r, c in [(9, 4, 0), (22, 7, 3), (28, 5, 2), (5, 1, 4), (30, 4, 1), (40, 36, 7)]:
-        sets = tuple(construct._class_masks(0, n, r, c, n))
-        plain = [sum(e for e in range(n) if h >> e & 1) % n for h in sets]
-        assert construct._residues(n, r, sets) == plain == [c] * len(sets), (n, r, c)
-        flipped = tuple(h ^ 0b11 for h in sets)  # elements 0 and 1 traded or toggled
-        plain = [sum(e for e in range(n) if h >> e & 1) % n for h in flipped]
-        assert construct._residues(n, r, flipped) == plain, (n, r, c)
-
-
 def test_classes_partition_all_subsets():
     for n, r in [(4, 2), (6, 3), (7, 3), (9, 4), (10, 5)]:
         seen = set()

@@ -75,7 +75,9 @@ from sparsepaving import (
     white2_path,
     white_moves,
 )
-from sparsepaving.bitset import format_set, lowest_element
+from sparsepaving.bitset import format_set, lowest_element, swap
+from sparsepaving import core
+from sparsepaving.construct import _class_masks
 from sparsepaving.core import MAX_GROUND, _drop_element, _rank_attaining, check_ground
 from sparsepaving.errors import TooLarge
 from test_guards import _family
@@ -567,6 +569,63 @@ def test_validate_matches_the_setdefault_pass_on_random_families():
             kinds["several close pairs, the named two apart"] += close >= 2 and gap > 1
     assert set(kinds) >= {None, DistanceViolation, ElementOutOfRange, SizeMismatch, NoBasis}
     assert kinds["several close pairs, the named two apart"] > 100, kinds
+
+
+def test_validate_matches_the_setdefault_pass_on_one_residue_families():
+    """Families whose sets share one element sum mod n skip the shadow pass.
+
+    Residue classes, subfamilies of them on both sides of _residues'
+    table rule, and their duals; a class plus one set from another class
+    at symmetric difference 2, plus an out-of-range or wrong-size set of
+    the same sum, and a class mod n - 1, which is not separated.  Each
+    against the reference pass.
+    """
+    rng = random.Random(20261022)
+    kinds = Counter()
+    for n, r, c in [(9, 4, 0), (12, 5, 3), (13, 9, 2), (16, 3, 5), (22, 7, 3)]:
+        cls = _class_masks(0, n, r, c, n)
+        full = (1 << n) - 1
+        for size in {len(cls), len(cls) // 2, 40, 5, 2}:
+            fam = rng.sample(cls, min(size, len(cls)))
+            h = rng.choice(fam)
+            x = rng.choice(elements(h))
+            y = rng.choice(elements(full ^ h))
+            cases = {
+                "class": (r, fam),
+                "dual": (n - r, [full ^ s for s in fam]),
+                "foreign neighbour": (r, fam + [swap(h, x, y)]),
+                "outside, same sum": (r, fam + [swap(h, x, x + n)]),
+                "wrong size, same sum": (r, fam + [h ^ 1]),  # element 0 toggled
+            }
+            for kind, (rank, sets) in cases.items():
+                m = SparsePavingMatroid(n, rank, sets)
+                got = outcome(validate, m)
+                assert got == outcome(validate_by_setdefault, m), (kind, m)
+                kinds[kind, got[0] if got else None] += 1
+                if kind in ("class", "dual"):
+                    assert core._one_residue(n, rank, m.chset) == (len(m.chset) > 1)
+                    table = 1 << (n - n // 2) <= 2 * len(m.chset) * min(rank, n - rank)
+                    kinds["table" if table else "element sums"] += 1
+        # all sums c mod n - 1: the swap of 0 and n - 1 keeps the sum
+        near = [s for s in subset_masks(n, r) if sum(elements(s)) % (n - 1) == c]
+        m = SparsePavingMatroid(n, r, near)
+        want = outcome(validate_by_setdefault, m)
+        assert want[0] is DistanceViolation and outcome(validate, m) == want, (n, r)
+    assert kinds["table"] and kinds["element sums"], kinds
+    assert kinds["foreign neighbour", DistanceViolation] == 25, kinds
+    assert kinds["outside, same sum", ElementOutOfRange] == 25, kinds
+    assert kinds["wrong size, same sum", SizeMismatch] == 25, kinds
+
+
+def test_residues_match_a_plain_sum_on_both_paths():
+    """Sum tables ((9, 4) to (28, 5)) and element sums (the rest, (40, 36) by complement)."""
+    for n, r, c in [(9, 4, 0), (22, 7, 3), (28, 5, 2), (5, 1, 4), (30, 4, 1), (40, 36, 7)]:
+        sets = tuple(_class_masks(0, n, r, c, n))
+        plain = [sum(e for e in range(n) if h >> e & 1) % n for h in sets]
+        assert core._residues(n, r, sets) == plain == [c] * len(sets), (n, r, c)
+        flipped = tuple(h ^ 0b11 for h in sets)  # elements 0 and 1 traded or toggled
+        plain = [sum(e for e in range(n) if h >> e & 1) % n for h in flipped]
+        assert core._residues(n, r, flipped) == plain, (n, r, c)
 
 
 def test_ground_size_cap():
