@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection, Iterable, Iterator
 
 from .bitset import ElementSet, as_mask, bits, format_set, iter_elements, subset_masks, swap
 from .errors import (
@@ -210,21 +210,25 @@ def validate(m: SparsePavingMatroid) -> None:
     difference 2 exactly when they share an (r-1)-subset.  Every
     (r-1)-subset of every designated set goes into one set, and the
     family is separated exactly when that set ends with r * len(chset)
-    members, in O(len(chset) * r).  Only when it falls short is the pair
-    located, by a second pass that names the first set in chset order
-    with an (r-1)-subset already seen and the first set that had it.
+    members, in O(len(chset) * r).  For 2r > n the complements, which
+    keep every symmetric difference, are counted instead, n - r shadows
+    each.  Only when the count falls short is the pair located, by a
+    second pass that names the first set in chset order with an
+    (r-1)-subset already seen and the first set that had it.
     """
     _check_family(m.n, m.r, m.chset, "designated set")
     if not _one_residue(m.n, m.r, m.chset):
+        flip = m.ground if 2 * m.r > m.n else 0
         shadows: set[int] = set()
         add = shadows.add
         for h in m.chset:
+            h ^= flip
             rest = h
             while rest:
                 low = rest & -rest
                 add(h ^ low)
                 rest ^= low
-        if len(shadows) != m.r * len(m.chset):
+        if len(shadows) != min(m.r, m.n - m.r) * len(m.chset):
             _raise_close_pair(m.chset)
     # chset holds distinct r-sets, so no basis is left iff it has all C(n, r)
     if len(m.chset) >= comb(m.n, m.r):
@@ -235,16 +239,17 @@ def _one_residue(n: int, r: int, sets: tuple[int, ...]) -> bool:
     """Whether two or more r-subsets of 0..n-1 all have one element sum mod n.
 
     The first few sets are summed alone, so that a family of mixed sums,
-    such as a random one, mostly stops there.
+    such as a random one, mostly stops there; otherwise the sums stop at
+    the first one that differs.
     """
     if len(sets) < 2:
         return False
     head = set(_residues(n, r, sets[:4]))
-    return len(head) == 1 and set(_residues(n, r, sets)) == head
+    return len(head) == 1 and all(map(head.__contains__, _residues(n, r, sets)))
 
 
-def _residues(n: int, r: int, sets: tuple[int, ...]) -> list[int]:
-    """Each set's element sum mod n, for r-subsets of 0..n-1.
+def _residues(n: int, r: int, sets: tuple[int, ...]) -> Iterator[int]:
+    """Each set's element sum mod n, for r-subsets of 0..n-1, taken lazily.
 
     Look the low and high halves of each mask up in two tables of
     subset sums when the larger table has at most twice as many entries
@@ -258,11 +263,11 @@ def _residues(n: int, r: int, sets: tuple[int, ...]) -> list[int]:
     k = n // 2
     if 1 << (n - k) <= 2 * len(sets) * min(r, n - r):
         low, high, lows = _sum_table(0, k), _sum_table(k, n), (1 << k) - 1
-        return [(low[h & lows] + high[h >> k]) % n for h in sets]
+        return ((low[h & lows] + high[h >> k]) % n for h in sets)
     if 2 * r > n:
         ground, total = (1 << n) - 1, n * (n - 1) // 2
-        return [(total - sum(iter_elements(ground ^ h))) % n for h in sets]
-    return [sum(iter_elements(h)) % n for h in sets]
+        return ((total - sum(iter_elements(ground ^ h))) % n for h in sets)
+    return (sum(iter_elements(h)) % n for h in sets)
 
 
 def _sum_table(lo: int, hi: int) -> list[int]:

@@ -7,18 +7,21 @@ nonempty subset A, and in a sparse paving matroid only the designated
 dependent r-sets can violate that bound, so the test collapses to a
 closed form on (n, r).
 
-The constructive route works on the side with 2r <= n (a cyclic order
-witnesses a matroid iff it witnesses the dual, by complementing
-windows).  It samples cycles until one has at most one dependent
-window.  By Markov's inequality and the (r-1)-subset packing bound a
-uniform draw has at most one dependent window with probability at
-least 2 / (n+2), so all 64n draws miss with probability at most
-e^(-128n / (n+2)), which is e^(-96) or less once r >= 3.  A lone
+The constructive route reads windows of length w = min(r, n - r), as
+brute_force_order does: for 2r > n the r-window starting at p is the
+complement of the (n-r)-window starting at p + r, so testing the
+complements of the w-windows tests every r-window, and no dual is
+built.  It samples cycles until one has at most one dependent w-window.
+By Markov's inequality and the (w-1)-subset packing bound a uniform
+draw has at most one dependent window with probability at least
+2 / (n+2), so all 64n draws miss with probability at most
+e^(-128n / (n+2)), which is e^(-96) or less once w >= 3.  A lone
 bad window is then repaired by trying six fixed rearrangements of four
 consecutive entries, the last of which ends at the window's first
 slot.  The case analysis behind the six candidates uses only the fact
-that two dependent r-sets never differ in exactly two elements, so a
-failure of all six is reported as an internal error.
+that two dependent w-windows never differ in exactly two elements (nor
+do their complements), so a failure of all six is reported as an
+internal error.
 
 For disjoint bases B1 and B2, gabow_cycle_any orders X = B1 | B2 so
 that both stay contiguous and every r cyclically consecutive elements
@@ -45,7 +48,6 @@ from .core import (
     _size_families,
     basis_predicate,
     check_ground,
-    dual,
     explicit_rank,
     rank_of,
 )
@@ -156,16 +158,16 @@ def check_density_witness(m, w: ElementSet) -> None:
         raise InternalCheckError(f"{format_set(w)} is not a density witness")
 
 
-def _rank_two_order(m: SparsePavingMatroid) -> tuple[int, ...]:
-    # r = 2 and at least one dependent pair; density gave n >= 4.
+def _rank_two_order(ground: int, pairs) -> tuple[int, ...]:
+    # the dependent 2-sets on the window side, at least one; density gave n >= 4.
     # Dependent pairs are disjoint (two sharing an element would be at
     # symmetric difference 2), so sorting them orders their first members.
     # Separate each dependent pair cyclically: first members, then the
     # untouched elements, then second members.  A window is bad only if
     # it equals some dependent pair, and no two such pair members end
     # up adjacent (with one pair, interleave a free element instead).
-    firsts, seconds = zip(*sorted(map(elements, m.chset)))
-    free = elements(m.ground & ~as_mask(firsts + seconds))
+    firsts, seconds = zip(*sorted(map(elements, pairs)))
+    free = elements(ground & ~as_mask(firsts + seconds))
     if len(firsts) == 1:
         return (firsts[0], free[0], seconds[0], *free[1:])
     return (*firsts, *free, *seconds)
@@ -218,15 +220,14 @@ def find_cyclic_order(m: SparsePavingMatroid, seed: int = 0):
     pred, n, r = basis_predicate(m)
     if not m.chset:
         return tuple(range(n))
-    if 2 * r > n:
-        out = find_cyclic_order(dual(m), seed=seed)
-        # complementary windows: a witness for the dual is one for m
-    elif r == 2:
-        out = _rank_two_order(m)
+    # density with a dependent set present forces r(n - r) >= n, so w >= 2;
+    # for 2r > n each w-window is tested by its complement, as in brute_force_order
+    w, ground = min(r, n - r), m.ground
+    if w == 2:
+        out = _rank_two_order(ground, m.chset if r == 2 else [ground ^ h for h in m.chset])
     else:
-        # density with a dependent set present forces r >= 3 here, and
-        # 2r <= n then forces n - r >= 3
-        out = _repair_single_window(pred, n, r, _near_witness_cycle(pred, n, r, seed))
+        test = pred if w == r else lambda c: pred(ground ^ c)
+        out = _repair_single_window(test, n, w, _near_witness_cycle(test, n, w, seed))
     check_cyclic_order(m, out)
     return out
 

@@ -571,6 +571,26 @@ def test_validate_matches_the_setdefault_pass_on_random_families():
     assert kinds["several close pairs, the named two apart"] > 100, kinds
 
 
+HIGH_RANK_VALIDATE = """
+import random
+from sparsepaving import SparsePavingMatroid, dual, validate
+from sparsepaving.core import _one_residue
+perm = list(range(4096))
+random.Random(0).shuffle(perm)
+m = dual(SparsePavingMatroid(4096, 2, [perm[i : i + 2] for i in range(0, 4096, 2)]))
+validate(m)
+print(m.r, len(m.chset), _one_residue(m.n, m.r, m.chset))
+"""
+
+
+def test_validate_counts_complement_shadows_at_high_rank():
+    """The dual of 2,048 disjoint random 2-sets of 0..4095 has rank 4094 and
+    mixed sums, so it takes the shadow pass.  Its r shadows of 512 bytes per
+    set would need over 2 GB; the complements' two per set fit in 1 GiB."""
+    out = _run_limited(HIGH_RANK_VALIDATE)
+    assert (out.returncode, out.stderr, out.stdout) == (0, "", "4094 2048 False\n")
+
+
 def test_validate_matches_the_setdefault_pass_on_one_residue_families():
     """Families whose sets share one element sum mod n skip the shadow pass.
 
@@ -622,10 +642,20 @@ def test_residues_match_a_plain_sum_on_both_paths():
     for n, r, c in [(9, 4, 0), (22, 7, 3), (28, 5, 2), (5, 1, 4), (30, 4, 1), (40, 36, 7)]:
         sets = tuple(_class_masks(0, n, r, c, n))
         plain = [sum(e for e in range(n) if h >> e & 1) % n for h in sets]
-        assert core._residues(n, r, sets) == plain == [c] * len(sets), (n, r, c)
+        assert list(core._residues(n, r, sets)) == plain == [c] * len(sets), (n, r, c)
         flipped = tuple(h ^ 0b11 for h in sets)  # elements 0 and 1 traded or toggled
         plain = [sum(e for e in range(n) if h >> e & 1) % n for h in flipped]
-        assert core._residues(n, r, flipped) == plain, (n, r, c)
+        assert list(core._residues(n, r, flipped)) == plain, (n, r, c)
+
+
+def test_one_residue_stops_at_the_first_differing_sum():
+    """A class of (22, 7) takes the sum tables; a set of another sum after it
+    ends the pass, so a mask past the tables' reach behind it is never read."""
+    sets = tuple(_class_masks(0, 22, 7, 3, 22))
+    stranger = sets[0] ^ 0b11  # elements 0 and 1 traded or toggled
+    assert not core._one_residue(22, 7, (*sets, stranger, 1 << 100))
+    with pytest.raises(IndexError):
+        core._one_residue(22, 7, (*sets, 1 << 100))
 
 
 def test_ground_size_cap():

@@ -316,6 +316,35 @@ def test_high_rank_side_goes_through_the_dual():
         assert got is not None and ch_interval_count(m, got) == 0
 
 
+# sha256 of find_cyclic_order's outcomes at seeds 0, 1 and 7, one repr per line,
+# over the families of test_find_cyclic_order_high_rank_frozen in order
+FROZEN_HIGH_RANK = "d3a8dac3edd85faeefe53fcd5661bfd6ae2ddb40ec982582a260b708fe30b303"
+
+
+def test_find_cyclic_order_high_rank_frozen():
+    """Pins the orders at 2r > n: every family with n <= 7, then the duals of
+    seven GS classes, up to (24, 19).  Rank 4 on 7 elements and the duals
+    take the sampler on their complements, corank 2 the rank-two order."""
+    ms = [
+        SparsePavingMatroid(n, r, f)
+        for n in range(1, 8)
+        for r in range(n // 2 + 1, n + 1)
+        for f in sparse_paving_families(n, r)
+    ]
+    classes = [(8, 3), (10, 4), (12, 5), (14, 4), (20, 6), (22, 7), (24, 5)]
+    ms += [dual(gs_best(n, r)) for n, r in classes]
+    h = hashlib.sha256()
+    found = 0
+    for m in ms:
+        for seed in (0, 1, 7):
+            got = call_outcome(find_cyclic_order, m, seed)
+            h.update(repr(got).encode() + b"\n")
+            found += got is not None
+    # 75 of the 17,922 calls fail the density test
+    assert (len(ms), found) == (5974, 17847)
+    assert h.hexdigest() == FROZEN_HIGH_RANK
+
+
 def test_rank_two_direct_construction():
     m = SparsePavingMatroid(7, 2, [{0, 4}, {1, 5}, {2, 6}])
     got = find_cyclic_order(m)
@@ -647,8 +676,9 @@ def test_block_cycle_matches_the_reference():
 def test_rank_two_order_matches_the_reference(monkeypatch):
     """Every family of rank 2 or corank 2 with n <= 7, through find_cyclic_order.
 
-    Corank 2 reaches the rank-2 order through the dual.  The reference
-    answers are taken with _rank_two_order swapped for the old scan.
+    Corank 2 reaches the rank-2 order with the complements of its
+    dependent sets as the pairs.  The reference answers are taken with
+    _rank_two_order swapped for the old scan.
     """
     ms = [
         SparsePavingMatroid(n, r, f)
@@ -659,9 +689,13 @@ def test_rank_two_order_matches_the_reference(monkeypatch):
     for m in ms:
         if m.r == 2 and m.chset:
             want = call_outcome(rank_two_order_by_scan, m)
-            assert call_outcome(cyclic._rank_two_order, m) == want, m
+            assert call_outcome(cyclic._rank_two_order, m.ground, m.chset) == want, m
     got = [call_outcome(find_cyclic_order, m) for m in ms]
-    monkeypatch.setattr(cyclic, "_rank_two_order", rank_two_order_by_scan)
+
+    def by_scan(ground, pairs):
+        return rank_two_order_by_scan(SparsePavingMatroid(ground.bit_length(), 2, pairs))
+
+    monkeypatch.setattr(cyclic, "_rank_two_order", by_scan)
     assert got == [call_outcome(find_cyclic_order, m) for m in ms]
     # 671 of the 688 have a dependent pair and an order
     assert sum(m.chset != () and g is not None for g, m in zip(got, ms)) == 671

@@ -10,14 +10,16 @@ with failed: 0 and its "# run" line reports reference: match, that is,
 every operation's output digest equals the one frozen in
 bench/reference.json.
 
-It then runs the six fixed commands of acceptance criterion 10 as
+It then runs the six fixed commands of acceptance criterion 10, and
+one `order cyclic` at rank above n/2, as
 
     PYTHON -m sparsepaving.cli ARGS
 
-with PYTHONPATH=src, on P44 and the best GS(8, 4) class written to a
-temporary directory.  A command passes when it exits 0 with stdout
-byte-equal to the same command under the interpreter running this
-script.
+with PYTHONPATH=src, on P44, the best GS(8, 4) class and the dual of
+the best GS(10, 4) class (rank 6 on 10 elements, whose order is read
+through complement windows) written to a temporary directory.  A
+command passes when it exits 0 with stdout byte-equal to the same
+command under the interpreter running this script.
 
 Prints one line per run and exits 1 if any run fails.  Standard library
 only; besides the temporary directory it writes only the benchmark's
@@ -49,6 +51,9 @@ CLI_COMMANDS = (
     ("flats", "{gs}"),
     ("census", "--n", "12"),
 )
+# rank 6 on 10 elements, so the order is read through complement windows;
+# it prints 4 2 9 0 6 7 8 1 5 3
+HIGH_RANK_COMMAND = ("order", "cyclic", "{gs_dual}")
 
 
 def replay(python: str, workload: str) -> tuple[bool, str]:
@@ -77,13 +82,17 @@ def replay(python: str, workload: str) -> tuple[bool, str]:
 
 
 def write_inputs(tmp: Path) -> dict[str, str]:
-    """P44 and the best GS(8, 4) class, as criterion 10 writes them."""
+    """P44 and the best GS(8, 4) class, as criterion 10 writes them, and
+    the dual of the best GS(10, 4) class."""
     sys.path.insert(0, str(ROOT / "src"))
-    from sparsepaving import SparsePavingMatroid, graham_sloane, gs_best_class, serialize_matroid
+    from sparsepaving import (
+        SparsePavingMatroid, dual, graham_sloane, gs_best_class, serialize_matroid,
+    )
 
     matroids = {
         "p44": SparsePavingMatroid(4, 2, [{0, 3}, {1, 2}]),
         "gs": graham_sloane(8, 4, gs_best_class(8, 4)[0]),
+        "gs_dual": dual(graham_sloane(10, 4, gs_best_class(10, 4)[0])),
     }
     paths = {}
     for name, m in matroids.items():
@@ -118,7 +127,10 @@ def main(argv: list[str] | None = None) -> int:
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_inputs(Path(tmp))
-        commands = [(" ".join(c), [a.format(**paths) for a in c]) for c in CLI_COMMANDS]
+        commands = [
+            (" ".join(c), [a.format(**paths) for a in c])
+            for c in (*CLI_COMMANDS, HIGH_RANK_COMMAND)
+        ]
         wants = [run_cli(sys.executable, cmd) for _, cmd in commands]
         for python in args.python:
             jobs = [(w, replay, (python, w)) for w in WORKLOADS]
